@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import recurrence
-from .model import Model, MoveGraph, apply_all, standard_state
+from .model import IllegalMoveError, Model, MoveGraph, apply_all, standard_state
 from .oracle import (
     DEFAULT_STATE_BUDGET,
     GoalPredicate,
@@ -244,11 +244,18 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         moves = list(result.path or ())
 
     # a printed sequence must replay cleanly; refuse to emit otherwise
-    final = apply_all(model, standard_state(n, src), moves)
+    try:
+        final = apply_all(model, standard_state(n, src), moves)
+    except IllegalMoveError as err:
+        print(f"error: {solver} sequence does not replay: {err}", file=sys.stderr)
+        return EXIT_FAILURE
     if goal == "standard":
-        assert final == standard_state(n, tgt)
+        reached = final == standard_state(n, tgt)
     else:
-        assert all(not final.stacks[p - 1] for p in (1, 2, 3) if p != tgt)
+        reached = all(not final.stacks[p - 1] for p in (1, 2, 3) if p != tgt)
+    if not reached:
+        print(f"error: {solver} sequence does not reach the {goal} goal", file=sys.stderr)
+        return EXIT_FAILURE
 
     fmt = _fmt(args)
     if fmt == "plain":

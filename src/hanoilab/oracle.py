@@ -6,13 +6,18 @@ every step), shortest *symmetric* transfers, and the conjecture probe
 table.
 
 Two BFS cores share the public API.  For distance 0 the stack order is
-forced, so a state packs into a base-3 integer keyed by disc; for
-distance >= 1 states are canonical stack tuples.  Visited sets never
-truncate silently: exceeding the configured state budget raises.
+forced, so a state packs into a base-3 integer keyed by disc, and moves
+come from a table cached per graph: the legal (move, code delta) pairs
+for each placement of the six smallest discs.  The visited map is a
+bytearray over all 3**n codes when that many fit the state budget, and
+a set otherwise.  For distance >= 1 states are canonical stack tuples.
+Searches never truncate silently: exceeding the configured state budget
+raises.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -140,41 +145,121 @@ def _dense_neighbors(
     return out
 
 
+#: Discs covered by a move-table entry; the table has 3**6 = 729 entries.
+_TABLE_DISCS = 6
+
+DenseMoves = tuple[tuple[tuple[int, int], int], ...]
+
+
+@functools.lru_cache(maxsize=None)  # keys: at most 64 edge sets x 7 sizes
+def _move_table(
+    edges: tuple[tuple[int, int], ...], k: int
+) -> tuple[DenseMoves | None, ...]:
+    """Legal `(move, code delta)` pairs for every assignment L of the k
+    smallest discs, in sorted-edge order.
+
+    When those discs sit on at least two pegs, every peg without one has a
+    top larger than k, and no such disc may land on a small disc, so the
+    entry holds for any code whose low k digits are L.  When all k sit on
+    one peg the larger discs decide the other tops: the entry is None and
+    the caller decodes the full code instead.
+    """
+    pow3 = [3**i for i in range(k)]
+    size = 3**k
+    one_peg = {0, (size - 1) // 2, size - 1}
+    # at most 6 edges x k discs distinct pairs: share one tuple for each
+    shared: dict[tuple[tuple[int, int], int], tuple[tuple[int, int], int]] = {}
+    return tuple(
+        None
+        if low in one_peg
+        else tuple(
+            shared.setdefault((mv, new - low), (mv, new - low))
+            for mv, new in _dense_neighbors(low, k, edges, pow3)
+        )
+        for low in range(size)
+    )
+
+
+def _dense_moves(
+    code: int, n: int, edges: tuple[tuple[int, int], ...]
+) -> DenseMoves:
+    """Legal `(move, code delta)` pairs from `code`, in sorted-edge order."""
+    table = _move_table(edges, min(n, _TABLE_DISCS))
+    moves = table[code % len(table)]
+    if moves is None:
+        pow3 = [3**i for i in range(n)]
+        moves = tuple((mv, new - code) for mv, new in _dense_neighbors(code, n, edges, pow3))
+    return moves
+
+
 def _dense_distances(
     n: int,
     edges: tuple[tuple[int, int], ...],
     start: int,
     goals: set[int],
     max_states: int,
+    levels: list[list[int]] | None = None,
 ) -> tuple[dict[int, int], int, int]:
     """Level BFS on packed codes until every goal code is found (or the
-    component is exhausted).  Returns ({goal: distance}, explored, peak)."""
-    pow3 = [3**k for k in range(n)]
+    component is exhausted).  Returns ({goal: distance}, explored, peak);
+    when `levels` is given, every level from the start on is appended.
+
+    The visited map is a bytearray indexed by code whenever all 3**n codes
+    fit the state budget (the cap cannot fire there); above that it is a
+    set, checked against the cap as each state is inserted.
+    """
+    table = _move_table(edges, min(n, _TABLE_DISCS))
+    low = len(table)
+    dense_map = 3**n <= max_states
+    if dense_map:
+        visited: bytearray | set[int] = bytearray(3**n)
+        visited[start] = 1
+    else:
+        visited = {start}
     found: dict[int, int] = {}
     remaining = set(goals)
     if start in remaining:
         found[start] = 0
         remaining.discard(start)
-    visited = {start}
     frontier = [start]
+    if levels is not None:
+        levels.append(frontier)
+    explored = 1
     level = 0
     peak = 1
     while frontier and remaining:
         level += 1
-        nxt = []
-        for code in frontier:
-            for _, new in _dense_neighbors(code, n, edges, pow3):
-                if new not in visited:
-                    visited.add(new)
-                    nxt.append(new)
-                    if new in remaining:
-                        found[new] = level
-                        remaining.discard(new)
-        if len(visited) > max_states:
-            raise SearchCapExceeded(max_states)
+        nxt: list[int] = []
+        # a None table entry (small discs all on one peg) decodes the code
+        if dense_map:
+            for code in frontier:
+                for _, delta in table[code % low] or _dense_moves(code, n, edges):
+                    new = code + delta
+                    if not visited[new]:
+                        visited[new] = 1
+                        nxt.append(new)
+                        if new in remaining:
+                            found[new] = level
+                            remaining.discard(new)
+        else:
+            for code in frontier:
+                for _, delta in table[code % low] or _dense_moves(code, n, edges):
+                    new = code + delta
+                    if new not in visited:
+                        visited.add(new)
+                        if len(visited) > max_states:
+                            raise SearchCapExceeded(max_states)
+                        nxt.append(new)
+                        if new in remaining:
+                            found[new] = level
+                            remaining.discard(new)
         frontier = nxt
-        peak = max(peak, len(nxt))
-    return found, len(visited), peak
+        if levels is not None:
+            levels.append(nxt)
+        explored += len(nxt)
+        if len(nxt) > peak:
+            peak = len(nxt)
+    return found, explored, peak
 
 
 def _dense_witness(
@@ -187,47 +272,30 @@ def _dense_witness(
     """BFS with full levels retained, then a backward sweep marking states
     on shortest paths, then a forward greedy walk taking the smallest
     optimal move at each step."""
-    pow3 = [3**k for k in range(n)]
-    if start == goal:
-        return 0, [], 1, 1
-    levels: list[list[int]] = [[start]]
-    dist = {start: 0}
-    peak = 1
-    goal_level: int | None = None
-    while levels[-1] and goal_level is None:
-        nxt = []
-        d = len(levels)
-        for code in levels[-1]:
-            for _, new in _dense_neighbors(code, n, edges, pow3):
-                if new not in dist:
-                    dist[new] = d
-                    nxt.append(new)
-                    if new == goal:
-                        goal_level = d
-        if len(dist) > max_states:
-            raise SearchCapExceeded(max_states)
-        levels.append(nxt)
-        peak = max(peak, len(nxt))
-    explored = len(dist)
+    levels: list[list[int]] = []
+    found, explored, peak = _dense_distances(n, edges, start, {goal}, max_states, levels)
+    goal_level = found.get(goal)
     if goal_level is None:
         return None, None, explored, peak
     on_shortest: list[set[int]] = [set() for _ in range(goal_level + 1)]
     on_shortest[goal_level] = {goal}
+    table = _move_table(edges, min(n, _TABLE_DISCS))
+    low = len(table)
     for lvl in range(goal_level - 1, -1, -1):
         marked = on_shortest[lvl + 1]
         keep = on_shortest[lvl]
         for code in levels[lvl]:
-            for _, new in _dense_neighbors(code, n, edges, pow3):
-                if new in marked:
+            for _, delta in table[code % low] or _dense_moves(code, n, edges):
+                if code + delta in marked:
                     keep.add(code)
                     break
     path: list[Move] = []
     current = start
     for lvl in range(goal_level):
-        for mv, new in _dense_neighbors(current, n, edges, pow3):
-            if new in on_shortest[lvl + 1]:
+        for mv, delta in _dense_moves(current, n, edges):
+            if current + delta in on_shortest[lvl + 1]:
                 path.append(Move(*mv))
-                current = new
+                current += delta
                 break
         else:  # pragma: no cover - would indicate a marking bug
             raise RuntimeError("witness reconstruction lost the shortest-path set")
@@ -553,7 +621,8 @@ def shortest_symmetric(
     def finish(half: list[Move], middle: list[Move]) -> SearchResult:
         path = half + middle + mirror_sequence(half, src, tgt)
         final = apply_all(model, start, path)
-        assert final == standard_state(n, tgt), "symmetric witness must end standard"
+        if final != standard_state(n, tgt):  # pragma: no cover - engine bug
+            raise RuntimeError("symmetric witness must end standard")
         return SearchResult(len(path), tuple(path), len(parents), peak)
 
     while frontier:

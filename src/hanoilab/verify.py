@@ -125,7 +125,8 @@ def project_out_largest(
     except IllegalMoveError as err:  # pragma: no cover - cannot happen pairwise
         raise RuntimeError(f"projected sequence became illegal: {err}") from err
     expected = remove_disc(apply_all(model, start, seq), n)
-    assert final == expected, "projection must land on the reduced final state"
+    if final != expected:  # pragma: no cover - cannot happen pairwise
+        raise RuntimeError("projection must land on the reduced final state")
     return projected
 
 

@@ -9,6 +9,7 @@ from hanoilab.cli import (
     enumerate_graph_classes,
     run,
 )
+from hanoilab.model import Move
 from hanoilab.recurrence import CHORD_GRAPH, CYCLE_GRAPH, FIVE_EDGE_GRAPH, LINEAR_GRAPH
 
 
@@ -146,6 +147,21 @@ def test_solve_zeta_goal(capsys):
     payload = json.loads(out)
     assert payload["goal"] == "all-on-target"
     assert payload["length"] == 6
+
+
+@pytest.mark.parametrize(
+    "wrong, reason",
+    [
+        ([], "does not reach the standard goal"),  # legal but stops short
+        ([Move(2, 1)], "does not replay"),  # empty source peg
+    ],
+)
+def test_solve_refuses_a_sequence_that_misses_the_goal(capsys, monkeypatch, wrong, reason):
+    monkeypatch.setattr("hanoilab.cli.classical_solve", lambda n, src, tgt: list(wrong))
+    code, out, err = invoke(capsys, "solve", "--model", "classical", "--n", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: classical sequence ") and reason in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,102 @@
+"""The table-driven dense (distance 0) search core against its references:
+the full base-3 decoder `_dense_neighbors` and the sparse stack-tuple core.
+"""
+
+import tracemalloc
+
+import pytest
+
+from hanoilab.cli import all_strongly_connected_graphs
+from hanoilab.model import Model, Move, State, standard_state
+from hanoilab.oracle import (
+    _TABLE_DISCS,
+    GoalPredicate,
+    SearchCapExceeded,
+    _dense_moves,
+    _dense_neighbors,
+    _goal_match_fn,
+    _move_table,
+    _sparse_distances,
+    _sparse_witness,
+    bfs_distance,
+)
+from hanoilab.recurrence import PAIR_ORDER
+
+GRAPHS = all_strongly_connected_graphs()
+CLASSICAL = Model.classical()
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.format())
+def test_table_moves_equal_full_decoder(graph):
+    edges = graph.sorted_edges()
+    for n in range(_TABLE_DISCS + 2):
+        pow3 = [3**i for i in range(n)]
+        table = _move_table(edges, min(n, _TABLE_DISCS))
+        for code in range(3**n):
+            expected = _dense_neighbors(code, n, edges, pow3)
+            moves = [(mv, code + delta) for mv, delta in _dense_moves(code, n, edges)]
+            assert moves == expected, (n, code)
+            entry = table[code % len(table)]
+            low_digits = {code // 3**i % 3 for i in range(min(n, _TABLE_DISCS))}
+            assert (entry is None) == (len(low_digits) <= 1), (n, code)
+            if entry is not None:
+                assert [(mv, code + delta) for mv, delta in entry] == expected
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.format())
+def test_dense_search_equals_sparse_search_at_distance_zero(graph):
+    model = Model(graph, 0)
+    for n in range(6):
+        for src, tgt in PAIR_ORDER:
+            start = standard_state(n, src)
+            goal = GoalPredicate.standard_on(tgt)
+            match = _goal_match_fn(goal, n)
+            d, path, explored, peak = _sparse_witness(model, start.stacks, match, 10**6)
+            witness = bfs_distance(model, start, goal)
+            assert witness.distance == d
+            assert witness.path == tuple(path)
+            assert (witness.explored, witness.peak_frontier) == (explored, peak)
+            found, explored, peak = _sparse_distances(model, start.stacks, [match], 10**6)
+            distance = bfs_distance(model, start, goal, want_path=False)
+            assert distance.distance == found[0]
+            assert (distance.explored, distance.peak_frontier) == (explored, peak)
+
+
+@pytest.mark.parametrize("want_path", [False, True])
+def test_search_above_budget_allocates_no_full_visited_map(want_path):
+    n = 30
+    goal = State((tuple(range(n, 1, -1)), (1,), ()))
+    tracemalloc.start()
+    try:
+        result = bfs_distance(
+            CLASSICAL, standard_state(n, 1), GoalPredicate.exact(goal), want_path=want_path
+        )
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.distance == 1
+    assert result.path == ((Move(1, 2),) if want_path else None)
+    assert peak_bytes < 1_000_000
+
+
+def test_budget_equal_to_state_space_never_fires():
+    n = 4
+    goal = GoalPredicate.standard_on(2)
+    full = bfs_distance(CLASSICAL, standard_state(n, 1), goal, max_states=3**n)
+    assert full.explored == 3**n
+    with pytest.raises(SearchCapExceeded):
+        bfs_distance(CLASSICAL, standard_state(n, 1), goal, max_states=3**n - 1)
+
+
+@pytest.mark.parametrize("want_path", [False, True])
+def test_cap_is_checked_as_each_state_is_inserted(want_path):
+    with pytest.raises(SearchCapExceeded) as err:
+        bfs_distance(
+            CLASSICAL,
+            standard_state(8, 1),
+            GoalPredicate.standard_on(2),
+            max_states=100,
+            want_path=want_path,
+        )
+    # the search stops at the first state over the cap, mid-level
+    assert len(err.traceback[-1].frame.f_locals["visited"]) == 101

@@ -1,0 +1,164 @@
+"""Byte-identical CLI output: sha256 digests of stdout recorded before the
+table-driven dense core replaced per-state digit decoding.
+
+Each solve digest covers the concatenated stdout of `solve --solver bfs`
+for n = 0..6 on one labeled strongly connected graph and one ordered peg
+pair.  Commands run in-process through `cli.run`, so the suite stays fast.
+"""
+
+import hashlib
+
+import pytest
+
+from hanoilab.cli import all_strongly_connected_graphs, run
+from hanoilab.recurrence import PAIR_ORDER
+
+SOLVE_N_MAX = 6
+
+SOLVE_DIGESTS = {
+    ("1>2,2>3,3>1", 1, 2): "f99be5c83e3ff5db2f91e515aa38857ce33851c059c98fae31614821ae2ebced",
+    ("1>2,2>3,3>1", 2, 1): "4ba797d914ae7268de67b74dd019b79b7620f826b95d44d44ea4e77829bf2bf2",
+    ("1>2,2>3,3>1", 1, 3): "5bf2b6a9f9ac95c0e87e65fbb083fb30769f43cc521cc7aa12cb6e453c66a87a",
+    ("1>2,2>3,3>1", 3, 1): "39d3e5f34bd85d7317213bb8c2a916b2ca6e2e17f55971f1277a88c2f512b5ea",
+    ("1>2,2>3,3>1", 2, 3): "cdf2ae929bc970dda363f56dff908973d2523d226f9c9f772def757d3e01e1d0",
+    ("1>2,2>3,3>1", 3, 2): "f8cb9cecffb287503e2f7aebbcb2e7d4c70ed5ee6e2c8d846420844c9e7818b3",
+    ("1>3,2>1,3>2", 1, 2): "e82ea6806956f731f4672e8a78fe98f35998aa9abd42cf44573aeaebc7e1e893",
+    ("1>3,2>1,3>2", 2, 1): "770e2db5d7c9ce382f094e21285940f53eaa1b86a139e6ab8805eb24bf32adf9",
+    ("1>3,2>1,3>2", 1, 3): "279e82589c11b7a055e01923f0593ee82fe86c2707e788158181477fa18365ed",
+    ("1>3,2>1,3>2", 3, 1): "d75062f8bb110159578f0d124ab6e7d4f11b1d96eb42aa2cc7ef9b8439e13dfe",
+    ("1>3,2>1,3>2", 2, 3): "06907dcce32ea777217dec86fe917225f31567262956aacd7007e47627c08dc2",
+    ("1>3,2>1,3>2", 3, 2): "2d6c2b401e533b657c0a981cbca194701ae2959b9c5d44836225347dfb69928a",
+    ("1>2,1>3,2>1,3>1", 1, 2): "88d17f043fef5f8d587eac1347964872ed19ba881f6ab4853c1a19cdb653dff9",
+    ("1>2,1>3,2>1,3>1", 2, 1): "b43b7731aa0e054261b211fa641c6129d3ecbc747044446c886a757204e81069",
+    ("1>2,1>3,2>1,3>1", 1, 3): "67a00be558b59f7ad417b2bb8852004f80ecba302933705f52f7a6eb71c7f9e7",
+    ("1>2,1>3,2>1,3>1", 3, 1): "c2a6e4cec5345406d202e79e5e2a93e82b201ae50cfce13f1224e6501e7e57e8",
+    ("1>2,1>3,2>1,3>1", 2, 3): "bdf2c00138dfaffeeb867ff9f29f6d047e820b2f12d1096459e947b4d62d1a06",
+    ("1>2,1>3,2>1,3>1", 3, 2): "0e4ef3b2091b866f1c142214113b81a9bab425df1da6bbc930b5127d0afd72e8",
+    ("1>2,1>3,2>1,3>2", 1, 2): "2300646d6f5417dc35ba14854d5aa7c9bbe861449051d9ec2104bbe4743d1d67",
+    ("1>2,1>3,2>1,3>2", 2, 1): "ef9cff71874e2589df889d50d95d20e05133ebd57a11b8316c5dbedf4cce90a9",
+    ("1>2,1>3,2>1,3>2", 1, 3): "6689b86ace555d7bc7ff81927ebeb64f0ba0d676126899fb61b42d3cc82caef5",
+    ("1>2,1>3,2>1,3>2", 3, 1): "e924c8cf6d84b3dbb691516f7e1e84a810eff45ec80327dedc902ebe395617bd",
+    ("1>2,1>3,2>1,3>2", 2, 3): "1e2655ccdb82ddbd74b4737e995c7e2b2e4a75bb46e27adca3b3de46596f3fd8",
+    ("1>2,1>3,2>1,3>2", 3, 2): "7be245643d299f59a7957320d258d09fd0684f82e373e37225e55529649f24a4",
+    ("1>2,1>3,2>3,3>1", 1, 2): "26477bc225b19222e8554399ff3785d4e1e2289f316223260ad46b2618c90517",
+    ("1>2,1>3,2>3,3>1", 2, 1): "9d27bd51cfcf2bbbbaffe18a6b5375835c11c5337460cd219e193d693dc5d79f",
+    ("1>2,1>3,2>3,3>1", 1, 3): "d803d25a3b85829bac21ed43402db6b5370eaac2e4d8214e713cbafb94ad2273",
+    ("1>2,1>3,2>3,3>1", 3, 1): "deff76846af23b6348f364fa87d1ec1d046b71a32ff320790bcacc72a23b18e6",
+    ("1>2,1>3,2>3,3>1", 2, 3): "4b69ca08a2a52acabfd22c02fdfa12e797c228c4972241374772ddc227496256",
+    ("1>2,1>3,2>3,3>1", 3, 2): "c90a927052a20a7cf061ba0ec9d10480b0250e90bd1f8afd1443a094527d739e",
+    ("1>2,2>1,2>3,3>1", 1, 2): "39bd83c365716f2aa77da798db581ded74d4af04d31bb775bfcd1b058c2f9558",
+    ("1>2,2>1,2>3,3>1", 2, 1): "c5d5285e64fdcfa4e59117aaa2d840c09c5eb573ab3b8ba433d3e2fe059c34f5",
+    ("1>2,2>1,2>3,3>1", 1, 3): "0462d34229289acadd21f5cc3d2eb7336cd076d431c3ada858972080b46e26ec",
+    ("1>2,2>1,2>3,3>1", 3, 1): "014d8355d707fb288b1e102f9382a0f5f9806d27cfa4fbf2011a44de4f5aa83b",
+    ("1>2,2>1,2>3,3>1", 2, 3): "3e9d28f4e8bc5961b5d3144a39de0980f574ee4729dd8aaaea71d67155359e39",
+    ("1>2,2>1,2>3,3>1", 3, 2): "d6c7264213038076b2db528fa516826bec92716260ed6539daeb959c0975d601",
+    ("1>2,2>1,2>3,3>2", 1, 2): "e18cddd4d6c86cdc5a9877885405a348ab541c8ac30d6a97d186fcf48e25ad1c",
+    ("1>2,2>1,2>3,3>2", 2, 1): "067ba71f21ed601a2267b254bdddd3544465c7f05449f3b0d543e692586cb65d",
+    ("1>2,2>1,2>3,3>2", 1, 3): "5376170a72bf26556e4af588af68a17d3831631b5e720a6811e091b34f6493c5",
+    ("1>2,2>1,2>3,3>2", 3, 1): "a78c65ac41d363aa9cc86dd7ebc265d27277aa4274c7c81a76a9f1e345caad62",
+    ("1>2,2>1,2>3,3>2", 2, 3): "d505141239e8572900efe7dd3d69f859fd942f4a540b23fd4dc3f60e86925196",
+    ("1>2,2>1,2>3,3>2", 3, 2): "52112f1d7b56be9aac962bd7a62f06b2f2e0e455b738f8da634e595bda8e7077",
+    ("1>2,2>3,3>1,3>2", 1, 2): "95eeefa93039c2d64e0f477cbb022403517ffb001f928a5b9ac392bb6ddc1979",
+    ("1>2,2>3,3>1,3>2", 2, 1): "fea1ca12c9bd45a834568e6d6bcdcff29f54a3f227531f5ecba1b2ace9764340",
+    ("1>2,2>3,3>1,3>2", 1, 3): "452cd462248ffe2f9c3e007030e57053cd5baf73ca36a8e6a47d9349c83bd5f5",
+    ("1>2,2>3,3>1,3>2", 3, 1): "589228ae522660f2e8d902a6273f54d8ddd327f17e766c050d6c1997a928b112",
+    ("1>2,2>3,3>1,3>2", 2, 3): "1d279a534c0e5a75e806c07477be18fb8af2d7e5f951ff971c99d98f0ad74f42",
+    ("1>2,2>3,3>1,3>2", 3, 2): "96a405de84e4b4ade4a599d99b9a207bb0b8e7e86fb13d6e43a1fe7169ce88f9",
+    ("1>3,2>1,2>3,3>2", 1, 2): "89623fd78a4428339b0896a440754fa1a0bdc801b894661d1fa961848e434fe0",
+    ("1>3,2>1,2>3,3>2", 2, 1): "4af6f966c5b549e3906c5423845b33441c3be8f7825e79ec2ca034ceef2e4033",
+    ("1>3,2>1,2>3,3>2", 1, 3): "bcc6492191501441b4ac5fff36e26bbbfcdca6b21d11ee436e21874a97385836",
+    ("1>3,2>1,2>3,3>2", 3, 1): "d57f7abefa6ec2f526428e7b52ec6f2f9077f11a4b3a316a0d5bb4114276e573",
+    ("1>3,2>1,2>3,3>2", 2, 3): "9d7a34d2a3c380e49e3c50e654f1173c3202b9620f1649f0feb11f91b577e440",
+    ("1>3,2>1,2>3,3>2", 3, 2): "85fb7ad5bc9b34a45ade3eaee7147fa7eee67b93f2ac05e14f099cd2555b4cf8",
+    ("1>3,2>1,3>1,3>2", 1, 2): "7b5210c4a2b6108550a74297f15621a5c46fbbffed6c32af7b46d4737562e665",
+    ("1>3,2>1,3>1,3>2", 2, 1): "a1d754544b3d6eced03ceb838f51decfb4ab674ef56b32a2c0788782a2304b66",
+    ("1>3,2>1,3>1,3>2", 1, 3): "6087f60e1e3cf56d31b39e0b423c67f0cc214011a800ccff67281b3f3973f0dd",
+    ("1>3,2>1,3>1,3>2", 3, 1): "6ea19e73a140b614f08aa411529522d293540b0b6e42e248b10a1666865c805e",
+    ("1>3,2>1,3>1,3>2", 2, 3): "48172fd97e0c2263851706700e67a29c27dfe319aca53e2c307c8cae2514c870",
+    ("1>3,2>1,3>1,3>2", 3, 2): "8f6caf3817ed41dc3b5ef2693092bfb31fff45caea4ef477c83548e3150f69bc",
+    ("1>3,2>3,3>1,3>2", 1, 2): "760dd7ea1fad7ea81df4593958c407ab0866380f228d8818599b4013fcf7cbe7",
+    ("1>3,2>3,3>1,3>2", 2, 1): "bf4c224670c0f7f9628efa70efc6bdff107b759c86b8871a3391e3e048899f2c",
+    ("1>3,2>3,3>1,3>2", 1, 3): "470080a099e32c4dec68e71b1011e913bec0b06b0beb2f3a7d07dbc9e0ec91c9",
+    ("1>3,2>3,3>1,3>2", 3, 1): "8dadf5093a874c14cf9864479c11b6f7455ecfdede3a7de4d193273a39bb8a48",
+    ("1>3,2>3,3>1,3>2", 2, 3): "c97118ce4f4f928b9edcb84f79bb256313d1ba12fe68887dd366bcb47586da7e",
+    ("1>3,2>3,3>1,3>2", 3, 2): "42bd6080e7838cc156fdf26258ac7a4510df7e3a5babfbc08c25296cedbf6a09",
+    ("1>2,1>3,2>1,2>3,3>1", 1, 2): "ce68706a277c6097a91c0749a90fc14c67585ed486fa1d250fee417715363897",
+    ("1>2,1>3,2>1,2>3,3>1", 2, 1): "797ca002b496b77fde969ff487f151a479ae219b1ec80b028de4d68cc89d3b33",
+    ("1>2,1>3,2>1,2>3,3>1", 1, 3): "2b4d4a4b7979aa5a417fd79fe8c074e773d383c0d232b251e066ecf424447a65",
+    ("1>2,1>3,2>1,2>3,3>1", 3, 1): "44e58bb6002a4851bde73e96d6055e863f45f0ff4020257fcce9c6992aa160bc",
+    ("1>2,1>3,2>1,2>3,3>1", 2, 3): "24110d75d5240ba0962712db4938ea88743771f31c0afc0c92341802e9420f9f",
+    ("1>2,1>3,2>1,2>3,3>1", 3, 2): "5326b02db4daf8683c3cee1a7df273f04a23d3aa8024c01029c8e26a0ac2b915",
+    ("1>2,1>3,2>1,2>3,3>2", 1, 2): "ac2f006530cc9710f59865e2c75075eab793f765d888603bc823067d3d976743",
+    ("1>2,1>3,2>1,2>3,3>2", 2, 1): "4f48b287c327a0992a73a0de00b7518ca49bc3232fef842ca79d1ece9a7fbc6c",
+    ("1>2,1>3,2>1,2>3,3>2", 1, 3): "7dc43d4076c042bd97dd1050e3c2625bc57eb396ccbdb0aecdeda995640398c1",
+    ("1>2,1>3,2>1,2>3,3>2", 3, 1): "aeea8886203eaa0600d5a4d4b7d92685f8a6ad80d033e60abc4992d1d347f63f",
+    ("1>2,1>3,2>1,2>3,3>2", 2, 3): "dcc073297b5b149f3a25200ee66d94b6ea78174d4a2cb4f3c401fd7bf1f87611",
+    ("1>2,1>3,2>1,2>3,3>2", 3, 2): "c55192a132c4f9c027a122c76b93fc3024308c0f10c28a31099af1eddbac60f8",
+    ("1>2,1>3,2>1,3>1,3>2", 1, 2): "6dddb3825ffd7ef0789b87cbe59e0108d956b931e277c0c015353b424269f7b4",
+    ("1>2,1>3,2>1,3>1,3>2", 2, 1): "7cdaf9fdc2cc3b14ab5e79193c1ce5618713ab9a7bc85822d3dd08d62220c142",
+    ("1>2,1>3,2>1,3>1,3>2", 1, 3): "34c689d919ae9ae970adeb39c3b2a72735307a94998f85f45af8791aa8baf302",
+    ("1>2,1>3,2>1,3>1,3>2", 3, 1): "98635e6d47724f2e084965aad281bca110482c787e3b7141296a37dd76db5e29",
+    ("1>2,1>3,2>1,3>1,3>2", 2, 3): "bb709184b441e760ad82fa81af44d4f63a252b842d5e4ea247712e090313a7b1",
+    ("1>2,1>3,2>1,3>1,3>2", 3, 2): "c1ac43733383a4be58d73bf23d0257e56a06ffebb7206d10da6f64e97e6ea75f",
+    ("1>2,1>3,2>3,3>1,3>2", 1, 2): "369b47f7a725dbef93ba0f7fd9e200801488f2352569641d3c4be230fcae4ef8",
+    ("1>2,1>3,2>3,3>1,3>2", 2, 1): "379de64cd9b1f3ad266d0b1f63f6cd828c951525fd4f19e49ca78a2a19816780",
+    ("1>2,1>3,2>3,3>1,3>2", 1, 3): "a4ad6282d8579c6387eda577a81f4f815c11a129919360674d00cb8a92c90a1a",
+    ("1>2,1>3,2>3,3>1,3>2", 3, 1): "1df5407d6af06f9ffaf519a5a473103b66f4f269b928a694682c28d45a51a54d",
+    ("1>2,1>3,2>3,3>1,3>2", 2, 3): "0971d86774b47bf47abff4b58481151b2eb63cce55b9cfb6c81f440626b60d64",
+    ("1>2,1>3,2>3,3>1,3>2", 3, 2): "24b0a60643cdc82be8a8768d8a932f343c2254af183e4fd285588c4ef1e73532",
+    ("1>2,2>1,2>3,3>1,3>2", 1, 2): "03829be64f98fd7e357fec0c79b6d75ca1fb27b80a17e19d3c475986e414a162",
+    ("1>2,2>1,2>3,3>1,3>2", 2, 1): "ef517a59d789f1829fe8c9498c28db582b4d5591bcfad388f04d3dec1bc79222",
+    ("1>2,2>1,2>3,3>1,3>2", 1, 3): "6c8c34c602ccde3668ea7687ad98dedd13736eeb415127a18222af62883806dc",
+    ("1>2,2>1,2>3,3>1,3>2", 3, 1): "822aaac7c4de54f373098605fb5c481e70ed325677f3a1506a4e28b5554f2089",
+    ("1>2,2>1,2>3,3>1,3>2", 2, 3): "f942ca7f3beb608cc8ecc610e33693fef862618a708870181257835826f86623",
+    ("1>2,2>1,2>3,3>1,3>2", 3, 2): "814d796e4e33b290c8c330e3338d758cb31d3ed37e6b6298015a3d5d037868ad",
+    ("1>3,2>1,2>3,3>1,3>2", 1, 2): "d6baaf5ed7b4129e427856f37e1228724b6fa1dc3f7f3542ca6bbc1e934b78b6",
+    ("1>3,2>1,2>3,3>1,3>2", 2, 1): "be0e7887ac5f0a5c33de3a8c5b1dba9f7c955c6505ad8b11f6107c9b7de33b7d",
+    ("1>3,2>1,2>3,3>1,3>2", 1, 3): "265ddff300960fe072b21f16421b0bd0ee3f36566ae013b66dac39bbbe526e50",
+    ("1>3,2>1,2>3,3>1,3>2", 3, 1): "329b4b31e2fe26d1e9c27bad6cb340e3d12c76d27c6f8cb7dfebc7d2eec827ac",
+    ("1>3,2>1,2>3,3>1,3>2", 2, 3): "009be919670890da5503f5ea25068a8d42c62eb808f9127b020e6d1b5984bc67",
+    ("1>3,2>1,2>3,3>1,3>2", 3, 2): "d57f709c5f8da5fbbe9c05981206f500860f57cf156f0563b5284122ef72e94c",
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 1, 2): "506c24f251d0340fe9023ca27821243bd633ca15968b1d1b3a3520e23cbfcc22",
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 2, 1): "38b990ca535e477b120c9112e19d38c36a7b23329b380efebb83ce09984ed3ff",
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 1, 3): "3362f29784014341fc97f97f1025bde4e190f6c1869b5e654b472dbab4c8b46d",
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 3, 1): "905e5e37518301e5135cf44ceafc4c6788f3cd99e7f43bc1bdd0900656a602d5",
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 2, 3): "53c58cd2482ecdf4bb5fb3a48a33eedf03bab39d2bb66764abb9065a1ef37632",
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 3, 2): "cb26092c6ed228108a463013ce7eace46c0caee7a32d35bf8ab0baccc50dca8d",
+}
+
+VERIFY_GRAPHS_N5_CSV_DIGEST = "9ae37d8d78f5eedbfa02a598d930a07775eddffc43a5a16f620a6cf2f29877c7"
+
+
+def _stdout(capsys, argv):
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_digest_table_covers_every_graph_and_pair():
+    expected = {
+        (g.format(), src, tgt)
+        for g in all_strongly_connected_graphs()
+        for src, tgt in PAIR_ORDER
+    }
+    assert set(SOLVE_DIGESTS) == expected
+    assert len(expected) == 18 * 6
+
+
+@pytest.mark.parametrize(
+    "edges", [g.format() for g in all_strongly_connected_graphs()]
+)
+def test_solve_bfs_stdout_is_byte_identical(capsys, edges):
+    for src, tgt in PAIR_ORDER:
+        digest = hashlib.sha256()
+        for n in range(SOLVE_N_MAX + 1):
+            argv = [
+                "solve", "--solver", "bfs", "--model", "digraph", "--edges", edges,
+                "--from", str(src), "--to", str(tgt), "--n", str(n),
+            ]
+            digest.update(_stdout(capsys, argv).encode())
+        assert digest.hexdigest() == SOLVE_DIGESTS[(edges, src, tgt)], (src, tgt)
+
+
+def test_verify_graphs_csv_is_byte_identical(capsys):
+    out = _stdout(capsys, ["verify", "--suite", "graphs", "--n", "5", "--format", "csv"])
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GRAPHS_N5_CSV_DIGEST
