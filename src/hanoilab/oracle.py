@@ -10,16 +10,20 @@ forced, so a state packs into a base-3 integer keyed by disc, and moves
 come from a table cached per graph: the legal (move, code delta) pairs
 for each placement of the six smallest discs.  The visited map is a
 bytearray over all 3**n codes when that many fit the state budget, and
-a set otherwise.  For distance >= 1 states are canonical stack tuples.
-Searches never truncate silently: exceeding the configured state budget
-raises.
+a set otherwise.  For distance >= 1 states are canonical stack tuples,
+searched from both ends: forward from the start and backward from every
+goal state over the reversed edges, one level of the smaller frontier at
+a time.  There `explored` counts both sides' stored states, goal states
+included, and `peak_frontier` is the largest level of either side.
+Searches never truncate silently: the state budget is checked as each
+state is stored, and exceeding it raises.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterable, Iterator, TypeAlias
 
 from . import recurrence
 from .model import (
@@ -29,6 +33,7 @@ from .model import (
     Stack,
     State,
     apply_all,
+    can_place,
     is_legal_state,
     mirror_sequence,
     standard_state,
@@ -306,117 +311,150 @@ def _dense_witness(
 # Sparse core: distance >= 1, states are canonical stack tuples.
 
 Stacks = tuple[Stack, Stack, Stack]
+#: (move, source index, target index) for each edge, in the given order
+SparseMoves: TypeAlias = "tuple[tuple[Move, int, int], ...]"
+
+
+def _sparse_moves(edges: Iterable[tuple[int, int]]) -> SparseMoves:
+    return tuple((Move(i, j), i - 1, j - 1) for i, j in edges)
 
 
 def _sparse_neighbors(
-    stacks: Stacks, edges: tuple[tuple[int, int], ...], distance: int
+    stacks: Stacks, moves: SparseMoves, distance: int
 ) -> Iterator[tuple[Move, Stacks]]:
-    for i, j in edges:
-        src = stacks[i - 1]
+    for mv, i, j in moves:
+        src = stacks[i]
         if not src:
             continue
         disc = src[-1]
-        dst = stacks[j - 1]
+        dst = stacks[j]
         if dst and disc > min(dst) + distance:
             continue
         new = list(stacks)
-        new[i - 1] = src[:-1]
-        new[j - 1] = dst + (disc,)
-        yield Move(i, j), (new[0], new[1], new[2])
+        new[i] = src[:-1]
+        new[j] = dst + (disc,)
+        yield mv, (new[0], new[1], new[2])
 
 
-def _sparse_distances(
+def _goal_states(goal: GoalPredicate, n: int, distance: int) -> Iterator[Stacks]:
+    """Every state the goal accepts: one for standard and exact goals, and
+    each legal one-peg stack on the goal peg for all-on goals.  Lazy, so
+    that a goal set larger than the state budget hits the cap as it is
+    stored instead of exhausting memory first."""
+    if goal.kind == "exact":
+        yield goal.state.stacks
+    elif goal.kind == "standard" or distance == 0:  # order is forced at 0
+        yield standard_state(n, goal.peg).stacks
+    elif goal.kind == "all-on":
+        peg = goal.peg - 1
+        todo: list[Stack] = [()]
+        while todo:  # depth first, bottom up, smallest disc first
+            stack = todo.pop()
+            if len(stack) == n:
+                yield tuple(stack if p == peg else () for p in range(3))  # type: ignore[misc]
+            todo.extend(
+                stack + (d,)
+                for d in range(n, 0, -1)
+                if d not in stack and can_place(d, stack, distance)
+            )
+    else:
+        raise ValueError(f"unknown goal kind {goal.kind!r}")
+
+
+def _expand(
+    frontier: list[Stacks],
+    moves: SparseMoves,
+    C: int,
+    seen: dict[Stacks, int],
+    other: dict[Stacks, int],
+    max_states: int,
+) -> list[Stacks] | None:
+    """The next level of one search side, or None as soon as a state of
+    the other side is reached.  The cap counts both sides' stored states
+    and is checked as each state is inserted."""
+    depth = seen[frontier[0]] + 1
+    limit = max_states - len(other)
+    nxt = []
+    for stacks in frontier:
+        for _, new in _sparse_neighbors(stacks, moves, C):
+            if new not in seen:
+                if new in other:
+                    return None
+                seen[new] = depth
+                if len(seen) > limit:
+                    raise SearchCapExceeded(max_states)
+                nxt.append(new)
+    return nxt
+
+
+def _sparse_search(
     model: Model,
     start: Stacks,
-    match_fns: list[Callable[[Stacks], bool]],
+    goals: Iterable[Stacks],
     max_states: int,
-) -> tuple[list[int | None], int, int]:
-    """Level BFS on stack tuples until every goal predicate has fired."""
-    edges = model.graph.sorted_edges()
-    C = model.distance
-    found: list[int | None] = [None] * len(match_fns)
-    remaining = set(range(len(match_fns)))
-    for idx, fn in enumerate(match_fns):
-        if fn(start):
-            found[idx] = 0
-            remaining.discard(idx)
-    visited = {start}
-    frontier = [start]
-    level = 0
-    peak = 1
-    while frontier and remaining:
-        level += 1
-        nxt = []
-        for stacks in frontier:
-            for _, new in _sparse_neighbors(stacks, edges, C):
-                if new not in visited:
-                    visited.add(new)
-                    nxt.append(new)
-                    for idx in list(remaining):
-                        if match_fns[idx](new):
-                            found[idx] = level
-                            remaining.discard(idx)
-        if len(visited) > max_states:
-            raise SearchCapExceeded(max_states)
-        frontier = nxt
-        peak = max(peak, len(nxt))
-    return found, len(visited), peak
-
-
-def _sparse_witness(
-    model: Model,
-    start: Stacks,
-    match: Callable[[Stacks], bool],
-    max_states: int,
+    want_path: bool,
 ) -> tuple[int | None, list[Move] | None, int, int]:
+    """Bidirectional level BFS: forward from `start`, backward from `goals`
+    over the reversed edges (the pairwise rule lets every legal move be
+    undone).  Returns (distance, witness, explored, peak frontier).
+
+    The sides stay disjoint until one reaches the other, so the distance is
+    then the two completed depths plus one.  The witness takes the smallest
+    move to a state one step closer to a goal: backward depths say how close
+    beyond the last completed forward level, a sweep back marks the rest.
+    """
     edges = model.graph.sorted_edges()
+    moves = _sparse_moves(edges)
+    reverse = _sparse_moves(sorted((j, i) for i, j in edges))
     C = model.distance
-    if match(start):
-        return 0, [], 1, 1
-    levels: list[list[Stacks]] = [[start]]
-    dist: dict[Stacks, int] = {start: 0}
-    peak = 1
-    goal_level: int | None = None
-    goals: set[Stacks] = set()
-    while levels[-1] and goal_level is None:
-        nxt = []
-        d = len(levels)
-        for stacks in levels[-1]:
-            for _, new in _sparse_neighbors(stacks, edges, C):
-                if new not in dist:
-                    dist[new] = d
-                    nxt.append(new)
-                    if match(new):
-                        goal_level = d
-                        goals.add(new)
-        if len(dist) > max_states:
+    fwd = {start: 0}
+    bwd: dict[Stacks, int] = {}
+    for goal in goals:
+        bwd[goal] = 0
+        if len(fwd) + len(bwd) > max_states:
             raise SearchCapExceeded(max_states)
-        levels.append(nxt)
+    if start in bwd:
+        return 0, [] if want_path else None, len(fwd) + len(bwd), len(bwd)
+    levels = [[start]]
+    back = list(bwd)
+    peak = len(back)
+    while True:
+        forward = len(levels[-1]) <= len(back)
+        if forward:
+            nxt = _expand(levels[-1], moves, C, fwd, bwd, max_states)
+        else:
+            nxt = _expand(back, reverse, C, bwd, fwd, max_states)
+        if nxt is None:
+            break
+        if not nxt:
+            return None, None, len(fwd) + len(bwd), peak
         peak = max(peak, len(nxt))
-    explored = len(dist)
-    if goal_level is None:
-        return None, None, explored, peak
-    on_shortest: list[set[Stacks]] = [set() for _ in range(goal_level + 1)]
-    on_shortest[goal_level] = goals
-    for lvl in range(goal_level - 1, -1, -1):
-        marked = on_shortest[lvl + 1]
-        keep = on_shortest[lvl]
+        if forward:
+            levels.append(nxt)
+        else:
+            back = nxt
+    explored = len(fwd) + len(bwd)
+    distance = len(levels) + bwd[back[0]]
+    if not want_path:
+        return distance, None, explored, peak
+    # give the forward states on shortest paths their moves left, too
+    for lvl in range(len(levels) - 1, 0, -1):
         for stacks in levels[lvl]:
-            for _, new in _sparse_neighbors(stacks, edges, C):
-                if new in marked:
-                    keep.add(stacks)
+            for _, new in _sparse_neighbors(stacks, moves, C):
+                if bwd.get(new) == distance - lvl - 1:
+                    bwd[stacks] = distance - lvl
                     break
     path: list[Move] = []
     current = start
-    for lvl in range(goal_level):
-        for mv, new in _sparse_neighbors(current, edges, C):
-            if new in on_shortest[lvl + 1]:
+    for left in range(distance - 1, -1, -1):
+        for mv, new in _sparse_neighbors(current, moves, C):
+            if bwd.get(new) == left:
                 path.append(mv)
                 current = new
                 break
         else:  # pragma: no cover - would indicate a marking bug
             raise RuntimeError("witness reconstruction lost the shortest-path set")
-    return goal_level, path, explored, peak
+    return distance, path, explored, peak
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +487,7 @@ def bfs_distance(
             return SearchResult(None, None, 0, 0)
     if model.distance == 0:
         edges = model.graph.sorted_edges()
-        goal_code = (
-            pack_state(goal.state)
-            if goal.kind == "exact"
-            # order is forced at distance 0, so both named goals are the
-            # single standard state on the goal peg
-            else pack_state(standard_state(n, goal.peg))
-        )
+        goal_code = pack_state(State(next(_goal_states(goal, n, 0))))
         start_code = pack_state(start)
         if want_path:
             d, path, explored, peak = _dense_witness(
@@ -467,36 +499,15 @@ def bfs_distance(
             )
             d, path = found.get(goal_code), None
     else:
-        match = _goal_match_fn(goal, n)
-        if want_path:
-            d, path, explored, peak = _sparse_witness(
-                model, start.stacks, match, max_states
-            )
-        else:
-            found, explored, peak = _sparse_distances(
-                model, start.stacks, [match], max_states
-            )
-            d, path = found[0], None
+        d, path, explored, peak = _sparse_search(
+            model, start.stacks, _goal_states(goal, n, model.distance), max_states, want_path
+        )
     if d is None and goal.kind != "exact" and model.graph.is_strongly_connected():
         raise RuntimeError(
             "standard and all-on-peg goals must be reachable on a strongly "
             "connected graph; unreachable result indicates an engine bug"
         )
     return SearchResult(d, tuple(path) if path is not None else None, explored, peak)
-
-
-def _goal_match_fn(goal: GoalPredicate, n: int) -> Callable[[Stacks], bool]:
-    if goal.kind == "standard":
-        target = standard_state(n, goal.peg).stacks
-        return lambda stacks: stacks == target
-    if goal.kind == "all-on":
-        others = tuple(p - 1 for p in (1, 2, 3) if p != goal.peg)
-        a, b = others
-        return lambda stacks: not stacks[a] and not stacks[b]
-    if goal.kind == "exact":
-        target = goal.state.stacks
-        return lambda stacks: stacks == target
-    raise ValueError(f"unknown goal kind {goal.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -589,7 +600,7 @@ def shortest_symmetric(
     start = standard_state(n, src)
     if n == 0:
         return SearchResult(0, (), 1, 1)
-    edges = model.graph.sorted_edges()
+    moves = _sparse_moves(model.graph.sorted_edges())
     C = model.distance
     # only self-mirrored moves can sit in the middle of an odd solution,
     # and only when the graph actually has them
@@ -646,12 +657,12 @@ def shortest_symmetric(
                     return finish(rebuild(stacks), [mv])
         nxt: list[Stacks] = []
         for stacks in frontier:
-            for mv, new in _sparse_neighbors(stacks, edges, C):
+            for mv, new in _sparse_neighbors(stacks, moves, C):
                 if new not in parents:
                     parents[new] = (stacks, mv)
+                    if len(parents) > max_states:
+                        raise SearchCapExceeded(max_states)
                     nxt.append(new)
-        if len(parents) > max_states:
-            raise SearchCapExceeded(max_states)
         frontier = nxt
         peak = max(peak, len(nxt))
     return SearchResult(None, None, len(parents), peak)
@@ -724,18 +735,10 @@ def conjecture_probe(
             raise RuntimeError(f"symmetric construction broke at n={n}")
         if apply_all(model, start, q_seq) != goal_std:
             raise RuntimeError(f"five-step construction broke at n={n}")
-        found, _, _ = _sparse_distances(
-            model,
-            start.stacks,
-            [
-                _goal_match_fn(GoalPredicate.standard_on(tgt), n),
-                _goal_match_fn(GoalPredicate.all_on(tgt), n),
-            ],
-            max_states,
+        bfs_std, bfs_any = (
+            bfs_distance(model, start, goal, max_states=max_states, want_path=False).distance
+            for goal in (GoalPredicate.standard_on(tgt), GoalPredicate.all_on(tgt))
         )
-        bfs_std, bfs_any = found
-        if bfs_std is None or bfs_any is None:  # pragma: no cover
-            raise RuntimeError("probe goals must be reachable")
         if bfs_std > min(len(a_seq), len(q_seq)) or bfs_any > bfs_std:
             raise RuntimeError(
                 f"BFS optimum exceeds a replayed construction at n={n}; "

@@ -240,16 +240,12 @@ def claim_harness(
         a, b = recurrence.conjecture_values(n_max, C)
         for n in range(1, n_max + 1):
             start = standard_state(n, 1)
-            found, _, _ = oracle._sparse_distances(
-                model,
-                start.stacks,
-                [
-                    oracle._goal_match_fn(oracle.GoalPredicate.standard_on(2), n),
-                    oracle._goal_match_fn(oracle.GoalPredicate.all_on(2), n),
-                ],
-                max_states,
+            bfs_std, bfs_any = (
+                oracle.bfs_distance(
+                    model, start, goal, max_states=max_states, want_path=False
+                ).distance
+                for goal in (oracle.GoalPredicate.standard_on(2), oracle.GoalPredicate.all_on(2))
             )
-            bfs_std, bfs_any = found
             if bfs_std != a[n] or bfs_any != b[n]:
                 counterexamples.append(
                     {

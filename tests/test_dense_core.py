@@ -1,5 +1,6 @@
 """The table-driven dense (distance 0) search core against its references:
-the full base-3 decoder `_dense_neighbors` and the sparse stack-tuple core.
+the full base-3 decoder `_dense_neighbors` and the one-sided stack-tuple
+BFS in `reference_bfs`.
 """
 
 import tracemalloc
@@ -14,13 +15,11 @@ from hanoilab.oracle import (
     SearchCapExceeded,
     _dense_moves,
     _dense_neighbors,
-    _goal_match_fn,
     _move_table,
-    _sparse_distances,
-    _sparse_witness,
     bfs_distance,
 )
 from hanoilab.recurrence import PAIR_ORDER
+from reference_bfs import goal_match_fn, sparse_distances, sparse_witness
 
 GRAPHS = all_strongly_connected_graphs()
 CLASSICAL = Model.classical()
@@ -50,13 +49,13 @@ def test_dense_search_equals_sparse_search_at_distance_zero(graph):
         for src, tgt in PAIR_ORDER:
             start = standard_state(n, src)
             goal = GoalPredicate.standard_on(tgt)
-            match = _goal_match_fn(goal, n)
-            d, path, explored, peak = _sparse_witness(model, start.stacks, match, 10**6)
+            match = goal_match_fn(goal, n)
+            d, path, explored, peak = sparse_witness(model, start.stacks, match, 10**6)
             witness = bfs_distance(model, start, goal)
             assert witness.distance == d
             assert witness.path == tuple(path)
             assert (witness.explored, witness.peak_frontier) == (explored, peak)
-            found, explored, peak = _sparse_distances(model, start.stacks, [match], 10**6)
+            found, explored, peak = sparse_distances(model, start.stacks, [match], 10**6)
             distance = bfs_distance(model, start, goal, want_path=False)
             assert distance.distance == found[0]
             assert (distance.explored, distance.peak_frontier) == (explored, peak)

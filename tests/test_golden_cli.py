@@ -1,9 +1,11 @@
-"""Byte-identical CLI output: sha256 digests of stdout recorded before the
-table-driven dense core replaced per-state digit decoding.
+"""Byte-identical CLI output: sha256 digests of stdout.  The distance-0
+digests were recorded before the table-driven dense core replaced
+per-state digit decoding; the distance >= 1 digests before the
+bidirectional search replaced the one-sided stack-tuple BFS.
 
-Each solve digest covers the concatenated stdout of `solve --solver bfs`
-for n = 0..6 on one labeled strongly connected graph and one ordered peg
-pair.  Commands run in-process through `cli.run`, so the suite stays fast.
+Each solve digest covers the concatenated stdout of one solve command
+over a range of disc counts, for one model and one ordered peg pair.
+Commands run in-process through `cli.run`, so the suite stays fast.
 """
 
 import hashlib
@@ -128,6 +130,64 @@ SOLVE_DIGESTS = {
 
 VERIFY_GRAPHS_N5_CSV_DIGEST = "9ae37d8d78f5eedbfa02a598d930a07775eddffc43a5a16f620a6cf2f29877c7"
 
+RELAXED_N_MAX = 6
+
+#: `solve --solver bfs --model relaxed --distance C`, n = 0..6, keyed (C, src, tgt)
+RELAXED_DIGESTS = {
+    (1, 1, 2): "a0f84df7a53e2aea6af5a6e3de92763aa67a7f1fd8cb6f74094a2d06614f6a65",
+    (1, 2, 1): "812881ae8266986d16db52f6f061e5e0c4dab307ff31f97f7542fe82c4498649",
+    (1, 1, 3): "8e0ddb956965af5c3c1141baf8282aa5113aa5b486e4bd244487ea46ff7774cd",
+    (1, 3, 1): "ed400e6b0ffd3ac2656cee41c35bb678832056558ac6a4721162f9b15687bb24",
+    (1, 2, 3): "c3a8e37737e7ba208a4cc2a6a1bc8233005d39901f9e09502ad6904924ca7931",
+    (1, 3, 2): "3130567dc70357b671e62e636d4eb37e1dff739e57f8f2a911bc05524a4a94cc",
+    (2, 1, 2): "70d5a468d8a0550fe18efff367c0631b69e6396a73a1ecdc08fdbe45b0b1c4a8",
+    (2, 2, 1): "1bf5bdddc6518846f3d53776eadfcd5a41128249e36f4efbe9ee7192fbc2356e",
+    (2, 1, 3): "896deb8ef5d98fe4101b6097796b13cd16deea90c50df9a47ca38e7ead6064f0",
+    (2, 3, 1): "5e44faed7439375010c84bd041e828524621b0d063c221b17e77d20ee7bb5d9f",
+    (2, 2, 3): "f864700c52974119bcb78d57813daa6c45da4bfe8428f423238c0c4e6d376c07",
+    (2, 3, 2): "ecdedc9777ef3fcd011d4f14bb46cd89140982e37a51edef404be01a8a67c70f",
+    (3, 1, 2): "0e272637af405187d3589cf0989cfec71415383775f4f8d2416e172cb2a8c2cf",
+    (3, 2, 1): "3fe70c62410c7fec023ba5e4dbf576e4943e4e3cefd4e4dfd597ce230dccd2a4",
+    (3, 1, 3): "47c30f03a98951712938c6ff5ed4f348d69836cb7dfcb3a756895fce903aac0f",
+    (3, 3, 1): "9e28cd2b44d33dd5509ba92adafc3d5458ffe45ded16059b3365436b3eeaffd5",
+    (3, 2, 3): "81d56f089275448372a97769ba07e21609ad644845ee05524cce623710a785d8",
+    (3, 3, 2): "a35aaf5a12ac9ba486ea2241958e7abd96bc5893533182aa3d9def0bcd2f6824",
+}
+
+CUSTOM_N_MAX = 5
+
+#: `solve --model custom --distance 1` (bfs by default), n = 0..5,
+#: keyed (edges, src, tgt) on the linear, cycle and cycle-chord graphs
+CUSTOM_DIGESTS = {
+    ("1>2,2>1,1>3,3>1", 1, 2): "68f175794a14441d4159e2ad029fad994c766316078e0457abfe8bdae393460c",
+    ("1>2,2>1,1>3,3>1", 2, 1): "935514794a9a20919c73d93fc01a269914bb2b579a8d62afcf70a54fd653122c",
+    ("1>2,2>1,1>3,3>1", 1, 3): "23d2c84bf254749f947122693840410d76b5cf3b4585e10afc0d0117aaddf7fc",
+    ("1>2,2>1,1>3,3>1", 3, 1): "ea645aabb9dca8bafd8c91643e10d11750975049a384c364105173ff19e855d8",
+    ("1>2,2>1,1>3,3>1", 2, 3): "d9a4e97599cdc19167b32262ee3169f5067a9c2f138d291a7806dcc426a30c72",
+    ("1>2,2>1,1>3,3>1", 3, 2): "f44bfc5135231497253fb89f7ce106805f1f273f2b772cb7f6f7dff3fbe83db2",
+    ("1>2,2>3,3>1", 1, 2): "109fe4f3cd83c61d0c112f6f6b4f131323e01e01a724117c64bb000f59911e03",
+    ("1>2,2>3,3>1", 2, 1): "50fa6704189bfc75b5cdcc52150b99c7eef3085fb4495a0222f6e87e662f1051",
+    ("1>2,2>3,3>1", 1, 3): "48de7d253027d35edd285829fc49cfbca2dbf7cf606c6cd4a032ab73f7400631",
+    ("1>2,2>3,3>1", 3, 1): "517fdf9752a39cd1f626a1bdbbcfd7ef404ce80dd775cf7e17156992bd39ebe7",
+    ("1>2,2>3,3>1", 2, 3): "c4f7b840f871dd5a249fa2c50e2a38d53ca243f1ffccb799ef40d89f3c5a1813",
+    ("1>2,2>3,3>1", 3, 2): "e3fd6667aa433898549d5f7c6e79877e81600485042dc05d9ecd57c1c6e72e80",
+    ("1>2,1>3,3>1,2>3", 1, 2): "440565ae13811c9ab5cb746d13aa1e14b23c13c3a17e320326793ec857d486e7",
+    ("1>2,1>3,3>1,2>3", 2, 1): "18b70d3abfa765d1963b817223c08822aa80be16922aefca5b9d98b83c07a478",
+    ("1>2,1>3,3>1,2>3", 1, 3): "91847919f85fdafbcf48152248dcad903c9f15a00b04cb177894e97f531f95e2",
+    ("1>2,1>3,3>1,2>3", 3, 1): "517fdf9752a39cd1f626a1bdbbcfd7ef404ce80dd775cf7e17156992bd39ebe7",
+    ("1>2,1>3,3>1,2>3", 2, 3): "712c1e31b130cf78b4ac6eb8185e284ed96fb11ff73895100aa0970612a71c0d",
+    ("1>2,1>3,3>1,2>3", 3, 2): "b378874142df1a97700949fd5fa939ba561d85b7a54231b34179ff99eae8cb87",
+}
+
+#: whole-command digests for the conjecture probe and the relaxed claim suites
+COMMAND_DIGESTS = {
+    "conjecture --distance 1 --n-max 6": "e40ae8fe552ba14efc3cb8951b72ceaa8cfce7d0b95c1c81e886b4967fcd6a5a",
+    "conjecture --distance 2 --n-max 6": "78c11b81e542b27a72e0628d98e818e656a343f1282f3d74cb72bb1f8651efe9",
+    "conjecture --distance 3 --n-max 6": "5b645b13424c62bec94d3d9b14efae3c5a7f667e3000f92acebe9be047a4c8cc",
+    "verify --suite claims --n 6": "a8f8aab5214696721fe3efb4f6c9bc2eec95b48b3836af1727b193501cce0be7",
+    "verify --suite relaxed": "95188f018ff0c181fe0b71386c5951493a37ef9a50401c87991c6668ef18e211",
+}
+
 
 def _stdout(capsys, argv):
     assert run(argv) == 0
@@ -162,3 +222,38 @@ def test_solve_bfs_stdout_is_byte_identical(capsys, edges):
 def test_verify_graphs_csv_is_byte_identical(capsys):
     out = _stdout(capsys, ["verify", "--suite", "graphs", "--n", "5", "--format", "csv"])
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GRAPHS_N5_CSV_DIGEST
+
+
+def _solve_digest(capsys, argv, n_max):
+    digest = hashlib.sha256()
+    for n in range(n_max + 1):
+        digest.update(_stdout(capsys, [*argv, "--n", str(n)]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("distance", [1, 2, 3])
+def test_solve_bfs_relaxed_stdout_is_byte_identical(capsys, distance):
+    for src, tgt in PAIR_ORDER:
+        argv = [
+            "solve", "--solver", "bfs", "--model", "relaxed", "--distance", str(distance),
+            "--from", str(src), "--to", str(tgt),
+        ]
+        digest = _solve_digest(capsys, argv, RELAXED_N_MAX)
+        assert digest == RELAXED_DIGESTS[(distance, src, tgt)], (src, tgt)
+
+
+@pytest.mark.parametrize("edges", sorted({key[0] for key in CUSTOM_DIGESTS}))
+def test_solve_custom_stdout_is_byte_identical(capsys, edges):
+    for src, tgt in PAIR_ORDER:
+        argv = [
+            "solve", "--model", "custom", "--edges", edges, "--distance", "1",
+            "--from", str(src), "--to", str(tgt),
+        ]
+        digest = _solve_digest(capsys, argv, CUSTOM_N_MAX)
+        assert digest == CUSTOM_DIGESTS[(edges, src, tgt)], (src, tgt)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_DIGESTS))
+def test_relaxed_command_stdout_is_byte_identical(capsys, command):
+    out = _stdout(capsys, command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_DIGESTS[command]

@@ -1,0 +1,142 @@
+"""The bidirectional stack-tuple search (distance >= 1) against the
+one-sided reference BFS, plus its state cap and its counters."""
+
+import tracemalloc
+
+import pytest
+
+from hanoilab.cli import all_strongly_connected_graphs
+from hanoilab.model import Model, MoveGraph, State, standard_state, third_peg
+from hanoilab.oracle import (
+    GoalPredicate,
+    SearchCapExceeded,
+    _goal_states,
+    bfs_distance,
+    shortest_symmetric,
+)
+from hanoilab.recurrence import PAIR_ORDER
+from reference_bfs import reference_search
+
+# every strongly connected graph, plus one whose third peg is unreachable
+GRAPHS = [*all_strongly_connected_graphs(), MoveGraph.parse("1>2,2>1")]
+
+
+def _exact_goal(n: int, src: int, tgt: int) -> State:
+    """Discs n..2 on `tgt` with the top two swapped, disc 1 on the third peg."""
+    stacks: list[tuple[int, ...]] = [(), (), ()]
+    big = list(range(n, 1, -1))
+    if len(big) >= 2:
+        big[-2], big[-1] = big[-1], big[-2]
+    stacks[tgt - 1] = tuple(big)
+    if n:
+        stacks[third_peg(src, tgt) - 1] = (1,)
+    return State((stacks[0], stacks[1], stacks[2]))
+
+
+def _goals(n: int, src: int, tgt: int) -> list[GoalPredicate]:
+    return [
+        GoalPredicate.standard_on(tgt),
+        GoalPredicate.all_on(tgt),
+        GoalPredicate.exact(_exact_goal(n, src, tgt)),
+    ]
+
+
+@pytest.mark.parametrize("distance", [1, 2, 3])
+@pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.format())
+def test_bidirectional_search_equals_reference(graph, distance):
+    model = Model(graph, distance)
+    for n in range(7):
+        for src, tgt in PAIR_ORDER:
+            start = standard_state(n, src)
+            for goal in _goals(n, src, tgt):
+                d, path, _, _ = reference_search(model, start, goal)
+                witness = bfs_distance(model, start, goal)
+                assert witness.distance == d, (n, src, tgt, goal)
+                assert witness.path == (tuple(path) if path is not None else None)
+                distance_only = bfs_distance(model, start, goal, want_path=False)
+                assert distance_only.distance == d
+                assert distance_only.explored == witness.explored
+
+
+def test_all_on_goal_with_every_order_legal():
+    n = 7
+    model = Model.relaxed(n - 1)
+    goal = GoalPredicate.all_on(2)
+    assert len(list(_goal_states(goal, n, model.distance))) == 5040
+    d, path, _, _ = reference_search(model, standard_state(n, 1), goal)
+    witness = bfs_distance(model, standard_state(n, 1), goal)
+    assert witness.distance == d == n
+    assert witness.path == tuple(path)
+
+
+def test_explored_counts_both_sides_goal_states_included():
+    model = Model.relaxed(2)
+    seeds = len(list(_goal_states(GoalPredicate.all_on(2), 7, 2)))
+    assert seeds == 124
+    result = bfs_distance(model, standard_state(7, 2), GoalPredicate.all_on(2))
+    assert (result.distance, result.path) == (0, ())
+    assert (result.explored, result.peak_frontier) == (1 + seeds, seeds)
+
+
+def _stored_states(err) -> int:
+    frame = err.traceback[-1].frame.f_locals
+    if "seen" in frame:  # raised while expanding a level
+        return len(frame["seen"]) + len(frame["other"])
+    return len(frame["fwd"]) + len(frame["bwd"])  # raised while storing goals
+
+
+@pytest.mark.parametrize("want_path", [False, True])
+def test_cap_is_checked_as_each_state_is_inserted(want_path):
+    with pytest.raises(SearchCapExceeded) as err:
+        bfs_distance(
+            Model.relaxed(1),
+            standard_state(8, 1),
+            GoalPredicate.standard_on(2),
+            max_states=100,
+            want_path=want_path,
+        )
+    assert "seen" in err.traceback[-1].frame.f_locals
+    assert _stored_states(err) == 101
+
+
+def test_cap_counts_goal_states():
+    with pytest.raises(SearchCapExceeded) as err:
+        bfs_distance(
+            Model.relaxed(2), standard_state(7, 1), GoalPredicate.all_on(2), max_states=50
+        )
+    assert "fwd" in err.traceback[-1].frame.f_locals
+    assert _stored_states(err) == 51
+
+
+@pytest.mark.parametrize("goal", [GoalPredicate.standard_on(2), GoalPredicate.all_on(2)])
+def test_budget_equal_to_explored_never_fires(goal):
+    model = Model.relaxed(1)
+    start = standard_state(7, 1)
+    full = bfs_distance(model, start, goal)
+    assert bfs_distance(model, start, goal, max_states=full.explored) == full
+    with pytest.raises(SearchCapExceeded):
+        bfs_distance(model, start, goal, max_states=full.explored - 1)
+
+
+def test_symmetric_search_cap_is_checked_as_each_state_is_inserted():
+    model = Model.relaxed(1)
+    full = shortest_symmetric(model, 7, 1, 2)
+    assert shortest_symmetric(model, 7, 1, 2, max_states=full.explored) == full
+    with pytest.raises(SearchCapExceeded) as err:
+        shortest_symmetric(model, 7, 1, 2, max_states=100)
+    assert len(err.traceback[-1].frame.f_locals["parents"]) == 101
+
+
+def test_goal_states_are_stored_lazily_under_the_cap():
+    # 9! legal one-peg stacks: the cap must fire long before they all exist
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchCapExceeded) as err:
+            bfs_distance(
+                Model.relaxed(8), standard_state(9, 1), GoalPredicate.all_on(2), max_states=1000
+            )
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _stored_states(err) == 1001
+    assert peak_bytes < 2_000_000
