@@ -16,7 +16,7 @@ import csv
 import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import recurrence
 from .model import IllegalMoveError, Model, MoveGraph, apply_all, standard_state
@@ -111,19 +111,13 @@ def enumerate_graph_classes() -> tuple[GraphClass, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--model",
-        choices=("classical", "digraph", "relaxed", "custom"),
-        default="classical",
+    pegs = argparse.ArgumentParser(add_help=False)
+    pegs.add_argument("--from", dest="src", type=int, default=1)
+    pegs.add_argument("--to", dest="tgt", type=int, default=2)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--max-states", type=int, default=DEFAULT_STATE_BUDGET, help="search state cap"
     )
-    shared.add_argument("--edges", help="edge list i>j,k>l (digraph/custom models)")
-    shared.add_argument("--distance", type=int, help="placement distance C")
-    shared.add_argument("--n", type=int, help="disc count (or table/sweep bound)")
-    shared.add_argument("--from", dest="src", type=int, default=1)
-    shared.add_argument("--to", dest="tgt", type=int, default=2)
-    shared.add_argument("--format", choices=("plain", "csv", "json"), default=None)
-    shared.add_argument("--max-states", type=int, default=DEFAULT_STATE_BUDGET)
 
     parser = argparse.ArgumentParser(
         prog="hanoilab",
@@ -131,48 +125,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[shared], help="emit a move sequence")
+    def command(name, func, summary, parents=(), fmt="plain"):
+        # flags are spelled in full, so no abbreviation reaches another flag
+        p = sub.add_parser(name, parents=list(parents), help=summary, allow_abbrev=False)
+        p.add_argument("--format", choices=("plain", "csv", "json"), default=fmt)
+        p.set_defaults(func=func)
+        return p
+
+    p_solve = command("solve", cmd_solve, "emit a move sequence", (pegs, budget))
+    p_solve.add_argument(
+        "--model",
+        choices=("classical", "digraph", "relaxed", "custom"),
+        default="classical",
+    )
+    p_solve.add_argument("--edges", help="edge list i>j,k>l (digraph/custom models)")
+    p_solve.add_argument("--distance", type=int, help="placement distance C (relaxed/custom)")
+    p_solve.add_argument("--n", type=int, required=True, help="disc count")
     p_solve.add_argument(
         "--solver",
         choices=("auto", "classical", "directed", "zeta", "symmetric", "q", "bfs"),
         default="auto",
     )
-    p_solve.set_defaults(func=cmd_solve)
 
-    p_table = sub.add_parser(
-        "table", parents=[shared], help="exact move-count table for a digraph"
-    )
-    p_table.set_defaults(func=cmd_table)
+    p_table = command("table", cmd_table, "exact move-count table for a digraph")
+    p_table.add_argument("--model", choices=("classical", "digraph"), default="classical")
+    p_table.add_argument("--edges", help="edge list i>j,k>l (digraph model)")
+    p_table.add_argument("--n", type=int, required=True, help="largest disc count")
 
-    p_verify = sub.add_parser("verify", parents=[shared], help="run a harness suite")
+    p_verify = command("verify", cmd_verify, "run a harness suite", (budget,))
     p_verify.add_argument("--suite", choices=("graphs", "relaxed", "claims"), required=True)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.add_argument("--n", type=int, help="largest disc count (default: per suite)")
+    p_verify.add_argument("--distance", type=int, help="placement distance C (relaxed suite)")
 
-    p_conj = sub.add_parser(
-        "conjecture", parents=[shared], help="probe the conjectured optima"
+    p_conj = command(
+        "conjecture", cmd_conjecture, "probe the conjectured optima", (pegs, budget), fmt="csv"
     )
+    p_conj.add_argument("--distance", type=int, required=True, help="placement distance C >= 1")
     p_conj.add_argument("--n-max", dest="n_max", type=int, default=7)
-    p_conj.set_defaults(func=cmd_conjecture)
 
-    p_graphs = sub.add_parser(
-        "graphs", parents=[shared], help="enumerate strongly connected digraphs"
-    )
+    p_graphs = command("graphs", cmd_graphs, "enumerate strongly connected digraphs")
     p_graphs.add_argument("action", nargs="?", choices=("enumerate",), default="enumerate")
-    p_graphs.set_defaults(func=cmd_graphs)
 
     return parser
 
 
-def _fmt(args: argparse.Namespace, default: str = "plain") -> str:
-    return args.format if args.format is not None else default
+def _build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -> MoveGraph:
+    if args.model not in ("digraph", "custom"):
+        if args.edges:
+            parser.error("--edges is only valid with --model digraph or custom")
+        return MoveGraph.complete()
+    if not args.edges:
+        parser.error(f"--edges is required for --model {args.model}")
+    try:
+        graph = MoveGraph.parse(args.edges)
+    except ValueError as err:
+        parser.error(str(err))
+    if not graph.is_strongly_connected():
+        parser.error("--edges must describe a strongly connected graph")
+    return graph
 
 
 def _build_model(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Model:
-    needs_edges = args.model in ("digraph", "custom")
-    if needs_edges and not args.edges:
-        parser.error(f"--edges is required for --model {args.model}")
-    if not needs_edges and args.edges:
-        parser.error("--edges is only valid with --model digraph or custom")
     needs_distance = args.model in ("relaxed", "custom")
     if needs_distance and args.distance is None:
         parser.error(f"--distance is required for --model {args.model}")
@@ -182,16 +195,7 @@ def _build_model(parser: argparse.ArgumentParser, args: argparse.Namespace) -> M
         parser.error("--distance must be >= 1 for the relaxed model")
     if args.model == "custom" and args.distance < 0:
         parser.error("--distance must be >= 0")
-    if needs_edges:
-        try:
-            graph = MoveGraph.parse(args.edges)
-        except ValueError as err:
-            parser.error(str(err))
-        if not graph.is_strongly_connected():
-            parser.error("--edges must describe a strongly connected graph")
-    else:
-        graph = MoveGraph.complete()
-    return Model(graph, args.distance if needs_distance else 0)
+    return Model(_build_graph(parser, args), args.distance if needs_distance else 0)
 
 
 def _check_pegs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
@@ -206,7 +210,7 @@ def _check_pegs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
 
 
 def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.n is None or args.n < 0:
+    if args.n < 0:
         parser.error("solve requires --n >= 0")
     _check_pegs(parser, args)
     model = _build_model(parser, args)
@@ -220,7 +224,10 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "relaxed": "symmetric",
             "custom": "bfs",
         }[args.model]
-    goal = "all-on-target" if solver == "zeta" else "standard"
+    if solver == "zeta":
+        goal, predicate = "all-on-target", GoalPredicate.all_on(tgt)
+    else:
+        goal, predicate = "standard", GoalPredicate.standard_on(tgt)
     if solver == "classical":
         if args.model != "classical":
             parser.error("--solver classical requires the classical model")
@@ -236,10 +243,7 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         moves = fn(n, model.distance, src, tgt)
     else:  # bfs
         result = bfs_distance(
-            model,
-            standard_state(n, src),
-            GoalPredicate.standard_on(tgt),
-            max_states=args.max_states,
+            model, standard_state(n, src), predicate, max_states=args.max_states
         )
         moves = list(result.path or ())
 
@@ -249,15 +253,11 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     except IllegalMoveError as err:
         print(f"error: {solver} sequence does not replay: {err}", file=sys.stderr)
         return EXIT_FAILURE
-    if goal == "standard":
-        reached = final == standard_state(n, tgt)
-    else:
-        reached = all(not final.stacks[p - 1] for p in (1, 2, 3) if p != tgt)
-    if not reached:
+    if not predicate.matches(final):
         print(f"error: {solver} sequence does not reach the {goal} goal", file=sys.stderr)
         return EXIT_FAILURE
 
-    fmt = _fmt(args)
+    fmt = args.format
     if fmt == "plain":
         for move in moves:
             print(move)
@@ -302,14 +302,12 @@ def _closed_form_for(graph: MoveGraph):
 
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.model not in ("classical", "digraph"):
-        parser.error("table applies to distance-0 models (classical or digraph)")
-    if args.n is None or args.n < 0:
+    if args.n < 0:
         parser.error("table requires --n >= 0")
-    model = _build_model(parser, args)
-    table = recurrence.eval_move_counts(model.graph, args.n)
+    graph = _build_graph(parser, args)
+    table = recurrence.eval_move_counts(graph, args.n)
 
-    closed = _closed_form_for(model.graph)
+    closed = _closed_form_for(graph)
     closed_ok = None
     if closed is not None:
         name, formula = closed
@@ -320,7 +318,7 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         )
 
     header = "n,N12,N21,N13,N31,N23,N32"
-    fmt = _fmt(args)
+    fmt = args.format
     if fmt in ("plain", "csv"):
         print(header)
         for n in range(args.n + 1):
@@ -331,7 +329,7 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "edges": model.graph.format(),
+                    "edges": graph.format(),
                     "n_max": args.n,
                     "rows": [
                         {"n": n, **dict(zip(("N12", "N21", "N13", "N31", "N23", "N32"), table.row(n)))}
@@ -352,18 +350,25 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    fmt = _fmt(args)
+    if args.distance is not None and args.suite != "relaxed":
+        parser.error("--distance is only valid with --suite relaxed")
+    if args.distance is not None and args.distance < 1:
+        parser.error("--distance must be >= 1")
+    n_min = 1 if args.suite == "graphs" else 0
+    if args.n is not None and args.n < n_min:
+        parser.error(f"--n must be >= {n_min}")
+    fmt = args.format
     if args.suite == "graphs":
         n_max = args.n if args.n is not None else 5
-        if n_max < 1:
-            parser.error("--n must be >= 1")
-        rows = []
-        ok = True
-        for graph in all_strongly_connected_graphs():
-            for n in range(1, n_max + 1):
-                report = verify_optimality(graph, n, max_states=args.max_states)
-                ok = ok and report.ok
-                rows.append(report)
+        by_graph = {
+            graph: [
+                verify_optimality(graph, n, max_states=args.max_states)
+                for n in range(1, n_max + 1)
+            ]
+            for graph in all_strongly_connected_graphs()
+        }
+        rows = [report for reports in by_graph.values() for report in reports]
+        ok = all(report.ok for report in rows)
         if fmt == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(["edges", "n", "pair", "bfs", "algorithm", "recurrence", "ok"])
@@ -409,12 +414,10 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                 )
             )
         else:
-            graphs = all_strongly_connected_graphs()
-            for graph in graphs:
-                per_graph = [r for r in rows if r.graph == graph]
-                status = "ok" if all(r.ok for r in per_graph) else "MISMATCH"
+            for graph, reports in by_graph.items():
+                status = "ok" if all(r.ok for r in reports) else "MISMATCH"
                 print(f"graph {graph.format()}: n<={n_max} {status}")
-            print(f"graphs suite: {'PASS' if ok else 'FAIL'} ({len(graphs)} graphs, n<={n_max})")
+            print(f"graphs suite: {'PASS' if ok else 'FAIL'} ({len(by_graph)} graphs, n<={n_max})")
         return EXIT_OK if ok else EXIT_FAILURE
 
     if args.suite == "relaxed":
@@ -426,16 +429,14 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         report = claim_harness("eq3-vs-oracle", params, max_states=args.max_states)
         return _emit_harness_reports([report], fmt)
 
-    # claims
-    overrides = {}
-    if args.n is not None:
-        overrides["n_max"] = args.n
+    # claims; the sized suites take --n, the others keep their own bounds
+    sized = {"n_max": args.n} if args.n is not None else None
     reports = [
-        claim_harness("eq3-vs-oracle", {"n_max": overrides.get("n_max", 8)}, max_states=args.max_states),
+        claim_harness("eq3-vs-oracle", sized, max_states=args.max_states),
         claim_harness("claim51-inequality", max_states=args.max_states),
         claim_harness("dn-negative", max_states=args.max_states),
-        claim_harness("symmetric-odd", {"n_max": overrides.get("n_max", 7)}, max_states=args.max_states),
-        claim_harness("symmetric-equals-a", {"n_max": overrides.get("n_max", 7)}, max_states=args.max_states),
+        claim_harness("symmetric-odd", sized, max_states=args.max_states),
+        claim_harness("symmetric-equals-a", sized, max_states=args.max_states),
     ]
     return _emit_harness_reports(reports, fmt)
 
@@ -461,48 +462,22 @@ def _emit_harness_reports(reports, fmt: str) -> int:
 
 
 def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.distance is None or args.distance < 1:
+    if args.distance < 1:
         parser.error("conjecture requires --distance >= 1")
-    if args.edges:
-        parser.error("conjecture runs on the complete graph; --edges is invalid")
     if args.n_max < 1:
         parser.error("--n-max must be >= 1")
+    _check_pegs(parser, args)
     report = conjecture_probe(
         args.distance, args.n_max, src=args.src, tgt=args.tgt, max_states=args.max_states
     )
-    fmt = _fmt(args, default="csv")
-    if fmt == "csv":
+    if args.format == "csv":
         sys.stdout.write(report.to_csv())
-    elif fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "distance": report.distance,
-                    "rows": [
-                        {
-                            "n": r.n,
-                            "bfs_std": r.bfs_std,
-                            "bfs_any": r.bfs_any,
-                            "a_conj": r.a_conj,
-                            "b_conj": r.b_conj,
-                            "len_a_sym": r.len_a_sym,
-                            "len_q": r.len_q,
-                            "match": r.match,
-                        }
-                        for r in report.rows
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
+    elif args.format == "json":
+        rows = [{**asdict(row), "match": row.match} for row in report.rows]
+        print(json.dumps({"distance": report.distance, "rows": rows}, sort_keys=True))
     else:
         for row in report.rows:
-            print(
-                f"n={row.n} bfs_std={row.bfs_std} bfs_any={row.bfs_any} "
-                f"a_conj={row.a_conj} b_conj={row.b_conj} "
-                f"len_a_sym={row.len_a_sym} len_q={row.len_q} "
-                f"{'MATCH' if row.match else 'MISMATCH'}"
-            )
+            print(" ".join([*(f"{k}={v}" for k, v in asdict(row).items()), row.verdict]))
     return EXIT_OK
 
 
@@ -512,7 +487,7 @@ def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def cmd_graphs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     classes = enumerate_graph_classes()
-    fmt = _fmt(args)
+    fmt = args.format
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["class", "size", "representative", "note"])

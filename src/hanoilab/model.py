@@ -8,9 +8,12 @@ C = 0 but removing edges restricts movement, and the engine supports the
 product of both axes.
 
 The distance rule is enforced pairwise: a disc must be within C of *every*
-disc below it on the same peg, not only its immediate neighbour.  The check
-is isolated in `can_place` / `stack_is_legal` so the alternative
-adjacent-only reading could be swapped in at a single point.
+disc below it on the same peg, not only its immediate neighbour.  In this
+module the check lives only in `can_place` / `stack_is_legal`.  The two
+per-state neighbour loops of the search, `oracle._sparse_neighbors` and
+(at distance 0) `oracle._dense_neighbors`, keep the comparison inline
+because they run once per candidate move of every searched state; the
+alternative adjacent-only reading would have to change those two as well.
 
 All values are immutable and all operations are pure functions.
 """
@@ -270,7 +273,7 @@ def apply(model: Model, state: State, move: Move) -> State:
         raise IllegalMoveError(Move(i, j), "missing-edge")
     disc = src[-1]
     dst = state.stacks[j - 1]
-    if dst and disc > min(dst) + model.distance:
+    if not can_place(disc, dst, model.distance):
         raise IllegalMoveError(Move(i, j), "distance-violation")
     stacks = list(state.stacks)
     stacks[i - 1] = src[:-1]

@@ -15,6 +15,8 @@ searched from both ends: forward from the start and backward from every
 goal state over the reversed edges, one level of the smaller frontier at
 a time.  There `explored` counts both sides' stored states, goal states
 included, and `peak_frontier` is the largest level of either side.
+`shortest_symmetric` grows its levels from the start alone with the same
+level expander, `_expand`.
 Searches never truncate silently: the state budget is checked as each
 state is stored, and exceeding it raises.
 """
@@ -22,7 +24,7 @@ state is stored, and exceeding it raises.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Iterator, TypeAlias
 
 from . import recurrence
@@ -589,7 +591,10 @@ def shortest_symmetric(
     landing exactly on W's mirror image; an even solution of length 2m
     needs W equal to its own mirror (both swapped stacks empty).  Levels
     are scanned outward, even candidates before odd, so the first hit is
-    minimal; the second half is the mirrored reverse of the BFS-tree path.
+    minimal.  Levels grow through `_expand`, the expander of the
+    bidirectional core, with no other side.  The first half walks back
+    from W over the reversed edges, one level at a time, and the second
+    half is its mirrored reverse.
     """
     if src == tgt:
         raise ValueError("src and tgt must differ")
@@ -600,76 +605,60 @@ def shortest_symmetric(
     start = standard_state(n, src)
     if n == 0:
         return SearchResult(0, (), 1, 1)
-    moves = _sparse_moves(model.graph.sorted_edges())
-    C = model.distance
+    edges = model.graph.sorted_edges()
+    moves = _sparse_moves(edges)
+    # each reversed edge is labelled with the forward move it undoes
+    reverse = tuple((mv, j, i) for mv, i, j in moves)
     # only self-mirrored moves can sit in the middle of an odd solution,
     # and only when the graph actually has them
-    middle_moves = sorted(
-        mv
-        for mv in (Move(src, tgt), Move(tgt, src))
-        if model.graph.has_edge(mv.src, mv.dst)
-    )
+    middle_moves = _sparse_moves(e for e in edges if set(e) == {src, tgt})
+    C = model.distance
 
     def mirror_stacks(stacks: Stacks) -> Stacks:
         new = list(stacks)
         new[src - 1], new[tgt - 1] = new[tgt - 1], new[src - 1]
         return (new[0], new[1], new[2])
 
-    parents: dict[Stacks, tuple[Stacks, Move] | None] = {start.stacks: None}
-    frontier: list[Stacks] = [start.stacks]
+    seen = {start.stacks: 0}
+    frontier = [start.stacks]
     peak = 1
 
-    def rebuild(stacks: Stacks) -> list[Move]:
-        moves: list[Move] = []
-        entry = parents[stacks]
-        while entry is not None:
-            prev, mv = entry
-            moves.append(mv)
-            entry = parents[prev]
-        moves.reverse()
-        return moves
-
-    def finish(half: list[Move], middle: list[Move]) -> SearchResult:
+    def finish(w: Stacks, middle: list[Move]) -> SearchResult:
+        half: list[Move] = []
+        while seen[w]:  # back one level at a time to the start
+            for mv, prev in _sparse_neighbors(w, reverse, C):
+                if seen.get(prev) == seen[w] - 1:
+                    half.append(mv)
+                    w = prev
+                    break
+            else:  # pragma: no cover - would indicate a levelling bug
+                raise RuntimeError("symmetric witness lost its level chain")
+        half.reverse()
         path = half + middle + mirror_sequence(half, src, tgt)
         final = apply_all(model, start, path)
         if final != standard_state(n, tgt):  # pragma: no cover - engine bug
             raise RuntimeError("symmetric witness must end standard")
-        return SearchResult(len(path), tuple(path), len(parents), peak)
+        return SearchResult(len(path), tuple(path), len(seen), peak)
 
     while frontier:
         for stacks in frontier:  # even candidates: length 2*level
             if stacks == mirror_stacks(stacks):
-                return finish(rebuild(stacks), [])
+                return finish(stacks, [])
         for stacks in frontier:  # odd candidates: length 2*level + 1
             mirrored = mirror_stacks(stacks)
-            for mv in middle_moves:
-                source = stacks[mv.src - 1]
-                if not source:
-                    continue
-                disc = source[-1]
-                dst = stacks[mv.dst - 1]
-                if dst and disc > min(dst) + C:
-                    continue
-                new = list(stacks)
-                new[mv.src - 1] = source[:-1]
-                new[mv.dst - 1] = dst + (disc,)
-                if (new[0], new[1], new[2]) == mirrored:
-                    return finish(rebuild(stacks), [mv])
-        nxt: list[Stacks] = []
-        for stacks in frontier:
-            for mv, new in _sparse_neighbors(stacks, moves, C):
-                if new not in parents:
-                    parents[new] = (stacks, mv)
-                    if len(parents) > max_states:
-                        raise SearchCapExceeded(max_states)
-                    nxt.append(new)
-        frontier = nxt
-        peak = max(peak, len(nxt))
-    return SearchResult(None, None, len(parents), peak)
+            for mv, new in _sparse_neighbors(stacks, middle_moves, C):
+                if new == mirrored:
+                    return finish(stacks, [mv])
+        frontier = _expand(frontier, moves, C, seen, {}, max_states)
+        peak = max(peak, len(frontier))
+    return SearchResult(None, None, len(seen), peak)
 
 
 @dataclass(frozen=True)
 class ProbeRow:
+    """One probe row.  Its fields, in order, then `match` are the columns
+    of every output format."""
+
     n: int
     bfs_std: int
     bfs_any: int
@@ -682,6 +671,10 @@ class ProbeRow:
     def match(self) -> bool:
         return self.bfs_std == self.a_conj and self.bfs_any == self.b_conj
 
+    @property
+    def verdict(self) -> str:
+        return "MATCH" if self.match else "MISMATCH"
+
 
 @dataclass(frozen=True)
 class ProbeReport:
@@ -693,16 +686,12 @@ class ProbeReport:
     distance: int
     rows: tuple[ProbeRow, ...]
 
-    CSV_HEADER = "n,bfs_std,bfs_any,a_conj,b_conj,len_a_sym,len_q,match"
+    CSV_HEADER = ",".join([f.name for f in fields(ProbeRow)] + ["match"])
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for row in self.rows:
-            lines.append(
-                f"{row.n},{row.bfs_std},{row.bfs_any},{row.a_conj},{row.b_conj},"
-                f"{row.len_a_sym},{row.len_q},"
-                f"{'MATCH' if row.match else 'MISMATCH'}"
-            )
+            lines.append(",".join(map(str, (*astuple(row), row.verdict))))
         return "\n".join(lines) + "\n"
 
 

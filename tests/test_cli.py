@@ -294,6 +294,15 @@ def test_byte_for_byte_determinism(capsys):
         ("table", "--model", "relaxed", "--distance", "1", "--n", "2"),
         ("conjecture", "--distance", "0"),
         ("nonsense",),
+        ("conjecture", "--distance", "1", "--from", "4"),
+        ("conjecture", "--distance", "1", "--from", "2", "--to", "2"),
+        ("verify", "--suite", "relaxed", "--distance", "0"),
+        ("verify", "--suite", "relaxed", "--n", "-1"),
+        # flags the subcommand does not read
+        ("graphs", "enumerate", "--n", "3"),
+        ("verify", "--suite", "claims", "--distance", "2"),
+        ("table", "--n", "2", "--from", "2"),
+        ("conjecture", "--distance", "1", "--n", "3"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

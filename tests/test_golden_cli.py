@@ -1,7 +1,10 @@
 """Byte-identical CLI output: sha256 digests of stdout.  The distance-0
 digests were recorded before the table-driven dense core replaced
 per-state digit decoding; the distance >= 1 digests before the
-bidirectional search replaced the one-sided stack-tuple BFS.
+bidirectional search replaced the one-sided stack-tuple BFS; the
+constructive-solver, `table`, `graphs` and remaining `verify` and
+`conjecture` digests before the per-subcommand flags and the shared
+goal test.
 
 Each solve digest covers the concatenated stdout of one solve command
 over a range of disc counts, for one model and one ordered peg pair.
@@ -179,13 +182,60 @@ CUSTOM_DIGESTS = {
     ("1>2,1>3,3>1,2>3", 3, 2): "b378874142df1a97700949fd5fa939ba561d85b7a54231b34179ff99eae8cb87",
 }
 
-#: whole-command digests for the conjecture probe and the relaxed claim suites
+#: whole-command digests
 COMMAND_DIGESTS = {
     "conjecture --distance 1 --n-max 6": "e40ae8fe552ba14efc3cb8951b72ceaa8cfce7d0b95c1c81e886b4967fcd6a5a",
     "conjecture --distance 2 --n-max 6": "78c11b81e542b27a72e0628d98e818e656a343f1282f3d74cb72bb1f8651efe9",
     "conjecture --distance 3 --n-max 6": "5b645b13424c62bec94d3d9b14efae3c5a7f667e3000f92acebe9be047a4c8cc",
     "verify --suite claims --n 6": "a8f8aab5214696721fe3efb4f6c9bc2eec95b48b3836af1727b193501cce0be7",
     "verify --suite relaxed": "95188f018ff0c181fe0b71386c5951493a37ef9a50401c87991c6668ef18e211",
+    "conjecture --distance 2 --n-max 6 --format json": "c104484b4645c957acb4e929cd1212c1a9a8b82720a0ab86341003ddaea8fdf1",
+    "conjecture --distance 2 --n-max 6 --format plain": "e1d0d139f05de13caa81aee69322f2b8f07e377088fc26b5b14bd04c08fbadcd",
+    "graphs enumerate --format plain": "b86306b207eae4e603fff08b9b19faf88e9e4ebcb2fb796938a2b3109fb48a0c",
+    "graphs enumerate --format csv": "fc6728a096a77bbb235e6d2bd1092594030908c0962ea371d44162c2248b90df",
+    "graphs enumerate --format json": "aa04fa14f26896f79790fe06a5466ea5d70926d76830aabd46d213335d076286",
+    "verify --suite graphs --n 3 --format plain": "464cc537d343044c7b3f59042dc0370221d69b54a8391dbfbce9526b7528ab85",
+    "verify --suite graphs --n 3 --format json": "9134e15cd69b121d32619506ea75b015c868454b976c304c5cd6ca9c252cc71d",
+    "verify --suite claims --n 4 --format csv": "1b110b533aa05b89e26bf14509b0defad7faa59b235c38c7cecfb66b56ca6e89",
+    "verify --suite claims --n 4 --format json": "c0f034b57f247d8d01740362ee983e37257d603c7bae72fc3af96b33843a63da",
+    # one graph per class; all but the five-edge one have a closed-form check
+    "table --model digraph --edges 1>2,2>3,3>1 --n 8 --format plain": "b6aec65a1390072bbd4ce01b450df9773cadaf8349f006260ce2011eb75f5bc7",
+    "table --model digraph --edges 1>2,2>3,3>1 --n 8 --format csv": "a64bfaf5a6c6595d7a350aa45cfa9de62c650c57c662b40ed24814a110bfc398",
+    "table --model digraph --edges 1>2,2>3,3>1 --n 8 --format json": "daa0805ab6f7cf505cd98af08c947d31eaccf1fa7d84df1e1c0240af38b3f659",
+    "table --model digraph --edges 1>2,1>3,2>1,3>1 --n 8 --format plain": "c2d481fb2fcf3fb6c08e55e7bc64d21d9cc3af2cc8550fb2e55af88507f54070",
+    "table --model digraph --edges 1>2,1>3,2>1,3>1 --n 8 --format csv": "009c55aff20fcb2cdbb240cf968de146ca7afe2080d5ebf313f356d618048b3b",
+    "table --model digraph --edges 1>2,1>3,2>1,3>1 --n 8 --format json": "78c72cfe57c1f737797a03575aa1d308a1ab68da0d1c2de3c7722d287f1d2ede",
+    "table --model digraph --edges 1>2,1>3,2>3,3>1 --n 8 --format plain": "4bbb69d39611119bf2026858476ad0748d8d037e3b12a43076f6fd75937f8f4b",
+    "table --model digraph --edges 1>2,1>3,2>3,3>1 --n 8 --format csv": "04c7c493c632736b797fc7f21caa8770042cfb0b2b2b4cbf77d2758077faacaa",
+    "table --model digraph --edges 1>2,1>3,2>3,3>1 --n 8 --format json": "0320ac9adccb70e05d0277d45c3f4e99571d0614a10dd7c6308c0d8a02727f03",
+    "table --model digraph --edges 1>2,1>3,2>3,3>1,3>2 --n 8 --format plain": "325a1455a17e924bcddc8d6b1bdefb7b77a4a440ac47ccae25ceefed8d013877",
+    "table --model digraph --edges 1>2,1>3,2>3,3>1,3>2 --n 8 --format csv": "325a1455a17e924bcddc8d6b1bdefb7b77a4a440ac47ccae25ceefed8d013877",
+    "table --model digraph --edges 1>2,1>3,2>3,3>1,3>2 --n 8 --format json": "51d132a93d987a4de8450fd47d8bc859c69fe2f01d99f019373f9059d01aef86",
+    "table --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2 --n 8 --format plain": "b052f892fbc80148598928822bdc9ebee6bbbc2d50c35627cd79478194bbc0e8",
+    "table --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2 --n 8 --format csv": "7ea25eb940df0689a0bbac4182b62c72bf5274d98ebe638b4f8784f17d957b83",
+    "table --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2 --n 8 --format json": "a93a408f6ba14c8e8306aa318b4b768f3a0186af9644d345ff316b224f550005",
+}
+
+CONSTRUCTIVE_N_MAX = 6
+
+#: constructive solvers, n = 0..6 over every ordered pair, keyed (solver,
+#: format); the relaxed solvers run at distances 1..3 in turn
+CONSTRUCTIVE_DIGESTS = {
+    ("classical", "plain"): "193d204a5475d8744693ab8c5a791dc2d04594aeaf00c0ccc5d281c55ec429c7",
+    ("classical", "csv"): "e472634357dc60dec82d7294b2ec32cec984392b200474d3626cb8f04d6a31d2",
+    ("classical", "json"): "c4c8b30a478cd31ab35cc048ee16e4f646691cb82164d11bd02a7c057c308e77",
+    ("directed", "plain"): "7a9988a2a31356b51499b1c7dce00f6f341bbad5f649d5a1da8733d761ab08a1",
+    ("directed", "csv"): "97bd8fb703bdff1e3590511a6f73cce9776e6efb83a335787de5ef0408fc6f0a",
+    ("directed", "json"): "6be522b5ee136179da290da40a14463f6b339fddf4bd12b183a394550c1c28d9",
+    ("zeta", "plain"): "a4c2e735a11f8843021ee4a2c35662d778c79a55f83ba2d6f6a57e9cf85debb0",
+    ("zeta", "csv"): "6f8fce40c4463d7586261747e0b2523ed06095968bf358aa4be9df9469abb1c8",
+    ("zeta", "json"): "952ace05052ae066a61bf7eb8943309a3c087f431ce7f5032a6f94ba29cc896d",
+    ("symmetric", "plain"): "f1ac808b9f5a4416fb8c02d127b4262b4c89acffb902faf690f577f75dcf3ac8",
+    ("symmetric", "csv"): "7fca1ca7baebc6f0c8e7182de88cd7d0fd365c00eea3c96a6f5bce5cc82b8233",
+    ("symmetric", "json"): "9a84194693cb1dacfadcbe53af2a8e1c4701335b2b0565d280c4fece68b69dbc",
+    ("q", "plain"): "cc868989ae92be8922275995a79533aba111fe1e21659f6cea37e5ecd6be934d",
+    ("q", "csv"): "82322b5e3100c71e9bd33a45fb53f6b61740a5556a61bbee4e98a5550d2f868f",
+    ("q", "json"): "b1a2099b0939de8b921b020ff05409ca0fa2256ee58b5b2641f0fc9b16a56824",
 }
 
 
@@ -257,3 +307,25 @@ def test_solve_custom_stdout_is_byte_identical(capsys, edges):
 def test_relaxed_command_stdout_is_byte_identical(capsys, command):
     out = _stdout(capsys, command.split())
     assert hashlib.sha256(out.encode()).hexdigest() == COMMAND_DIGESTS[command]
+
+
+def _constructive_models(solver):
+    if solver == "classical":
+        return [["--model", "classical"]]
+    if solver == "directed":
+        return [["--model", "digraph", "--edges", "1>2,2>3,3>1"]]
+    return [["--model", "relaxed", "--distance", str(c)] for c in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("solver, fmt", sorted(CONSTRUCTIVE_DIGESTS))
+def test_constructive_solve_stdout_is_byte_identical(capsys, solver, fmt):
+    digest = hashlib.sha256()
+    for model in _constructive_models(solver):
+        for src, tgt in PAIR_ORDER:
+            for n in range(CONSTRUCTIVE_N_MAX + 1):
+                argv = [
+                    "solve", "--solver", solver, *model, "--format", fmt,
+                    "--from", str(src), "--to", str(tgt), "--n", str(n),
+                ]
+                digest.update(_stdout(capsys, argv).encode())
+    assert digest.hexdigest() == CONSTRUCTIVE_DIGESTS[(solver, fmt)]

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from hanoilab.cli import all_strongly_connected_graphs
-from hanoilab.model import Model, MoveGraph, State, standard_state, third_peg
+from hanoilab.model import Model, MoveGraph, State, apply_all, standard_state, third_peg
 from hanoilab.oracle import (
     GoalPredicate,
     SearchCapExceeded,
@@ -15,6 +15,7 @@ from hanoilab.oracle import (
     shortest_symmetric,
 )
 from hanoilab.recurrence import PAIR_ORDER
+from hanoilab.verify import is_symmetric
 from reference_bfs import reference_search
 
 # every strongly connected graph, plus one whose third peg is unreachable
@@ -124,7 +125,41 @@ def test_symmetric_search_cap_is_checked_as_each_state_is_inserted():
     assert shortest_symmetric(model, 7, 1, 2, max_states=full.explored) == full
     with pytest.raises(SearchCapExceeded) as err:
         shortest_symmetric(model, 7, 1, 2, max_states=100)
-    assert len(err.traceback[-1].frame.f_locals["parents"]) == 101
+    assert _stored_states(err) == 101
+
+
+#: (distance, explored, peak_frontier) of `shortest_symmetric` for n = 0, 1,
+#: ..., keyed (edges, C, src, tgt); recorded before the search moved onto
+#: the shared level expander
+SYMMETRIC_COUNTS = {
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 0, 1, 2): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (7, 9, 4), (15, 27, 8), (31, 81, 16), (63, 243, 32), (127, 729, 64), (255, 2187, 128)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 0, 2, 3): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (7, 9, 4), (15, 27, 8), (31, 81, 16), (63, 243, 32), (127, 729, 64), (255, 2187, 128)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 0, 1, 3): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (7, 9, 4), (15, 27, 8), (31, 81, 16), (63, 243, 32), (127, 729, 64), (255, 2187, 128)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 1, 1, 2): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (5, 7, 4), (9, 28, 13), (13, 75, 25), (21, 287, 72), (29, 813, 174), (45, 3332, 496)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 1, 2, 3): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (5, 7, 4), (9, 28, 13), (13, 75, 25), (21, 287, 72), (29, 813, 174), (45, 3332, 496)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 1, 1, 3): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (5, 7, 4), (9, 28, 13), (13, 75, 25), (21, 287, 72), (29, 813, 174), (45, 3332, 496)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 2, 1, 2): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (5, 7, 4), (7, 19, 12), (11, 90, 46), (15, 306, 133), (19, 704, 225), (27, 2947, 814)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 2, 2, 3): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (5, 7, 4), (7, 19, 12), (11, 90, 46), (15, 306, 133), (19, 704, 225), (27, 2947, 814)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 2, 1, 3): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (5, 7, 4), (7, 19, 12), (11, 90, 46), (15, 306, 133), (19, 704, 225), (27, 2947, 814)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 3, 1, 2): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (5, 7, 4), (7, 19, 12), (9, 52, 33), (13, 291, 159), (17, 1143, 545), (21, 3308, 1265)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 3, 2, 3): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (5, 7, 4), (7, 19, 12), (9, 52, 33), (13, 291, 159), (17, 1143, 545), (21, 3308, 1265)],
+    ("1>2,1>3,2>1,2>3,3>1,3>2", 3, 1, 3): [(0, 1, 1), (1, 1, 1), (3, 3, 2), (5, 7, 4), (7, 19, 12), (9, 52, 33), (13, 291, 159), (17, 1143, 545), (21, 3308, 1265)],
+    ("1>3,2>3,3>1,3>2", 0, 1, 2): [(0, 1, 1), (2, 2, 1), (8, 5, 1), (26, 14, 1), (80, 41, 1), (242, 122, 1), (728, 365, 1)],
+    ("1>3,2>3,3>1,3>2", 1, 1, 2): [(0, 1, 1), (2, 2, 1), (4, 4, 2), (10, 15, 5), (16, 39, 11), (34, 156, 20), (52, 366, 28)],
+    ("1>3,2>3,3>1,3>2", 2, 1, 2): [(0, 1, 1), (2, 2, 1), (4, 4, 2), (6, 7, 3), (12, 45, 20), (18, 131, 35), (24, 342, 82)],
+}
+
+
+@pytest.mark.parametrize("edges, C, src, tgt", sorted(SYMMETRIC_COUNTS))
+def test_symmetric_search_counts_and_witnesses(edges, C, src, tgt):
+    model = Model(MoveGraph.parse(edges), C)
+    for n, counts in enumerate(SYMMETRIC_COUNTS[(edges, C, src, tgt)]):
+        result = shortest_symmetric(model, n, src, tgt)
+        assert (result.distance, result.explored, result.peak_frontier) == counts, n
+        start = standard_state(n, src)
+        assert len(result.path) == result.distance
+        assert is_symmetric(result.path, src, tgt, model=model, start=start), n
+        assert apply_all(model, start, result.path) == standard_state(n, tgt)
 
 
 def test_goal_states_are_stored_lazily_under_the_cap():
