@@ -9,18 +9,21 @@ product of both axes.
 
 The distance rule is enforced pairwise: a disc must be within C of *every*
 disc below it on the same peg, not only its immediate neighbour.  In this
-module the check lives only in `can_place` / `stack_is_legal`.  The two
-per-state neighbour loops of the search, `oracle._sparse_neighbors` and
-(at distance 0) `oracle._dense_neighbors`, keep the comparison inline
+module the check lives in `can_place` / `stack_is_legal` and in the replay
+core `_replay`, which serves `apply`, `apply_all` and `verify.moved_discs`
+and compares against a running stack minimum so that a move costs O(1).
+The two per-state neighbour loops of the search, `oracle._sparse_neighbors`
+and (at distance 0) `oracle._dense_neighbors`, keep the comparison inline
 because they run once per candidate move of every searched state; the
-alternative adjacent-only reading would have to change those two as well.
+alternative adjacent-only reading would have to change those four places.
 
-All values are immutable and all operations are pure functions.
+All values are immutable and all public operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 PEGS = (1, 2, 3)
@@ -46,6 +49,11 @@ class Move(NamedTuple):
     def __str__(self) -> str:
         return f"{self.src}>{self.dst}"
 
+
+#: The shared Move instance of each ordered pair of distinct pegs.  Solvers
+#: and mirroring take their moves from here, so a sequence of any length
+#: holds references to six objects instead of one tuple per move.
+MOVES: dict[tuple[int, int], Move] = {(i, j): Move(i, j) for i in PEGS for j in PEGS if i != j}
 
 MoveSequence = list[Move]
 
@@ -257,39 +265,66 @@ def legal_moves(model: Model, state: State) -> list[Move]:
     return moves
 
 
+def _replay(
+    model: Model, state: State, seq: Iterable[Move], carried: list[int] | None = None
+) -> State:
+    """The replay core: play `seq` from `state` on mutable stacks, each
+    paired with its running minimum, so every move costs O(1) whatever
+    the stack heights.  Appends each moved disc to `carried` when given.
+
+    Per move the checks run in a fixed order: both pegs (ValueError), then
+    ``empty-source``, ``missing-edge`` and ``distance-violation``
+    (IllegalMoveError with the 1-based index of the move).
+    """
+    edges = model.graph.edges
+    # (source index, target index, edge present) for every pair of valid
+    # pegs: a Move found here needs no peg check; any other pair, such as a
+    # plain tuple, is unpacked and its pegs are checked
+    plan = {(i, j): (i - 1, j - 1, (i, j) in edges) for i in PEGS for j in PEGS}
+    limit = model.distance
+    stacks = [list(stack) for stack in state.stacks]
+    lows = [list(accumulate(stack, min)) for stack in state.stacks]
+    record = carried.append if carried is not None else None
+    for index, move in enumerate(seq, start=1):
+        step = plan.get(move) if type(move) is Move else None
+        if step is None:
+            i, j = move
+            step = plan[_check_peg(i), _check_peg(j)]
+        s, t, allowed = step
+        src = stacks[s]
+        if not src:
+            raise IllegalMoveError(move, "empty-source", index)
+        if not allowed:
+            raise IllegalMoveError(move, "missing-edge", index)
+        disc = src[-1]
+        low = lows[t]
+        if low and disc > low[-1] + limit:
+            raise IllegalMoveError(move, "distance-violation", index)
+        src.pop()
+        lows[s].pop()
+        stacks[t].append(disc)
+        low.append(disc if not low or disc < low[-1] else low[-1])
+        if record is not None:
+            record(disc)
+    return State((tuple(stacks[0]), tuple(stacks[1]), tuple(stacks[2])))
+
+
 def apply(model: Model, state: State, move: Move) -> State:
     """Apply one move, returning a new state; the input is unchanged.
 
     Raises IllegalMoveError carrying the violated rule.  The state is
     assumed well-formed; structural validation is the caller's concern.
     """
-    i, j = move
-    _check_peg(i)
-    _check_peg(j)
-    src = state.stacks[i - 1]
-    if not src:
-        raise IllegalMoveError(Move(i, j), "empty-source")
-    if not model.graph.has_edge(i, j):
-        raise IllegalMoveError(Move(i, j), "missing-edge")
-    disc = src[-1]
-    dst = state.stacks[j - 1]
-    if not can_place(disc, dst, model.distance):
-        raise IllegalMoveError(Move(i, j), "distance-violation")
-    stacks = list(state.stacks)
-    stacks[i - 1] = src[:-1]
-    stacks[j - 1] = dst + (disc,)
-    return State((stacks[0], stacks[1], stacks[2]))
+    try:
+        return _replay(model, state, (move,))
+    except IllegalMoveError as err:
+        raise IllegalMoveError(err.move, err.reason) from None
 
 
 def apply_all(model: Model, state: State, seq: Iterable[Move]) -> State:
     """Replay a whole sequence; on failure the error names the 1-based
     index of the first illegal move and the violated rule."""
-    for index, move in enumerate(seq, start=1):
-        try:
-            state = apply(model, state, move)
-        except IllegalMoveError as err:
-            raise IllegalMoveError(err.move, err.reason, index=index) from None
-    return state
+    return _replay(model, state, seq)
 
 
 def mirror_state(state: State, src: int, tgt: int) -> State:
@@ -301,22 +336,29 @@ def mirror_state(state: State, src: int, tgt: int) -> State:
     return State((stacks[0], stacks[1], stacks[2]))
 
 
+def _mirror_pegs(src: int, tgt: int) -> dict[int, int]:
+    if src == tgt:
+        raise ValueError("src and tgt must differ")
+    aux = third_peg(src, tgt)
+    return {src: tgt, tgt: src, aux: aux}
+
+
 def mirror_move(move: Move, src: int, tgt: int) -> Move:
     """Relabel pegs by the src/tgt swap and reverse the move's direction.
 
     (x -> y) maps to (sigma(y) -> sigma(x)); the swap fixes the third peg.
     """
-    if src == tgt:
-        raise ValueError("src and tgt must differ")
-    aux = third_peg(src, tgt)
-    sigma = {src: tgt, tgt: src, aux: aux}
-    return Move(sigma[move.dst], sigma[move.src])
+    sigma = _mirror_pegs(src, tgt)
+    pair = (sigma[move.dst], sigma[move.src])
+    return MOVES.get(pair) or Move(*pair)
 
 
 def mirror_sequence(seq: Iterable[Move], src: int, tgt: int) -> list[Move]:
     """Reverse the sequence and mirror each move; applying this twice
     returns the original sequence."""
-    return [mirror_move(move, src, tgt) for move in reversed(list(seq))]
+    moves = list(seq)
+    image = {move: mirror_move(move, src, tgt) for move in set(moves)}
+    return [image[move] for move in reversed(moves)]
 
 
 def remove_disc(state: State, disc: int) -> State:

@@ -24,6 +24,7 @@ state is stored, and exceeding it raises.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Iterator, TypeAlias
 
@@ -317,6 +318,10 @@ Stacks = tuple[Stack, Stack, Stack]
 SparseMoves: TypeAlias = "tuple[tuple[Move, int, int], ...]"
 
 
+#: the limit of an empty stack: every disc may go there
+_NO_LIMIT = sys.maxsize
+
+
 def _sparse_moves(edges: Iterable[tuple[int, int]]) -> SparseMoves:
     return tuple((Move(i, j), i - 1, j - 1) for i, j in edges)
 
@@ -324,14 +329,21 @@ def _sparse_moves(edges: Iterable[tuple[int, int]]) -> SparseMoves:
 def _sparse_neighbors(
     stacks: Stacks, moves: SparseMoves, distance: int
 ) -> Iterator[tuple[Move, Stacks]]:
+    # the largest disc each stack accepts, one minimum per stack per state
+    a, b, c = stacks
+    limits = (
+        min(a) + distance if a else _NO_LIMIT,
+        min(b) + distance if b else _NO_LIMIT,
+        min(c) + distance if c else _NO_LIMIT,
+    )
     for mv, i, j in moves:
         src = stacks[i]
         if not src:
             continue
         disc = src[-1]
-        dst = stacks[j]
-        if dst and disc > min(dst) + distance:
+        if disc > limits[j]:
             continue
+        dst = stacks[j]
         new = list(stacks)
         new[i] = src[:-1]
         new[j] = dst + (disc,)

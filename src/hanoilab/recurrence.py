@@ -2,8 +2,9 @@
 
 All counting uses Python's arbitrary-precision integers.  Closed forms are
 evaluated in exact quadratic fields (numbers a + b*sqrt(d) with rational
-a, b), so every equality check is exact: move counts grow exponentially and
-floating point would mask errors at the sizes we verify.
+a, b, held as integers over one common denominator), so every equality
+check is exact: move counts grow exponentially and floating point would
+mask errors at the sizes we verify.
 
 The four named graphs below are the strongly connected shapes (up to peg
 relabeling, besides the complete graph) whose count columns have known
@@ -14,7 +15,7 @@ reconstructs the same classification by brute force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Literal
 
@@ -57,131 +58,211 @@ def _is_square_free(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
+_new_object = object.__new__
+_set_slot = object.__setattr__
+
+
+def _quad(p: int, q: int, den: int, d: int) -> "QuadValue":
+    """A QuadValue from integers already in lowest terms with den > 0."""
+    value = _new_object(QuadValue)
+    _set_slot(value, "_p", p)
+    _set_slot(value, "_q", q)
+    _set_slot(value, "_den", den)
+    _set_slot(value, "d", d)
+    return value
+
+
+def _reduced(p: int, q: int, den: int, d: int) -> "QuadValue":
+    """A QuadValue from integers with den > 0, divided by their common factor."""
+    g = math.gcd(p, q, den)
+    if g != 1:
+        p, q, den = p // g, q // g, den // g
+    return _quad(p, q, den, d)
+
+
 class QuadValue:
     """Exact number a + b*sqrt(d) with rational a, b and square-free d >= 2.
 
-    Arithmetic never leaves the field; equality is exact.  Values with
-    b == 0 compare equal to the corresponding int or Fraction.
+    The value is held as integers (p + q*sqrt(d)) / den with den > 0 and
+    gcd(p, q, den) == 1, so every value has one representation and each
+    operation is a few integer products and one gcd.  `a` and `b` are
+    Fraction views of p/den and q/den.  Only the public constructor
+    validates the radicand; results of arithmetic inherit it.
+
+    Arithmetic never leaves the field and mixing radicands raises
+    ValueError; equality is exact.  Values with b == 0 compare and hash
+    equal to the corresponding int or Fraction.  Values are immutable.
     """
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("_p", "_q", "_den", "d")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if not _is_square_free(self.d):
-            raise ValueError(f"radicand must be square-free and >= 2, got {self.d}")
+    def __init__(self, a: int | Fraction, b: int | Fraction, d: int) -> None:
+        if not _is_square_free(d):
+            raise ValueError(f"radicand must be square-free and >= 2, got {d}")
+        a, b = Fraction(a), Fraction(b)
+        # over the lcm of the two denominators the terms are already coprime
+        den = math.lcm(a.denominator, b.denominator)
+        _set_slot(self, "_p", a.numerator * (den // a.denominator))
+        _set_slot(self, "_q", b.numerator * (den // b.denominator))
+        _set_slot(self, "_den", den)
+        _set_slot(self, "d", d)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return QuadValue, (self.a, self.b, self.d)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._den)
 
     @classmethod
     def sqrt(cls, d: int) -> "QuadValue":
-        return cls(Fraction(0), Fraction(1), d)
+        return cls(0, 1, d)
 
     @classmethod
     def rational(cls, value: int | Fraction, d: int) -> "QuadValue":
-        return cls(Fraction(value), Fraction(0), d)
+        return cls(value, 0, d)
 
-    def _coerce(self, other: object) -> "QuadValue | None":
+    def _terms(self, other: object) -> tuple[int, int, int] | None:
+        """(p, q, den) of `other` in this field, or None for a foreign type."""
         if isinstance(other, QuadValue):
             if other.d != self.d:
                 raise ValueError(f"mixed radicands {self.d} and {other.d}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadValue(Fraction(other), Fraction(0), self.d)
+            return other._p, other._q, other._den
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other: object) -> "QuadValue":
-        o = self._coerce(other)
-        if o is None:
+        t = self._terms(other)
+        if t is None:
             return NotImplemented
-        return QuadValue(self.a + o.a, self.b + o.b, self.d)
+        p, q, den = t
+        if den == self._den:
+            return _reduced(self._p + p, self._q + q, den, self.d)
+        return _reduced(
+            self._p * den + p * self._den, self._q * den + q * self._den, self._den * den, self.d
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadValue":
-        o = self._coerce(other)
-        if o is None:
+        t = self._terms(other)
+        if t is None:
             return NotImplemented
-        return QuadValue(self.a - o.a, self.b - o.b, self.d)
+        p, q, den = t
+        return self + _quad(-p, -q, den, self.d)
 
     def __rsub__(self, other: object) -> "QuadValue":
-        o = self._coerce(other)
-        if o is None:
+        t = self._terms(other)
+        if t is None:
             return NotImplemented
-        return o - self
+        return -self + _quad(*t, self.d)
 
     def __neg__(self) -> "QuadValue":
-        return QuadValue(-self.a, -self.b, self.d)
+        return _quad(-self._p, -self._q, self._den, self.d)
 
     def __mul__(self, other: object) -> "QuadValue":
-        o = self._coerce(other)
-        if o is None:
+        t = self._terms(other)
+        if t is None:
             return NotImplemented
-        return QuadValue(
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
+        p, q, den = t
+        return _reduced(
+            self._p * p + self.d * self._q * q,
+            self._p * q + self._q * p,
+            self._den * den,
             self.d,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "QuadValue":
-        o = self._coerce(other)
-        if o is None:
+        t = self._terms(other)
+        if t is None:
             return NotImplemented
-        norm = o.a * o.a - self.d * o.b * o.b
+        p, q, den = t
+        # multiply by den * (p - q*sqrt(d)) / norm, norm = p^2 - d*q^2
+        norm = p * p - self.d * q * q
         if norm == 0:
             raise ZeroDivisionError("division by zero in quadratic field")
-        return self * QuadValue(o.a / norm, -o.b / norm, self.d)
+        if norm < 0:
+            norm, den = -norm, -den
+        return _reduced(
+            (self._p * p - self.d * self._q * q) * den,
+            (self._q * p - self._p * q) * den,
+            self._den * norm,
+            self.d,
+        )
 
     def __rtruediv__(self, other: object) -> "QuadValue":
-        o = self._coerce(other)
-        if o is None:
+        t = self._terms(other)
+        if t is None:
             return NotImplemented
-        return o / self
+        return _quad(*t, self.d) / self
 
     def __pow__(self, exponent: int) -> "QuadValue":
         if exponent < 0:
             raise ValueError("negative exponents are not supported")
-        result = QuadValue.rational(1, self.d)
+        result = _quad(1, 0, 1, self.d)
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadValue):
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return (
+                self.d == other.d
+                and self._p == other._p
+                and self._q == other._q
+                and self._den == other._den
+            )
+        if isinstance(other, int):
+            return self._q == 0 and self._den == 1 and self._p == other
+        if isinstance(other, Fraction):
+            return (
+                self._q == 0
+                and self._p == other.numerator
+                and self._den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.b == 0:
+        if self._q == 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self._p, self._q, self._den, self.d))
 
     def conjugate(self) -> "QuadValue":
-        return QuadValue(self.a, -self.b, self.d)
+        return _quad(self._p, -self._q, self._den, self.d)
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._q == 0
 
     @property
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self._q == 0 and self._den == 1
 
     def as_integer(self) -> int:
         if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return int(self.a)
+        return self._p
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)

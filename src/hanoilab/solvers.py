@@ -8,7 +8,7 @@ The auxiliary peg is always the one that is neither source nor target.
 
 from __future__ import annotations
 
-from .model import Move, MoveGraph, mirror_sequence, third_peg
+from .model import MOVES, Move, MoveGraph, mirror_sequence, third_peg
 
 
 def _check_transfer(src: int, tgt: int, n: int) -> None:
@@ -31,7 +31,7 @@ def classical_solve(n: int, src: int, tgt: int) -> list[Move]:
             return
         k = third_peg(i, j)
         go(m - 1, i, k)
-        moves.append(Move(i, j))
+        moves.append(MOVES[i, j])
         go(m - 1, k, j)
 
     go(n, src, tgt)
@@ -57,13 +57,13 @@ def directed_move(graph: MoveGraph, src: int, tgt: int, n: int) -> list[Move]:
         k = third_peg(i, j)
         if graph.has_edge(i, j):
             go(i, k, m - 1)
-            moves.append(Move(i, j))
+            moves.append(MOVES[i, j])
             go(k, j, m - 1)
         else:
             go(i, j, m - 1)
-            moves.append(Move(i, k))
+            moves.append(MOVES[i, k])
             go(j, i, m - 1)
-            moves.append(Move(k, j))
+            moves.append(MOVES[k, j])
             go(i, j, m - 1)
 
     go(src, tgt, n)
@@ -87,11 +87,11 @@ def zeta(n: int, C: int, src: int, tgt: int) -> list[Move]:
 
     def go(m: int, i: int, j: int) -> None:
         if m <= C + 1:
-            moves.extend([Move(i, j)] * m)
+            moves.extend([MOVES[i, j]] * m)
             return
         k = third_peg(i, j)
         go(m - C - 1, i, k)
-        moves.extend([Move(i, j)] * (C + 1))
+        moves.extend([MOVES[i, j]] * (C + 1))
         go(m - C - 1, k, j)
 
     go(n, src, tgt)
@@ -111,7 +111,7 @@ def a_symmetric(n: int, C: int, src: int, tgt: int) -> list[Move]:
     if n == 0:
         return []
     half = zeta(n - 1, C, src, third_peg(src, tgt))
-    return half + [Move(src, tgt)] + mirror_sequence(half, src, tgt)
+    return half + [MOVES[src, tgt]] + mirror_sequence(half, src, tgt)
 
 
 def q_sequence(n: int, C: int, src: int, tgt: int) -> list[Move]:
@@ -139,8 +139,8 @@ def q_sequence(n: int, C: int, src: int, tgt: int) -> list[Move]:
     aux = third_peg(src, tgt)
     return (
         zeta(n - k, C, src, tgt)
-        + [Move(src, aux)] * k
+        + [MOVES[src, aux]] * k
         + zeta(n - k, C, tgt, src)
-        + [Move(aux, tgt)] * k
+        + [MOVES[aux, tgt]] * k
         + q_sequence(n - k, C, src, tgt)
     )

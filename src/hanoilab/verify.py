@@ -18,7 +18,7 @@ from .model import (
     Model,
     Move,
     State,
-    apply,
+    _replay,
     apply_all,
     mirror_move,
     remove_disc,
@@ -53,18 +53,10 @@ def validate_sequence(
 
 
 def moved_discs(model: Model, start: State, seq: Sequence[Move]) -> list[int]:
-    """The disc carried by each move; raises on the first illegal move."""
-    discs = []
-    state = start
-    for index, move in enumerate(seq, start=1):
-        source = state.stack(move.src)
-        if not source:
-            raise IllegalMoveError(move, "empty-source", index=index)
-        discs.append(source[-1])
-        try:
-            state = apply(model, state, move)
-        except IllegalMoveError as err:
-            raise IllegalMoveError(err.move, err.reason, index=index) from None
+    """The disc carried by each move; raises like `apply_all` on the first
+    illegal move."""
+    discs: list[int] = []
+    _replay(model, start, seq, discs)
     return discs
 
 

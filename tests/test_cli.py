@@ -303,6 +303,9 @@ def test_byte_for_byte_determinism(capsys):
         ("verify", "--suite", "claims", "--distance", "2"),
         ("table", "--n", "2", "--from", "2"),
         ("conjecture", "--distance", "1", "--n", "3"),
+        # a suite that would check nothing
+        ("verify", "--suite", "claims", "--n", "0"),
+        ("verify", "--suite", "relaxed", "--n", "0"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -4,7 +4,8 @@ per-state digit decoding; the distance >= 1 digests before the
 bidirectional search replaced the one-sided stack-tuple BFS; the
 constructive-solver, `table`, `graphs` and remaining `verify` and
 `conjecture` digests before the per-subcommand flags and the shared
-goal test.
+goal test; the emit-exact digests before the integer-backed `QuadValue`,
+the shared replay core and batched move output.
 
 Each solve digest covers the concatenated stdout of one solve command
 over a range of disc counts, for one model and one ordered peg pair.
@@ -216,6 +217,22 @@ COMMAND_DIGESTS = {
     "table --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2 --n 8 --format json": "a93a408f6ba14c8e8306aa318b4b768f3a0186af9644d345ff316b224f550005",
 }
 
+#: the ten commands of the `emit-exact` benchmark workload with the
+#: identity peg labelling: the largest constructive sequences, and closed-form
+#: checks and tables at n = 90..2000
+EMIT_EXACT_DIGESTS = {
+    "solve --model classical --n 17 --from 1 --to 3": "f81a3c1add42d86b5a898ba49c136ce37a4b36e6a07483c62fcea8353c6479d5",
+    "solve --model digraph --n 10 --from 1 --to 2 --edges 1>2,2>3,3>1 --format csv": "32df6de12bb4e920eadcdb762b21477f55fbd019b7f8dbf38c5ae11dc8dce50f",
+    "solve --model relaxed --n 26 --from 1 --to 2 --distance 1 --format json": "39680e4d7938101ea593920ff655c13a6c83dc5e6ae6f47467c964cbca17489f",
+    "solve --model relaxed --n 38 --from 1 --to 2 --distance 2 --solver q": "60695fbf90d813c5528ae05a91f8b385442383a6c3c4fb428c1f81c00fd39c99",
+    "solve --model relaxed --n 26 --from 1 --to 2 --distance 1 --solver zeta": "568c0f9c8e079468f86bf170fc94b0792fd9e30ea1d5f1efe5395de535ad0c06",
+    "table --model digraph --edges 1>2,2>3,3>1 --n 90": "54bb3683868862f80325c1aed684f0ff4f6b46491ac18ed91c32e132462ac04f",
+    "table --model digraph --edges 1>2,1>3,3>1,2>3 --n 90": "dbf7bb4fd228e712bd09620aafffaaccd5267a2861bb7ca31bcd26bf7ad9974e",
+    "table --model digraph --edges 1>2,2>1,1>3,3>1 --n 400 --format json": "9d2dea4de0a3cebd23da2d97527ffb4cea1f1b0e4aca3df9afa1ad083f23879d",
+    "table --model digraph --edges 1>2,1>3,2>3,3>1,3>2 --n 2000": "fcc58382dced32339729cd71987cd12f1e0d9852e72f723e568c15adfdedca06",
+    "graphs enumerate --format json": "aa04fa14f26896f79790fe06a5466ea5d70926d76830aabd46d213335d076286",
+}
+
 CONSTRUCTIVE_N_MAX = 6
 
 #: constructive solvers, n = 0..6 over every ordered pair, keyed (solver,
@@ -329,3 +346,9 @@ def test_constructive_solve_stdout_is_byte_identical(capsys, solver, fmt):
                 ]
                 digest.update(_stdout(capsys, argv).encode())
     assert digest.hexdigest() == CONSTRUCTIVE_DIGESTS[(solver, fmt)]
+
+
+@pytest.mark.parametrize("command", sorted(EMIT_EXACT_DIGESTS))
+def test_emit_exact_stdout_is_byte_identical(capsys, command):
+    out = _stdout(capsys, command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == EMIT_EXACT_DIGESTS[command]

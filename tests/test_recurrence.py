@@ -1,5 +1,6 @@
 """Exact recurrences, quadratic-field closed forms, and root isolation."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,112 @@ def test_quadvalue_division_inverts_multiplication(x, y):
     if y.a == 0 and y.b == 0:
         return
     assert (x / y) * y == x
+
+
+RADICANDS = (2, 3, 17)
+
+#: operands the field arithmetic accepts besides QuadValue
+scalars = st.one_of(st.integers(-30, 30), rationals)
+
+
+def _ref(x):
+    """(a, b) of a QuadValue, int or Fraction as the Fraction reference."""
+    if isinstance(x, QuadValue):
+        return x.a, x.b
+    return Fraction(x), Fraction(0)
+
+
+def _ref_mul(x, y, d):
+    (a1, b1), (a2, b2) = x, y
+    return a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2
+
+
+def _ref_div(x, y, d):
+    a2, b2 = y
+    norm = a2 * a2 - d * b2 * b2
+    return _ref_mul(x, (a2 / norm, -b2 / norm), d)
+
+
+def _assert_is(value, ref, d):
+    """`value` is the field element `ref` = (a, b), in lowest terms."""
+    a, b = ref
+    assert isinstance(value, QuadValue) and value.d == d
+    assert (value.a, value.b) == (a, b)
+    assert value == QuadValue(a, b, d)
+    assert hash(value) == hash(QuadValue(a, b, d))
+    assert repr(value) == f"QuadValue({a}, {b}, d={d})"
+    if b == 0:
+        assert value == a and hash(value) == hash(a)
+        assert value.is_rational and value.is_integer == (a.denominator == 1)
+    else:
+        assert value != a and not value.is_rational
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from(RADICANDS))
+def test_quadvalue_matches_fraction_pair_reference(data, d):
+    x = data.draw(quad(d))
+    other = data.draw(st.one_of(quad(d), scalars))
+    rx, ro = _ref(x), _ref(other)
+    _assert_is(x, rx, d)
+    _assert_is(x + other, (rx[0] + ro[0], rx[1] + ro[1]), d)
+    _assert_is(other + x, (rx[0] + ro[0], rx[1] + ro[1]), d)
+    _assert_is(x - other, (rx[0] - ro[0], rx[1] - ro[1]), d)
+    _assert_is(other - x, (ro[0] - rx[0], ro[1] - rx[1]), d)
+    _assert_is(-x, (-rx[0], -rx[1]), d)
+    _assert_is(x * other, _ref_mul(rx, ro, d), d)
+    _assert_is(other * x, _ref_mul(rx, ro, d), d)
+    _assert_is(x.conjugate(), (rx[0], -rx[1]), d)
+    if ro == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            x / other
+    else:
+        _assert_is(x / other, _ref_div(rx, ro, d), d)
+    if rx == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            other / x
+    else:
+        _assert_is(other / x, _ref_div(ro, rx, d), d)
+    power = (Fraction(1), Fraction(0))
+    for e in range(6):
+        _assert_is(x**e, power, d)
+        power = _ref_mul(power, rx, d)
+
+
+@given(quad(3))
+def test_quadvalue_zero_and_sign_normalisation(x):
+    zero = x - x
+    _assert_is(zero, (Fraction(0), Fraction(0)), 3)
+    assert zero == 0 and hash(zero) == hash(0) == hash(QuadValue(0, 0, 3))
+    # a negative divisor moves its sign to the numerator terms
+    _assert_is(x / -2, (x.a / -2, x.b / -2), 3)
+    _assert_is(x / Fraction(-3, 4), (x.a * Fraction(-4, 3), x.b * Fraction(-4, 3)), 3)
+    _assert_is(x * 0, (Fraction(0), Fraction(0)), 3)
+
+
+def test_quadvalue_equality_hash_and_immutability():
+    assert QuadValue(Fraction(6, 4), 0, 2) == Fraction(3, 2)
+    assert hash(QuadValue(Fraction(6, 4), 0, 2)) == hash(Fraction(3, 2))
+    assert QuadValue(7, 0, 2) == 7 and hash(QuadValue(7, 0, 2)) == hash(7)
+    assert QuadValue(1, 1, 2) != QuadValue(1, 1, 3)  # other field, not an error
+    assert QuadValue(1, 0, 2) != "1"
+    assert len({QuadValue(Fraction(2, 4), 1, 3), QuadValue(Fraction(1, 2), 1, 3)}) == 1
+    v = QuadValue(1, 2, 5)
+    with pytest.raises(AttributeError):
+        v.a = Fraction(3)
+    with pytest.raises(AttributeError):
+        v.d = 7
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    assert str(QuadValue(Fraction(-1, 2), 3, 5)) == "-1/2 + 3*sqrt(5)"
+    assert float(QuadValue(1, 1, 2)) == 1 + 2**0.5
+    with pytest.raises(ValueError):
+        QuadValue.sqrt(2) * QuadValue.sqrt(3)
+    with pytest.raises(ValueError):
+        QuadValue.sqrt(2) ** -1
+    with pytest.raises(TypeError):  # floats are not field elements
+        QuadValue.sqrt(2) + 1.5
+    assert pickle.loads(pickle.dumps(v)) == v
 
 
 # ---------------------------------------------------------------------------
