@@ -13,97 +13,29 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
-from . import recurrence
-from .model import IllegalMoveError, Model, MoveGraph, apply_all, standard_state
-from .oracle import (
+from . import oracle, recurrence, verify  # lazy: bind them, not their names
+from .model import (
     DEFAULT_STATE_BUDGET,
     GoalPredicate,
+    IllegalMoveError,
+    Model,
+    MoveGraph,
     SearchCapExceeded,
-    bfs_distance,
-    conjecture_probe,
-    verify_optimality,
+    all_strongly_connected_graphs,
+    apply_all,
+    enumerate_graph_classes,
+    standard_state,
 )
+from .model import PEG_PERMUTATIONS, GraphClass  # noqa: F401 - re-exported
 from .solvers import a_symmetric, classical_solve, directed_move, q_sequence, zeta
-from .verify import claim_harness
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
-
-PEG_PERMUTATIONS = tuple(
-    dict(zip((1, 2, 3), perm)) for perm in itertools.permutations((1, 2, 3))
-)
-
-
-@dataclass(frozen=True)
-class GraphClass:
-    """One isomorphism class of strongly connected move graphs."""
-
-    name: str
-    representative: MoveGraph
-    members: tuple[MoveGraph, ...]
-    note: str
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-_CLASS_NOTES = {
-    "cycle": "sqrt(3) closed forms",
-    "linear": "3^n closed forms",
-    "cycle-chord": "sqrt(17) closed forms",
-    "five-edge": "growth ~2.34 (reciprocal cubic root)",
-    "complete": "classical 2^n-1",
-}
-
-
-def all_strongly_connected_graphs() -> tuple[MoveGraph, ...]:
-    """Every labeled strongly connected move graph on the three pegs,
-    sorted by edge count then edge list."""
-    all_edges = sorted((i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j)
-    graphs = []
-    for bits in range(1 << 6):
-        edges = [edge for k, edge in enumerate(all_edges) if bits >> k & 1]
-        graph = MoveGraph.from_edges(edges)
-        if graph.is_strongly_connected():
-            graphs.append(graph)
-    return tuple(sorted(graphs, key=lambda g: (len(g.edges), g.sorted_edges())))
-
-
-def _structural_name(graph: MoveGraph) -> str:
-    m = len(graph.edges)
-    if m == 3:
-        return "cycle"
-    if m == 5:
-        return "five-edge"
-    if m == 6:
-        return "complete"
-    # four edges: either two double edges (linear) or a cycle plus chord
-    if all((j, i) in graph.edges for i, j in graph.edges):
-        return "linear"
-    return "cycle-chord"
-
-
-def enumerate_graph_classes() -> tuple[GraphClass, ...]:
-    """Group the strongly connected graphs under peg relabeling."""
-    buckets: dict[tuple, list[MoveGraph]] = {}
-    for graph in all_strongly_connected_graphs():
-        canon = min(graph.relabel(perm).sorted_edges() for perm in PEG_PERMUTATIONS)
-        buckets.setdefault(canon, []).append(graph)
-    classes = []
-    for members in buckets.values():
-        members.sort(key=MoveGraph.sorted_edges)
-        name = _structural_name(members[0])
-        classes.append(
-            GraphClass(name, members[0], tuple(members), _CLASS_NOTES[name])
-        )
-    return tuple(sorted(classes, key=lambda c: (len(c.representative.edges), c.name)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +174,7 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         fn = {"zeta": zeta, "symmetric": a_symmetric, "q": q_sequence}[solver]
         moves = fn(n, model.distance, src, tgt)
     else:  # bfs
-        result = bfs_distance(
+        result = oracle.bfs_distance(
             model, standard_state(n, src), predicate, max_states=args.max_states
         )
         moves = list(result.path or ())
@@ -324,8 +256,8 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     fmt = args.format
     if fmt in ("plain", "csv"):
         print(header)
-        for n in range(args.n + 1):
-            print(",".join(str(v) for v in (n, *table.row(n))))
+        rows = (",".join(map(str, (n, *table.row(n)))) + "\n" for n in range(args.n + 1))
+        sys.stdout.writelines(rows)
         if fmt == "plain" and closed is not None:
             print(f"closed_form[{closed[0]}]: {'ok' if closed_ok else 'MISMATCH'}")
     else:
@@ -365,7 +297,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         n_max = args.n if args.n is not None else 5
         by_graph = {
             graph: [
-                verify_optimality(graph, n, max_states=args.max_states)
+                oracle.verify_optimality(graph, n, max_states=args.max_states)
                 for n in range(1, n_max + 1)
             ]
             for graph in all_strongly_connected_graphs()
@@ -375,19 +307,19 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         if fmt == "csv":
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(["edges", "n", "pair", "bfs", "algorithm", "recurrence", "ok"])
-            for report in rows:
-                for check in report.checks:
-                    writer.writerow(
-                        [
-                            report.graph.format(),
-                            check.n,
-                            f"{check.pair[0]}>{check.pair[1]}",
-                            check.bfs,
-                            check.algorithm,
-                            check.recurrence,
-                            check.ok,
-                        ]
-                    )
+            writer.writerows(
+                [
+                    report.graph.format(),
+                    check.n,
+                    f"{check.pair[0]}>{check.pair[1]}",
+                    check.bfs,
+                    check.algorithm,
+                    check.recurrence,
+                    check.ok,
+                ]
+                for report in rows
+                for check in report.checks
+            )
         elif fmt == "json":
             print(
                 json.dumps(
@@ -429,17 +361,17 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             params["n_max"] = args.n
         if args.distance is not None:
             params["distance"] = args.distance
-        report = claim_harness("eq3-vs-oracle", params, max_states=args.max_states)
+        report = verify.claim_harness("eq3-vs-oracle", params, max_states=args.max_states)
         return _emit_harness_reports([report], fmt)
 
     # claims; the sized suites take --n, the others keep their own bounds
     sized = {"n_max": args.n} if args.n is not None else None
     reports = [
-        claim_harness("eq3-vs-oracle", sized, max_states=args.max_states),
-        claim_harness("claim51-inequality", max_states=args.max_states),
-        claim_harness("dn-negative", max_states=args.max_states),
-        claim_harness("symmetric-odd", sized, max_states=args.max_states),
-        claim_harness("symmetric-equals-a", sized, max_states=args.max_states),
+        verify.claim_harness("eq3-vs-oracle", sized, max_states=args.max_states),
+        verify.claim_harness("claim51-inequality", max_states=args.max_states),
+        verify.claim_harness("dn-negative", max_states=args.max_states),
+        verify.claim_harness("symmetric-odd", sized, max_states=args.max_states),
+        verify.claim_harness("symmetric-equals-a", sized, max_states=args.max_states),
     ]
     return _emit_harness_reports(reports, fmt)
 
@@ -470,7 +402,7 @@ def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     if args.n_max < 1:
         parser.error("--n-max must be >= 1")
     _check_pegs(parser, args)
-    report = conjecture_probe(
+    report = oracle.conjecture_probe(
         args.distance, args.n_max, src=args.src, tgt=args.tgt, max_states=args.max_states
     )
     if args.format == "csv":
@@ -494,8 +426,7 @@ def cmd_graphs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["class", "size", "representative", "note"])
-        for c in classes:
-            writer.writerow([c.name, c.size, c.representative.format(), c.note])
+        writer.writerows([c.name, c.size, c.representative.format(), c.note] for c in classes)
     elif fmt == "json":
         print(
             json.dumps(

@@ -1,4 +1,4 @@
-"""Pegs, discs, states, and move legality for generalized Tower of Hanoi models.
+"""Pegs, discs, states, move legality, goals and graph classes for generalized Hanoi models.
 
 A model couples a directed move graph over the three pegs (which peg-to-peg
 moves are permitted at all) with a placement distance C >= 0 (how much larger
@@ -23,7 +23,7 @@ All values are immutable and all public operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, permutations
 from typing import Iterable, NamedTuple
 
 PEGS = (1, 2, 3)
@@ -54,8 +54,6 @@ class Move(NamedTuple):
 #: and mirroring take their moves from here, so a sequence of any length
 #: holds references to six objects instead of one tuple per move.
 MOVES: dict[tuple[int, int], Move] = {(i, j): Move(i, j) for i in PEGS for j in PEGS if i != j}
-
-MoveSequence = list[Move]
 
 Stack = tuple[int, ...]
 
@@ -161,6 +159,73 @@ class MoveGraph:
         return all((sigma[j], sigma[i]) in self.edges for i, j in self.edges)
 
 
+PEG_PERMUTATIONS = tuple(dict(zip(PEGS, perm)) for perm in permutations(PEGS))
+
+
+@dataclass(frozen=True)
+class GraphClass:
+    """One isomorphism class of strongly connected move graphs."""
+
+    name: str
+    representative: MoveGraph
+    members: tuple[MoveGraph, ...]
+    note: str
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+
+_CLASS_NOTES = {
+    "cycle": "sqrt(3) closed forms",
+    "linear": "3^n closed forms",
+    "cycle-chord": "sqrt(17) closed forms",
+    "five-edge": "growth ~2.34 (reciprocal cubic root)",
+    "complete": "classical 2^n-1",
+}
+
+
+def all_strongly_connected_graphs() -> tuple[MoveGraph, ...]:
+    """Every labeled strongly connected move graph on the three pegs,
+    sorted by edge count then edge list."""
+    all_edges = sorted((i, j) for i in PEGS for j in PEGS if i != j)
+    graphs = []
+    for bits in range(1 << 6):
+        edges = [edge for k, edge in enumerate(all_edges) if bits >> k & 1]
+        graph = MoveGraph.from_edges(edges)
+        if graph.is_strongly_connected():
+            graphs.append(graph)
+    return tuple(sorted(graphs, key=lambda g: (len(g.edges), g.sorted_edges())))
+
+
+def _structural_name(graph: MoveGraph) -> str:
+    m = len(graph.edges)
+    if m == 3:
+        return "cycle"
+    if m == 5:
+        return "five-edge"
+    if m == 6:
+        return "complete"
+    # four edges: either two double edges (linear) or a cycle plus chord
+    if all((j, i) in graph.edges for i, j in graph.edges):
+        return "linear"
+    return "cycle-chord"
+
+
+def enumerate_graph_classes() -> tuple[GraphClass, ...]:
+    """Group the strongly connected graphs under peg relabeling."""
+    buckets: dict[tuple, list[MoveGraph]] = {}
+    for graph in all_strongly_connected_graphs():
+        canon = min(graph.relabel(perm).sorted_edges() for perm in PEG_PERMUTATIONS)
+        buckets.setdefault(canon, []).append(graph)
+    classes = []
+    for members in buckets.values():
+        members.sort(key=MoveGraph.sorted_edges)
+        name = _structural_name(members[0])
+        classes.append(GraphClass(name, members[0], tuple(members), _CLASS_NOTES[name]))
+    return tuple(sorted(classes, key=lambda c: (len(c.representative.edges), c.name)))
+
+
 @dataclass(frozen=True)
 class Model:
     """A move graph plus the placement distance C."""
@@ -221,6 +286,50 @@ def standard_state(n: int, peg: int) -> State:
     stacks: list[Stack] = [(), (), ()]
     stacks[peg - 1] = tuple(range(n, 0, -1))
     return State((stacks[0], stacks[1], stacks[2]))
+
+
+#: Default visited-set budget of a search; roughly 4 GiB at a couple
+#: hundred bytes per stored state.
+DEFAULT_STATE_BUDGET = 20_000_000
+
+
+class SearchCapExceeded(RuntimeError):
+    """The search outgrew its state budget; results would be incomplete."""
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        super().__init__(f"search exceeded the state budget of {cap} states")
+
+
+@dataclass(frozen=True)
+class GoalPredicate:
+    """What counts as "done": the standard state on a peg, any legal
+    all-on-one-peg state, or one explicit state."""
+
+    kind: str  # "standard" | "all-on" | "exact"
+    peg: int | None = None
+    state: State | None = None
+
+    @classmethod
+    def standard_on(cls, peg: int) -> "GoalPredicate":
+        return cls("standard", peg=peg)
+
+    @classmethod
+    def all_on(cls, peg: int) -> "GoalPredicate":
+        return cls("all-on", peg=peg)
+
+    @classmethod
+    def exact(cls, state: State) -> "GoalPredicate":
+        return cls("exact", state=state)
+
+    def matches(self, state: State) -> bool:
+        if self.kind == "standard":
+            return state == standard_state(state.n, self.peg)
+        if self.kind == "all-on":
+            return all(not state.stacks[p - 1] for p in PEGS if p != self.peg)
+        if self.kind == "exact":
+            return state == self.state
+        raise ValueError(f"unknown goal kind {self.kind!r}")
 
 
 def can_place(disc: int, stack: Stack, distance: int) -> bool:

@@ -30,9 +30,12 @@ from typing import Iterable, Iterator, TypeAlias
 
 from . import recurrence
 from .model import (
+    DEFAULT_STATE_BUDGET,
+    GoalPredicate,
     Model,
     Move,
     MoveGraph,
+    SearchCapExceeded,
     Stack,
     State,
     apply_all,
@@ -42,18 +45,6 @@ from .model import (
     standard_state,
 )
 from .solvers import a_symmetric, directed_move, q_sequence
-
-#: Default visited-set budget; roughly 4 GiB at a couple hundred bytes
-#: per stored state.
-DEFAULT_STATE_BUDGET = 20_000_000
-
-
-class SearchCapExceeded(RuntimeError):
-    """The search outgrew its state budget; results would be incomplete."""
-
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        super().__init__(f"search exceeded the state budget of {cap} states")
 
 
 @dataclass(frozen=True)
@@ -70,39 +61,6 @@ class SearchResult:
     @property
     def reachable(self) -> bool:
         return self.distance is not None
-
-
-@dataclass(frozen=True)
-class GoalPredicate:
-    """What counts as "done": the standard state on a peg, any legal
-    all-on-one-peg state, or one explicit state."""
-
-    kind: str  # "standard" | "all-on" | "exact"
-    peg: int | None = None
-    state: State | None = None
-
-    @classmethod
-    def standard_on(cls, peg: int) -> "GoalPredicate":
-        return cls("standard", peg=peg)
-
-    @classmethod
-    def all_on(cls, peg: int) -> "GoalPredicate":
-        return cls("all-on", peg=peg)
-
-    @classmethod
-    def exact(cls, state: State) -> "GoalPredicate":
-        return cls("exact", state=state)
-
-    def matches(self, state: State) -> bool:
-        if self.kind == "standard":
-            return state == standard_state(state.n, self.peg)
-        if self.kind == "all-on":
-            return all(
-                not state.stacks[p - 1] for p in (1, 2, 3) if p != self.peg
-            )
-        if self.kind == "exact":
-            return state == self.state
-        raise ValueError(f"unknown goal kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------

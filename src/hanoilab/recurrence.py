@@ -8,7 +8,7 @@ mask errors at the sizes we verify.
 
 The four named graphs below are the strongly connected shapes (up to peg
 relabeling, besides the complete graph) whose count columns have known
-closed forms or growth constants; `hanoilab.cli.enumerate_graph_classes`
+closed forms or growth constants; `hanoilab.model.enumerate_graph_classes`
 reconstructs the same classification by brute force.
 """
 
