@@ -16,10 +16,14 @@ import csv
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain
+from typing import Iterator
 
 from . import oracle, recurrence, verify  # lazy: bind them, not their names
 from .model import (
+    DEFAULT_MOVE_BUDGET,
     DEFAULT_STATE_BUDGET,
+    MOVES,
     GoalPredicate,
     IllegalMoveError,
     Model,
@@ -31,7 +35,15 @@ from .model import (
     standard_state,
 )
 from .model import PEG_PERMUTATIONS, GraphClass  # noqa: F401 - re-exported
-from .solvers import a_symmetric, classical_solve, directed_move, q_sequence, zeta
+from .solvers import (
+    a_symmetric,
+    classical_solve,
+    directed_move,
+    move_blocks,
+    move_count,
+    q_sequence,
+    zeta,
+)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -77,6 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         choices=("auto", "classical", "directed", "zeta", "symmetric", "q", "bfs"),
         default="auto",
+    )
+    p_solve.add_argument(
+        "--max-moves", type=int, default=DEFAULT_MOVE_BUDGET, help="longest sequence to emit"
     )
 
     p_table = command("table", cmd_table, "exact move-count table for a digraph")
@@ -144,9 +159,11 @@ def _check_pegs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
 def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.n < 0:
         parser.error("solve requires --n >= 0")
+    if args.max_moves < 0:
+        parser.error("--max-moves must be >= 0")
     _check_pegs(parser, args)
     model = _build_model(parser, args)
-    n, src, tgt = args.n, args.src, args.tgt
+    n, src, tgt, cap = args.n, args.src, args.tgt, args.max_moves
 
     solver = args.solver
     if solver == "auto":
@@ -163,65 +180,110 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if solver == "classical":
         if args.model != "classical":
             parser.error("--solver classical requires the classical model")
-        moves = classical_solve(n, src, tgt)
+        fn, params = classical_solve, (n, src, tgt)
     elif solver == "directed":
         if model.distance != 0:
             parser.error("--solver directed requires distance 0")
-        moves = directed_move(model.graph, src, tgt, n)
+        fn, params = directed_move, (model.graph, src, tgt, n)
     elif solver in ("zeta", "symmetric", "q"):
         if model.distance < 1 or model.graph != MoveGraph.complete():
             parser.error(f"--solver {solver} requires the relaxed model")
         fn = {"zeta": zeta, "symmetric": a_symmetric, "q": q_sequence}[solver]
-        moves = fn(n, model.distance, src, tgt)
+        params = (n, model.distance, src, tgt)
     else:  # bfs
         result = oracle.bfs_distance(
             model, standard_state(n, src), predicate, max_states=args.max_states
         )
-        moves = list(result.path or ())
+        fn, params = lambda: result.path or (), ()
 
-    # a printed sequence must replay cleanly; refuse to emit otherwise
+    # the length is known before any move is made; refuse what the cap forbids
+    length = move_count(fn, *params, cap=cap)
+    if length is None:
+        print(f"error: {solver} sequence is longer than --max-moves {cap}", file=sys.stderr)
+        return EXIT_FAILURE
+
+    # a printed sequence must replay cleanly; refuse to emit otherwise.  The
+    # deterministic block stream is made twice: once replayed, once written.
+    replayed = 0
+
+    def counted(blocks):
+        nonlocal replayed
+        for block in blocks:
+            replayed += len(block)
+            yield block
+
     try:
-        final = apply_all(model, standard_state(n, src), moves)
+        final = apply_all(
+            model, standard_state(n, src), chain.from_iterable(counted(move_blocks(fn, *params)))
+        )
     except IllegalMoveError as err:
         print(f"error: {solver} sequence does not replay: {err}", file=sys.stderr)
         return EXIT_FAILURE
     if not predicate.matches(final):
         print(f"error: {solver} sequence does not reach the {goal} goal", file=sys.stderr)
         return EXIT_FAILURE
+    if replayed != length:
+        print(
+            f"error: {solver} sequence replays {replayed} moves, its recurrence counts {length}",
+            file=sys.stderr,
+        )
+        return EXIT_FAILURE
 
+    blocks = move_blocks(fn, *params)
     fmt = args.format
-    # one formatted line per distinct move, written in one batch
+    # each distinct block is formatted once and written whole; one formatted
+    # line per distinct move
     if fmt == "plain":
-        line = {move: f"{move}\n" for move in set(moves)}
-        sys.stdout.writelines(map(line.__getitem__, moves))
-        print(f"length: {len(moves)}")
+        line = {move: f"{move}\n" for move in MOVES.values()}
+        texts = _rendered(blocks, lambda block: "".join(map(line.__getitem__, block)))
+        sys.stdout.writelines(texts)
+        print(f"length: {length}")
     elif fmt == "csv":
         print("index,from,to")
-        tail = {move: f",{move.src},{move.dst}\n" for move in set(moves)}
+        tail = {move: f",{move.src},{move.dst}\n" for move in MOVES.values()}
         sys.stdout.writelines(
-            f"{index}{tail[move]}" for index, move in enumerate(moves, start=1)
+            f"{index}{tail[move]}"
+            for index, move in enumerate(chain.from_iterable(blocks), start=1)
         )
     else:
-        print(
-            json.dumps(
-                {
-                    "model": args.model,
-                    "solver": solver,
-                    "n": n,
-                    "from": src,
-                    "to": tgt,
-                    "goal": goal,
-                    "length": len(moves),
-                    "moves": moves,  # each Move tuple encodes as [src, dst]
-                },
-                sort_keys=True,
-            )
-        )
+        # byte-identical to json.dumps(..., sort_keys=True) of the whole
+        # document: "length" sorts before "moves", which streams last but for
+        # the scalar keys after it; each Move encodes as [src, dst]
+        doc = {
+            "model": args.model,
+            "solver": solver,
+            "n": n,
+            "from": src,
+            "to": tgt,
+            "goal": goal,
+            "length": length,
+            "moves": [],
+        }
+        head, _, tail = json.dumps(doc, sort_keys=True).partition('"moves": []')
+        item = {move: f", [{move.src}, {move.dst}]" for move in MOVES.values()}
+        texts = _rendered(blocks, lambda block: "".join(map(item.__getitem__, block)))
+        sys.stdout.write(head + '"moves": [' + next(texts, "")[2:])
+        sys.stdout.writelines(texts)
+        print("]" + tail)
     return EXIT_OK
+
+
+def _rendered(blocks, render) -> Iterator[str]:
+    """The text of each block in turn, rendering each distinct block object
+    once (the solvers memoise their blocks)."""
+    texts: dict[int, tuple] = {}
+    for block in blocks:
+        entry = texts.get(id(block))
+        if entry is None:
+            # the entry keeps the block alive, so its id stays unique
+            entry = texts[id(block)] = (block, render(block))
+        yield entry[1]
 
 
 # ---------------------------------------------------------------------------
 # table
+
+COLUMNS = ("N12", "N21", "N13", "N31", "N23", "N32")
 
 
 def _closed_form_for(graph: MoveGraph):
@@ -240,43 +302,52 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.n < 0:
         parser.error("table requires --n >= 0")
     graph = _build_graph(parser, args)
-    table = recurrence.eval_move_counts(graph, args.n)
-
     closed = _closed_form_for(graph)
-    closed_ok = None
-    if closed is not None:
-        name, formula = closed
-        closed_ok = all(
-            formula(pair, n) == table.value(pair, n)
-            for pair in recurrence.PAIR_ORDER
-            for n in range(args.n + 1)
-        )
+    # rows stream from the recurrence, which keeps only the previous row;
+    # the closed form, if any, is checked row by row until it first fails
+    closed_ok = None if closed is None else True
 
-    header = "n,N12,N21,N13,N31,N23,N32"
+    def rows():
+        return enumerate(recurrence.move_count_rows(graph, args.n))
+
+    def checked(numbered_rows):
+        nonlocal closed_ok
+        for n, row in numbered_rows:
+            if closed_ok:
+                closed_ok = all(
+                    closed[1](pair, n) == value for pair, value in zip(recurrence.PAIR_ORDER, row)
+                )
+            yield n, row
+
     fmt = args.format
     if fmt in ("plain", "csv"):
-        print(header)
-        rows = (",".join(map(str, (n, *table.row(n)))) + "\n" for n in range(args.n + 1))
-        sys.stdout.writelines(rows)
+        print("n," + ",".join(COLUMNS))
+        sys.stdout.writelines(
+            ",".join(map(str, (n, *row))) + "\n" for n, row in checked(rows())
+        )
         if fmt == "plain" and closed is not None:
             print(f"closed_form[{closed[0]}]: {'ok' if closed_ok else 'MISMATCH'}")
     else:
-        print(
-            json.dumps(
-                {
-                    "edges": graph.format(),
-                    "n_max": args.n,
-                    "rows": [
-                        {"n": n, **dict(zip(("N12", "N21", "N13", "N31", "N23", "N32"), table.row(n)))}
-                        for n in range(args.n + 1)
-                    ],
-                    "closed_form": None
-                    if closed is None
-                    else {"class": closed[0], "ok": closed_ok},
-                },
-                sort_keys=True,
-            )
+        # "closed_form" sorts before "rows": check it on a first pass of the
+        # recurrence, then stream the rows of a second
+        if closed is not None:
+            for _ in checked(rows()):
+                pass
+        doc = {
+            "edges": graph.format(),
+            "n_max": args.n,
+            "rows": [],
+            "closed_form": None if closed is None else {"class": closed[0], "ok": closed_ok},
+        }
+        head, _, tail = json.dumps(doc, sort_keys=True).partition('"rows": []')
+        # each row as json.dumps(..., sort_keys=True) writes it
+        fields = sorted(enumerate(("n", *COLUMNS)), key=lambda field: field[1])
+        row_json = "{{" + ", ".join(f'"{name}": {{{c}}}' for c, name in fields) + "}}"
+        sys.stdout.write(head + '"rows": [')
+        sys.stdout.writelines(
+            (", " if n else "") + row_json.format(n, *row) for n, row in rows()
         )
+        print("]" + tail)
     return EXIT_FAILURE if closed_ok is False else EXIT_OK
 
 

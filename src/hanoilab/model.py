@@ -292,6 +292,12 @@ def standard_state(n: int, peg: int) -> State:
 #: hundred bytes per stored state.
 DEFAULT_STATE_BUDGET = 20_000_000
 
+#: Default cap on the moves `solve` emits: 2^20, so the classical 20-disc
+#: transfer (2^20 - 1 moves, about 4 MB of plain text, about a second) is
+#: the longest classical one allowed by default; each further disc doubles
+#: the time.
+DEFAULT_MOVE_BUDGET = 1 << 20
+
 
 class SearchCapExceeded(RuntimeError):
     """The search outgrew its state budget; results would be incomplete."""

@@ -44,7 +44,7 @@ from .model import (
     mirror_sequence,
     standard_state,
 )
-from .solvers import a_symmetric, directed_move, q_sequence
+from .solvers import a_symmetric, directed_move, move_blocks, q_sequence
 
 
 @dataclass(frozen=True)
@@ -536,7 +536,7 @@ def verify_optimality(
             pair,
             n,
             bfs[pair],
-            len(directed_move(graph, pair[0], pair[1], n)),
+            sum(map(len, move_blocks(directed_move, graph, pair[0], pair[1], n))),
             table.value(pair, n),
         )
         for pair in recurrence.PAIR_ORDER

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Iterator, Literal
 
 from .model import MoveGraph, third_peg
 
@@ -288,32 +288,47 @@ class CountTable:
     def column(self, pair: tuple[int, int]) -> tuple[int, ...]:
         return self.counts[pair]
 
-    def row(self, n: int) -> tuple[int, ...]:
-        return tuple(self.counts[pair][n] for pair in PAIR_ORDER)
 
-
-def eval_move_counts(graph: MoveGraph, n_max: int) -> CountTable:
-    """Iterate the six coupled recurrences with exact integers.
+def move_count_rows(graph: MoveGraph, n_max: int) -> Iterator[tuple[int, ...]]:
+    """Yield the exact move counts for n = 0..n_max, one row per n with
+    the six pairs in PAIR_ORDER, keeping only the previous row.
 
     For each ordered pair (i, j) with auxiliary peg k, the count for n
     discs is counts(i,k) + counts(k,j) + 1 when the edge i>j exists, and
     2*counts(i,j) + counts(j,i) + 2 when it does not (all at n-1 discs).
+    The arguments are checked at once, before the first row is asked for.
     """
     if not graph.is_strongly_connected():
         raise ValueError("move graph must be strongly connected")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    cols: dict[tuple[int, int], list[int]] = {pair: [0] for pair in PAIR_ORDER}
-    for n in range(1, n_max + 1):
-        prev = {pair: cols[pair][n - 1] for pair in PAIR_ORDER}
-        for i, j in PAIR_ORDER:
-            k = third_peg(i, j)
-            if graph.has_edge(i, j):
-                value = prev[(i, k)] + prev[(k, j)] + 1
-            else:
-                value = 2 * prev[(i, j)] + prev[(j, i)] + 2
-            cols[(i, j)].append(value)
-    return CountTable(graph, n_max, {pair: tuple(col) for pair, col in cols.items()})
+    column = {pair: c for c, pair in enumerate(PAIR_ORDER)}
+    # per column: the columns it adds up, and whether it is an edge
+    plan = []
+    for i, j in PAIR_ORDER:
+        k = third_peg(i, j)
+        if graph.has_edge(i, j):
+            plan.append((True, column[i, k], column[k, j]))
+        else:
+            plan.append((False, column[i, j], column[j, i]))
+
+    def rows() -> Iterator[tuple[int, ...]]:
+        row = (0,) * len(PAIR_ORDER)
+        yield row
+        for _ in range(n_max):
+            row = tuple(
+                row[a] + row[b] + 1 if edge else 2 * row[a] + row[b] + 2 for edge, a, b in plan
+            )
+            yield row
+
+    return rows()
+
+
+def eval_move_counts(graph: MoveGraph, n_max: int) -> CountTable:
+    """Iterate the six coupled recurrences with exact integers
+    (`move_count_rows`) and keep every row."""
+    columns = zip(*move_count_rows(graph, n_max))
+    return CountTable(graph, n_max, dict(zip(PAIR_ORDER, columns)))
 
 
 _WITH_CYCLE = {(1, 2), (2, 3), (3, 1)}

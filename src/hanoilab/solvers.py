@@ -4,11 +4,107 @@ Sequences are pure (src, dst) peg-move lists, independent of disc
 identities: legality always depends on the state they are replayed from
 and is checked by the engine (`model.apply_all`), never assumed here.
 The auxiliary peg is always the one that is neither source nor target.
+
+Each solver is written once, as a recursion rule: a subproblem key
+``(rule, parameter, m, i, j)`` expands into parts, each a smaller key or a run of
+one repeated move.  `move_blocks` walks the rule and yields the moves in
+blocks.  A subproblem of at most BLOCK_MOVES moves is built once per call
+as a tuple of the shared `MOVES` and yielded whole wherever it recurs;
+above that size the walk yields its parts in order.  A stream therefore
+holds O(n + BLOCK_MOVES) moves, and the Python-level recursion runs once
+per block, not once per move.  The public solvers return the same blocks
+chained into a list, so there is no second code path; callers that read
+the moves once (the CLI, `oracle.verify_optimality`) iterate the blocks
+instead and never hold the list.  `move_count` gives a sequence's exact
+length from its recurrence before any move is made, iteratively and
+capped, so an input whose answer is astronomically long costs O(log cap)
+steps and no huge integer.
 """
 
 from __future__ import annotations
 
-from .model import MOVES, Move, MoveGraph, mirror_sequence, third_peg
+from inspect import unwrap
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple
+
+from .model import MOVES, Move, MoveGraph, third_peg
+
+#: Largest subsequence built as one tuple; longer ones stream as blocks.
+BLOCK_MOVES = 1024
+
+_COMPLETE = MoveGraph.complete()
+
+
+class _Run(NamedTuple):
+    """`count` copies of one move: the only literal part of a rule."""
+
+    move: Move
+    count: int
+
+
+class _Walk:
+    """One expansion of a rule into blocks, with its per-call memos.
+
+    A class rather than nested functions, because recursive closures form
+    reference cycles that keep the memos alive until the cyclic collector
+    runs, well after the walk ended.
+    """
+
+    def __init__(self) -> None:
+        self.parts_of: dict[tuple, tuple] = {}
+        self.built: dict[tuple, tuple[Move, ...] | None] = {}
+        self.runs: dict[tuple[Move, int], tuple[Move, ...]] = {}
+
+    def parts(self, key: tuple) -> tuple:
+        found = self.parts_of.get(key)
+        if found is None:
+            found = self.parts_of[key] = key[0](*key[1:])
+        return found
+
+    def run(self, move: Move, count: int) -> tuple[Move, ...]:
+        block = self.runs.get((move, count))
+        if block is None:
+            block = self.runs[move, count] = (move,) * count
+        return block
+
+    def build(self, key: tuple) -> tuple[Move, ...] | None:
+        """The whole subsequence as one tuple, or None above BLOCK_MOVES."""
+        if key in self.built:
+            return self.built[key]
+        pieces, size, block = [], 0, None
+        for part in self.parts(key):
+            if type(part) is _Run:
+                size += part.count
+                piece = self.run(*part) if size <= BLOCK_MOVES else None
+            else:
+                piece = self.build(part)
+                size += BLOCK_MOVES + 1 if piece is None else len(piece)
+            if size > BLOCK_MOVES:
+                break
+            pieces.append(piece)
+        else:
+            block = tuple(chain.from_iterable(pieces))
+        self.built[key] = block
+        return block
+
+    def blocks(self, key: tuple) -> Iterator[tuple[Move, ...]]:
+        """Yield the moves of `key` in non-empty blocks of at most
+        BLOCK_MOVES moves.  Every block is an object memoised for the life
+        of the walk, so a consumer may cache per-block work by identity."""
+        block = self.build(key)
+        if block is not None:
+            if block:
+                yield block
+            return
+        for part in self.parts(key):
+            if type(part) is _Run:
+                full, rest = divmod(part.count, BLOCK_MOVES)
+                for _ in range(full):
+                    yield self.run(part.move, BLOCK_MOVES)
+                if rest:
+                    yield self.run(part.move, rest)
+            else:
+                yield from self.blocks(part)
 
 
 def _check_transfer(src: int, tgt: int, n: int) -> None:
@@ -20,22 +116,153 @@ def _check_transfer(src: int, tgt: int, n: int) -> None:
         raise ValueError("disc count must be >= 0")
 
 
+# ---------------------------------------------------------------------------
+# Rules.  A key is (rule, parameter, m, i, j): the subproblem of moving m
+# discs from peg i to peg j, and rule(parameter, m, i, j) returns its parts.
+# The rules are plain functions, so a walk's keys form no reference cycles.
+
+
+def _directed(edges: frozenset, m: int, i: int, j: int) -> tuple:
+    if m == 0:
+        return ()
+    k = third_peg(i, j)
+    if (i, j) in edges:
+        return (
+            (_directed, edges, m - 1, i, k),
+            _Run(MOVES[i, j], 1),
+            (_directed, edges, m - 1, k, j),
+        )
+    return (
+        (_directed, edges, m - 1, i, j),
+        _Run(MOVES[i, k], 1),
+        (_directed, edges, m - 1, j, i),
+        _Run(MOVES[k, j], 1),
+        (_directed, edges, m - 1, i, j),
+    )
+
+
+def _zeta(C: int, m: int, i: int, j: int) -> tuple:
+    if m <= C + 1:
+        return (_Run(MOVES[i, j], m),)
+    k = third_peg(i, j)
+    return ((_zeta, C, m - C - 1, i, k), _Run(MOVES[i, j], C + 1), (_zeta, C, m - C - 1, k, j))
+
+
+def _symmetric(C: int, m: int, i: int, j: int) -> tuple:
+    # the mirrored reverse of zeta(m-1, i, k) under the i/j swap is
+    # zeta(m-1, k, j): the zeta rule commutes with mirroring
+    if m == 0:
+        return ()
+    k = third_peg(i, j)
+    return ((_zeta, C, m - 1, i, k), _Run(MOVES[i, j], 1), (_zeta, C, m - 1, k, j))
+
+
+def _q(C: int, m: int, i: int, j: int) -> tuple:
+    k = C + 1
+    if m <= k:
+        return _symmetric(C, m, i, j)
+    aux = third_peg(i, j)
+    return (
+        (_zeta, C, m - k, i, j),
+        _Run(MOVES[i, aux], k),
+        (_zeta, C, m - k, j, i),
+        _Run(MOVES[aux, j], k),
+        (_q, C, m - k, i, j),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Exact lengths, capped: count(parameter, m, i, j, cap) is the length of
+# rule(parameter, m, i, j) or None once a partial length passes `cap`.
+# Each loop climbs from the recursion's base and stops within O(log cap)
+# steps, because the lengths at least double per step.
+
+
+def _directed_count(edges: frozenset, n: int, src: int, tgt: int, cap: int) -> int | None:
+    # the six coupled counts one disc at a time, saturated at cap + 1; every
+    # count is at least 2^m - 1, so all six saturate after log2(cap) discs
+    over = cap + 1
+    counts = dict.fromkeys(MOVES, 0)
+    for _ in range(n):
+        step = {}
+        for i, j in MOVES:
+            k = third_peg(i, j)
+            if (i, j) in edges:
+                value = counts[i, k] + counts[k, j] + 1
+            else:
+                value = 2 * counts[i, j] + counts[j, i] + 2
+            step[i, j] = min(value, over)
+        counts = step
+        if min(counts.values()) == over:
+            return None
+    return counts[src, tgt] if counts[src, tgt] <= cap else None
+
+
+def _zeta_count(C: int, n: int, src: int, tgt: int, cap: int) -> int | None:
+    # b(m) = m for m <= C+1, else 2*b(m-C-1) + C+1
+    k = C + 1
+    steps = max(0, -(-(n - k) // k))
+    length = n - steps * k
+    for _ in range(steps):
+        length = 2 * length + k
+        if length > cap:
+            return None
+    return length if length <= cap else None
+
+
+def _symmetric_count(C: int, n: int, src: int, tgt: int, cap: int) -> int | None:
+    if n == 0:
+        return 0
+    half = _zeta_count(C, n - 1, src, tgt, cap)
+    if half is None or 2 * half + 1 > cap:
+        return None
+    return 2 * half + 1
+
+
+def _q_count(C: int, n: int, src: int, tgt: int, cap: int) -> int | None:
+    # x(m) = x(m-k) + 2*b(m-k) + 2k above the symmetric base m <= k, with
+    # b (the zeta length) climbed alongside
+    k = C + 1
+    steps = max(0, -(-(n - k) // k))
+    base = n - steps * k
+    length, b = _symmetric_count(C, base, src, tgt, cap), base
+    for _ in range(steps):
+        if length is None:
+            return None
+        length, b = length + 2 * b + 2 * k, 2 * b + k
+        if length > cap:
+            return None
+    return length
+
+
+_COUNTS = {
+    _directed: _directed_count,
+    _zeta: _zeta_count,
+    _symmetric: _symmetric_count,
+    _q: _q_count,
+}
+
+
+def _root(rule, parameter, n: int, src: int, tgt: int) -> tuple:
+    """The checked key of a whole transfer."""
+    _check_transfer(src, tgt, n)
+    if rule is _directed:
+        if not parameter.is_strongly_connected():
+            raise ValueError("move graph must be strongly connected")
+        parameter = parameter.edges
+    elif parameter < 1:
+        raise ValueError("distance must be >= 1")
+    return (rule, parameter, n, src, tgt)
+
+
+# ---------------------------------------------------------------------------
+# Public solvers.
+
+
 def classical_solve(n: int, src: int, tgt: int) -> list[Move]:
     """The classical recursion: park n-1 discs on the spare peg, move the
     largest, bring the n-1 back on top.  Length is 2^n - 1."""
-    _check_transfer(src, tgt, n)
-    moves: list[Move] = []
-
-    def go(m: int, i: int, j: int) -> None:
-        if m == 0:
-            return
-        k = third_peg(i, j)
-        go(m - 1, i, k)
-        moves.append(MOVES[i, j])
-        go(m - 1, k, j)
-
-    go(n, src, tgt)
-    return moves
+    return list(chain.from_iterable(move_blocks(classical_solve, n, src, tgt)))
 
 
 def directed_move(graph: MoveGraph, src: int, tgt: int, n: int) -> list[Move]:
@@ -46,28 +273,7 @@ def directed_move(graph: MoveGraph, src: int, tgt: int, n: int) -> list[Move]:
     smaller discs shuttle around it.  Strong connectivity guarantees the
     detour edges exist.
     """
-    _check_transfer(src, tgt, n)
-    if not graph.is_strongly_connected():
-        raise ValueError("move graph must be strongly connected")
-    moves: list[Move] = []
-
-    def go(i: int, j: int, m: int) -> None:
-        if m == 0:
-            return
-        k = third_peg(i, j)
-        if graph.has_edge(i, j):
-            go(i, k, m - 1)
-            moves.append(MOVES[i, j])
-            go(k, j, m - 1)
-        else:
-            go(i, j, m - 1)
-            moves.append(MOVES[i, k])
-            go(j, i, m - 1)
-            moves.append(MOVES[k, j])
-            go(i, j, m - 1)
-
-    go(src, tgt, n)
-    return moves
+    return list(chain.from_iterable(move_blocks(directed_move, graph, src, tgt, n)))
 
 
 def zeta(n: int, C: int, src: int, tgt: int) -> list[Move]:
@@ -80,22 +286,7 @@ def zeta(n: int, C: int, src: int, tgt: int) -> list[Move]:
     necessarily standard, order; length b(n) with b(m) = m for m <= C+1
     and b(n) = 2*b(n-C-1) + C + 1.
     """
-    _check_transfer(src, tgt, n)
-    if C < 1:
-        raise ValueError("distance must be >= 1")
-    moves: list[Move] = []
-
-    def go(m: int, i: int, j: int) -> None:
-        if m <= C + 1:
-            moves.extend([MOVES[i, j]] * m)
-            return
-        k = third_peg(i, j)
-        go(m - C - 1, i, k)
-        moves.extend([MOVES[i, j]] * (C + 1))
-        go(m - C - 1, k, j)
-
-    go(n, src, tgt)
-    return moves
+    return list(chain.from_iterable(move_blocks(zeta, n, C, src, tgt)))
 
 
 def a_symmetric(n: int, C: int, src: int, tgt: int) -> list[Move]:
@@ -105,13 +296,7 @@ def a_symmetric(n: int, C: int, src: int, tgt: int) -> list[Move]:
     middle move carries the largest disc across, and the second half is
     the mirrored reverse of the first.  Length 2*b(n-1) + 1, odd.
     """
-    _check_transfer(src, tgt, n)
-    if C < 1:
-        raise ValueError("distance must be >= 1")
-    if n == 0:
-        return []
-    half = zeta(n - 1, C, src, third_peg(src, tgt))
-    return half + [MOVES[src, tgt]] + mirror_sequence(half, src, tgt)
+    return list(chain.from_iterable(move_blocks(a_symmetric, n, C, src, tgt)))
 
 
 def q_sequence(n: int, C: int, src: int, tgt: int) -> list[Move]:
@@ -130,17 +315,47 @@ def q_sequence(n: int, C: int, src: int, tgt: int) -> list[Move]:
     exceeds it by the bottom's extra m-1 moves (`recurrence.q_lengths`
     keeps the idealized system).
     """
-    _check_transfer(src, tgt, n)
-    if C < 1:
-        raise ValueError("distance must be >= 1")
-    k = C + 1
-    if n <= k:
-        return a_symmetric(n, C, src, tgt)
-    aux = third_peg(src, tgt)
-    return (
-        zeta(n - k, C, src, tgt)
-        + [MOVES[src, aux]] * k
-        + zeta(n - k, C, tgt, src)
-        + [MOVES[aux, tgt]] * k
-        + q_sequence(n - k, C, src, tgt)
-    )
+    return list(chain.from_iterable(move_blocks(q_sequence, n, C, src, tgt)))
+
+
+#: Public solver -> the key of the transfer its arguments ask for.
+_ROOTS: dict[Callable, Callable[..., tuple]] = {
+    classical_solve: lambda n, src, tgt: _root(_directed, _COMPLETE, n, src, tgt),
+    directed_move: lambda graph, src, tgt, n: _root(_directed, graph, n, src, tgt),
+    zeta: lambda n, C, src, tgt: _root(_zeta, C, n, src, tgt),
+    a_symmetric: lambda n, C, src, tgt: _root(_symmetric, C, n, src, tgt),
+    q_sequence: lambda n, C, src, tgt: _root(_q, C, n, src, tgt),
+}
+
+
+def move_blocks(solver: Callable[..., list[Move]], *args) -> Iterator[tuple[Move, ...]]:
+    """The moves of ``solver(*args)`` as non-empty blocks of at most
+    BLOCK_MOVES moves, without building the list.
+
+    `solver` is one of this module's public solvers, or a wrapper of one
+    (`functools.wraps`), whose rule is walked block by block; any other
+    callable returning moves (a stand-in for a solver, say) is called and
+    its sequence forms a single block.  Arguments are checked at once,
+    before the first block is asked for.
+    """
+    root = _ROOTS.get(unwrap(solver))
+    if root is None:
+        moves = tuple(solver(*args))
+        return iter((moves,) if moves else ())
+    return _Walk().blocks(root(*args))
+
+
+def move_count(solver: Callable[..., list[Move]], *args, cap: int) -> int | None:
+    """The exact length of ``solver(*args)``, or None if it exceeds `cap`.
+
+    For this module's solvers (and wrappers of them) the length comes from
+    the solver's own recurrence, without making a move; the loop stops as
+    soon as a partial length passes `cap`.  Any other callable is called
+    and its result measured.
+    """
+    root = _ROOTS.get(unwrap(solver))
+    if root is None:
+        length = len(solver(*args))
+        return length if length <= cap else None
+    rule, *key = root(*args)
+    return _COUNTS[rule](*key, cap)

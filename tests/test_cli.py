@@ -306,6 +306,8 @@ def test_byte_for_byte_determinism(capsys):
         # a suite that would check nothing
         ("verify", "--suite", "claims", "--n", "0"),
         ("verify", "--suite", "relaxed", "--n", "0"),
+        # a negative cap on the emitted moves
+        ("solve", "--n", "3", "--max-moves", "-1"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
