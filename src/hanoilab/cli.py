@@ -159,8 +159,10 @@ def _check_pegs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
 def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.n < 0:
         parser.error("solve requires --n >= 0")
-    if args.max_moves < 0:
-        parser.error("--max-moves must be >= 0")
+    # no longer sequence can be written, and the solvers' block walk stays
+    # under 80 levels deep below this ceiling
+    if not 0 <= args.max_moves <= 1 << 64:
+        parser.error("--max-moves must be in 0..2^64")
     _check_pegs(parser, args)
     model = _build_model(parser, args)
     n, src, tgt, cap = args.n, args.src, args.tgt, args.max_moves
@@ -286,6 +288,10 @@ def _rendered(blocks, render) -> Iterator[str]:
 COLUMNS = ("N12", "N21", "N13", "N31", "N23", "N32")
 
 
+class _Unprintable(Exception):
+    """An exact count is too long for this Python to print."""
+
+
 def _closed_form_for(graph: MoveGraph):
     if graph == recurrence.COMPLETE_GRAPH:
         return "complete", lambda pair, n: 2**n - 1
@@ -306,9 +312,15 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     # rows stream from the recurrence, which keeps only the previous row;
     # the closed form, if any, is checked row by row until it first fails
     closed_ok = None if closed is None else True
+    # CPython refuses to print an int longer than its digit limit (0: none)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = 10**digits if digits else float("inf")
 
     def rows():
-        return enumerate(recurrence.move_count_rows(graph, args.n))
+        for n, row in enumerate(recurrence.move_count_rows(graph, args.n)):
+            if max(row) >= too_long:
+                raise _Unprintable(f"the counts for n={n} have more than {digits} digits")
+            yield n, row
 
     def checked(numbered_rows):
         nonlocal closed_ok
@@ -532,7 +544,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)
-    except SearchCapExceeded as err:
+    except (SearchCapExceeded, _Unprintable) as err:
         print(f"error: resource cap exceeded: {err}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -12,10 +12,10 @@ disc below it on the same peg, not only its immediate neighbour.  In this
 module the check lives in `can_place` / `stack_is_legal` and in the replay
 core `_replay`, which serves `apply`, `apply_all` and `verify.moved_discs`
 and compares against a running stack minimum so that a move costs O(1).
-The two per-state neighbour loops of the search, `oracle._sparse_neighbors`
-and (at distance 0) `oracle._dense_neighbors`, keep the comparison inline
-because they run once per candidate move of every searched state; the
-alternative adjacent-only reading would have to change those four places.
+The search compares inline, once per candidate move of every searched
+state: in `oracle._expand` and `oracle._sparse_neighbors` against the stack
+minimum each coded stack entry carries, and at distance 0 in
+`oracle._dense_neighbors`; an adjacent-only reading would change all five.
 
 All values are immutable and all public operations are pure functions.
 """
@@ -288,8 +288,8 @@ def standard_state(n: int, peg: int) -> State:
     return State((stacks[0], stacks[1], stacks[2]))
 
 
-#: Default visited-set budget of a search; roughly 4 GiB at a couple
-#: hundred bytes per stored state.
+#: Default visited-set budget of a search; roughly 3 GiB at the 150-170
+#: bytes a stored state costs at distance >= 1.
 DEFAULT_STATE_BUDGET = 20_000_000
 
 #: Default cap on the moves `solve` emits: 2^20, so the classical 20-disc

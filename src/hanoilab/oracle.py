@@ -10,7 +10,8 @@ forced, so a state packs into a base-3 integer keyed by disc, and moves
 come from a table cached per graph: the legal (move, code delta) pairs
 for each placement of the six smallest discs.  The visited map is a
 bytearray over all 3**n codes when that many fit the state budget, and
-a set otherwise.  For distance >= 1 states are canonical stack tuples,
+a set otherwise.  For distance >= 1 a state is one integer per stack,
+coding each disc with the smallest disc from it down (`_encode`), and is
 searched from both ends: forward from the start and backward from every
 goal state over the reversed edges, one level of the smaller frontier at
 a time.  There `explored` counts both sides' stored states, goal states
@@ -24,7 +25,6 @@ state is stored, and exceeding it raises.
 from __future__ import annotations
 
 import functools
-import sys
 from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Iterator, TypeAlias
 
@@ -269,42 +269,58 @@ def _dense_witness(
 
 
 # ---------------------------------------------------------------------------
-# Sparse core: distance >= 1, states are canonical stack tuples.
+# Sparse core: distance >= 1, each stack is one integer code.
 
 Stacks = tuple[Stack, Stack, Stack]
+#: one integer code per stack; see `_encode`
+Codes = tuple[int, int, int]
 #: (move, source index, target index) for each edge, in the given order
 SparseMoves: TypeAlias = "tuple[tuple[Move, int, int], ...]"
-
-
-#: the limit of an empty stack: every disc may go there
-_NO_LIMIT = sys.maxsize
 
 
 def _sparse_moves(edges: Iterable[tuple[int, int]]) -> SparseMoves:
     return tuple((Move(i, j), i - 1, j - 1) for i, j in edges)
 
 
+def _encode(stacks: Stacks, base: int) -> Codes:
+    """Each stack as one integer, its entries the digits in base ``base**2``
+    with the top entry lowest; a disc's entry is ``disc + base * low``, `low`
+    the smallest disc from it down.  So the top disc is ``code % base``, the
+    stack minimum ``code % base**2 // base``, a pop ``code // base**2`` and a
+    push ``code * base**2 + entry``.  `base` exceeds every disc; an empty
+    stack is 0."""
+    square, codes = base * base, []
+    for stack in stacks:
+        code, low = 0, base
+        for disc in stack:
+            low = min(low, disc)
+            code = code * square + disc + base * low
+        codes.append(code)
+    return codes[0], codes[1], codes[2]
+
+
 def _sparse_neighbors(
-    stacks: Stacks, moves: SparseMoves, distance: int
-) -> Iterator[tuple[Move, Stacks]]:
-    # the largest disc each stack accepts, one minimum per stack per state
-    a, b, c = stacks
-    limits = (
-        min(a) + distance if a else _NO_LIMIT,
-        min(b) + distance if b else _NO_LIMIT,
-        min(c) + distance if c else _NO_LIMIT,
-    )
+    codes: Codes, moves: SparseMoves, base: int, C: int
+) -> Iterator[tuple[Move, Codes]]:
+    """Each legal move from `codes` in the order of `moves`, with the codes
+    it leads to (`_expand` makes the same step inline)."""
+    square = base * base
     for mv, i, j in moves:
-        src = stacks[i]
+        src = codes[i]
         if not src:
             continue
-        disc = src[-1]
-        if disc > limits[j]:
-            continue
-        dst = stacks[j]
-        new = list(stacks)
-        new[i] = src[:-1]
-        new[j] = dst + (disc,)
+        disc = src % base
+        dst = codes[j]
+        if dst:
+            low = dst % square // base
+            if disc > low + C:
+                continue
+            dst = dst * square + disc + base * (low if low < disc else disc)
+        else:
+            dst = disc * (base + 1)
+        new = list(codes)
+        new[i] = src // square
+        new[j] = dst
         yield mv, (new[0], new[1], new[2])
 
 
@@ -334,21 +350,45 @@ def _goal_states(goal: GoalPredicate, n: int, distance: int) -> Iterator[Stacks]
 
 
 def _expand(
-    frontier: list[Stacks],
+    frontier: list[Codes],
     moves: SparseMoves,
+    base: int,
     C: int,
-    seen: dict[Stacks, int],
-    other: dict[Stacks, int],
+    seen: dict[Codes, int],
+    other: dict[Codes, int],
     max_states: int,
-) -> list[Stacks] | None:
+) -> list[Codes] | None:
     """The next level of one search side, or None as soon as a state of
     the other side is reached.  The cap counts both sides' stored states
     and is checked as each state is inserted."""
     depth = seen[frontier[0]] + 1
     limit = max_states - len(other)
     nxt = []
-    for stacks in frontier:
-        for _, new in _sparse_neighbors(stacks, moves, C):
+    square = base * base
+    # the step of `_sparse_neighbors`, inline: this loop runs once per
+    # candidate move of every searched state
+    for codes in frontier:
+        a, b, c = codes
+        for _, i, j in moves:
+            src = codes[i]
+            if not src:
+                continue
+            disc = src % base
+            dst = codes[j]
+            if dst:
+                low = dst % square // base
+                if disc > low + C:
+                    continue
+                dst = dst * square + disc + base * (low if low < disc else disc)
+            else:
+                dst = disc * (base + 1)
+            src //= square
+            if i == 0:  # a branch per move builds the tuple fastest
+                new = (src, dst, c) if j == 1 else (src, b, dst)
+            elif i == 1:
+                new = (dst, src, c) if j == 0 else (a, src, dst)
+            else:
+                new = (dst, b, src) if j == 0 else (a, dst, src)
             if new not in seen:
                 if new in other:
                     return None
@@ -379,23 +419,25 @@ def _sparse_search(
     moves = _sparse_moves(edges)
     reverse = _sparse_moves(sorted((j, i) for i, j in edges))
     C = model.distance
-    fwd = {start: 0}
-    bwd: dict[Stacks, int] = {}
+    base = sum(map(len, start)) + 1
+    origin = _encode(start, base)
+    fwd = {origin: 0}
+    bwd: dict[Codes, int] = {}
     for goal in goals:
-        bwd[goal] = 0
+        bwd[_encode(goal, base)] = 0
         if len(fwd) + len(bwd) > max_states:
             raise SearchCapExceeded(max_states)
-    if start in bwd:
+    if origin in bwd:
         return 0, [] if want_path else None, len(fwd) + len(bwd), len(bwd)
-    levels = [[start]]
+    levels = [[origin]]
     back = list(bwd)
     peak = len(back)
     while True:
         forward = len(levels[-1]) <= len(back)
         if forward:
-            nxt = _expand(levels[-1], moves, C, fwd, bwd, max_states)
+            nxt = _expand(levels[-1], moves, base, C, fwd, bwd, max_states)
         else:
-            nxt = _expand(back, reverse, C, bwd, fwd, max_states)
+            nxt = _expand(back, reverse, base, C, bwd, fwd, max_states)
         if nxt is None:
             break
         if not nxt:
@@ -411,15 +453,15 @@ def _sparse_search(
         return distance, None, explored, peak
     # give the forward states on shortest paths their moves left, too
     for lvl in range(len(levels) - 1, 0, -1):
-        for stacks in levels[lvl]:
-            for _, new in _sparse_neighbors(stacks, moves, C):
+        for codes in levels[lvl]:
+            for _, new in _sparse_neighbors(codes, moves, base, C):
                 if bwd.get(new) == distance - lvl - 1:
-                    bwd[stacks] = distance - lvl
+                    bwd[codes] = distance - lvl
                     break
     path: list[Move] = []
-    current = start
+    current = origin
     for left in range(distance - 1, -1, -1):
-        for mv, new in _sparse_neighbors(current, moves, C):
+        for mv, new in _sparse_neighbors(current, moves, base, C):
             if bwd.get(new) == left:
                 path.append(mv)
                 current = new
@@ -583,20 +625,16 @@ def shortest_symmetric(
     # and only when the graph actually has them
     middle_moves = _sparse_moves(e for e in edges if set(e) == {src, tgt})
     C = model.distance
-
-    def mirror_stacks(stacks: Stacks) -> Stacks:
-        new = list(stacks)
-        new[src - 1], new[tgt - 1] = new[tgt - 1], new[src - 1]
-        return (new[0], new[1], new[2])
-
-    seen = {start.stacks: 0}
-    frontier = [start.stacks]
+    base = n + 1
+    i, j = src - 1, tgt - 1  # a state's mirror swaps these two codes
+    seen = {_encode(start.stacks, base): 0}
+    frontier = list(seen)
     peak = 1
 
-    def finish(w: Stacks, middle: list[Move]) -> SearchResult:
+    def finish(w: Codes, middle: list[Move]) -> SearchResult:
         half: list[Move] = []
         while seen[w]:  # back one level at a time to the start
-            for mv, prev in _sparse_neighbors(w, reverse, C):
+            for mv, prev in _sparse_neighbors(w, reverse, base, C):
                 if seen.get(prev) == seen[w] - 1:
                     half.append(mv)
                     w = prev
@@ -611,15 +649,14 @@ def shortest_symmetric(
         return SearchResult(len(path), tuple(path), len(seen), peak)
 
     while frontier:
-        for stacks in frontier:  # even candidates: length 2*level
-            if stacks == mirror_stacks(stacks):
-                return finish(stacks, [])
-        for stacks in frontier:  # odd candidates: length 2*level + 1
-            mirrored = mirror_stacks(stacks)
-            for mv, new in _sparse_neighbors(stacks, middle_moves, C):
-                if new == mirrored:
-                    return finish(stacks, [mv])
-        frontier = _expand(frontier, moves, C, seen, {}, max_states)
+        for codes in frontier:  # even candidates: length 2*level
+            if codes[i] == codes[j]:  # its own mirror
+                return finish(codes, [])
+        for codes in frontier:  # odd candidates: length 2*level + 1
+            for mv, new in _sparse_neighbors(codes, middle_moves, base, C):
+                if new[i] == codes[j] and new[j] == codes[i]:  # the mirror
+                    return finish(codes, [mv])
+        frontier = _expand(frontier, moves, base, C, seen, {}, max_states)
         peak = max(peak, len(frontier))
     return SearchResult(None, None, len(seen), peak)
 

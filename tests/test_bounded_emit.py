@@ -1,6 +1,6 @@
-"""Bounded, streamed output: `solve --max-moves`, the replay-length check,
-the memory `solve` and `table` hold, and `table`'s row-by-row closed-form
-check."""
+"""Bounded, streamed output: `solve --max-moves` and its ceiling, the
+replay-length check, the memory `solve` and `table` hold, `table`'s
+row-by-row closed-form check and its int-to-str digit limit."""
 
 import contextlib
 import json
@@ -15,7 +15,17 @@ import pytest
 
 import hanoilab
 from hanoilab.cli import run
-from hanoilab.model import DEFAULT_MOVE_BUDGET
+from hanoilab.model import DEFAULT_MOVE_BUDGET, MoveGraph
+from hanoilab.solvers import (
+    BLOCK_MOVES,
+    a_symmetric,
+    classical_solve,
+    directed_move,
+    move_blocks,
+    move_count,
+    q_sequence,
+    zeta,
+)
 
 PATHS = [str(Path(hanoilab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, PATHS)))
@@ -144,3 +154,73 @@ def test_benchmark_tracer_keeps_the_streamed_output(solver):
     traced = run_with(str(root / "hanoibench" / "traced_cli.py"))
     assert plain.returncode == 0 and traced.returncode == 0, traced.stderr.decode()
     assert traced.stdout == plain.stdout
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str limit"
+)
+@pytest.mark.parametrize("fmt", ("plain", "json"))
+def test_a_count_past_the_int_to_str_limit_ends_in_an_error_line(fmt):
+    # at the lowest limit CPython allows, 640 digits, the first complete-graph
+    # count past it is 2^2127 - 1; at the default 4300 that is n = 14285
+    env = dict(ENV, PYTHONINTMAXSTRDIGITS="640")
+    argv = [sys.executable, "-m", "hanoilab.cli", "table", "--n", "20000", "--format", fmt]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == (
+        "error: resource cap exceeded: the counts for n=2127 have more than 640 digits\n"
+    )
+    if fmt == "plain":  # every row before it, each whole
+        lines = done.stdout.splitlines()
+        assert len(lines) == 1 + 2127
+        assert lines[-1] == ",".join(["2126", *[str(2**2126 - 1)] * 6])
+    else:  # the closed-form pass meets it before anything is written
+        assert done.stdout == ""
+
+
+def _largest_n(solver, args, cap):
+    """The largest n for which ``solver(*args(n))`` fits `cap`."""
+    n = 0
+    while move_count(solver, *args(n + 1), cap=cap) is not None:
+        n += 1
+    return n
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+# at C = 1 each recursion level adds the fewest moves, so under a fixed cap
+# the relaxed solvers' walks are deepest there
+DEEPEST = {
+    "classical": (classical_solve, lambda n: (n, 1, 2)),
+    "directed": (directed_move, lambda n: (MoveGraph.parse("1>2,2>3,3>1"), 1, 2, n)),
+    "zeta": (zeta, lambda n: (n, 1, 1, 2)),
+    "symmetric": (a_symmetric, lambda n: (n, 1, 1, 2)),
+    "q": (q_sequence, lambda n: (n, 1, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("solver", DEEPEST)
+def test_the_deepest_walk_the_move_ceiling_allows_streams(solver):
+    fn, args = DEEPEST[solver]
+    ceiling = 1 << 64
+    n = _largest_n(fn, args, ceiling)
+    limit = sys.getrecursionlimit()
+    # the walk stays within 100 frames of its caller (about 70 are used)
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        blocks = move_blocks(fn, *args(n))
+        first = [next(blocks) for _ in range(3)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert all(0 < len(block) <= BLOCK_MOVES for block in first)
+
+
+def test_the_move_ceiling_itself_is_a_valid_cap(capsys):
+    code, out, err = invoke(capsys, "solve", "--n", "65", "--max-moves", str(1 << 64))
+    assert (code, out) == (1, "")
+    assert err == f"error: classical sequence is longer than --max-moves {1 << 64}\n"

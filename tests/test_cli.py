@@ -308,6 +308,8 @@ def test_byte_for_byte_determinism(capsys):
         ("verify", "--suite", "relaxed", "--n", "0"),
         # a negative cap on the emitted moves
         ("solve", "--n", "3", "--max-moves", "-1"),
+        # a cap above 2^64: no longer sequence can be written
+        ("solve", "--n", "1000", "--max-moves", str(2**1001)),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

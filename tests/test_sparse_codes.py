@@ -1,0 +1,96 @@
+"""The integer stack codes of the distance >= 1 search: the codec, the
+neighbours it generates against the stack-tuple generator of the
+reference BFS, and the memory a stored state costs."""
+
+import tracemalloc
+from itertools import permutations
+
+from hypothesis import given, strategies as st
+
+from hanoilab.model import Model, MoveGraph, all_strongly_connected_graphs, standard_state
+from hanoilab.oracle import (
+    GoalPredicate,
+    _encode,
+    _expand,
+    _sparse_moves,
+    _sparse_neighbors,
+    bfs_distance,
+)
+from reference_bfs import _neighbors
+from strategies import legal_states
+
+# every strongly connected graph, plus one whose third peg is unreachable
+GRAPHS = [*all_strongly_connected_graphs(), MoveGraph.parse("1>2,2>1")]
+
+
+def entries(code: int, base: int) -> list[tuple[int, int]]:
+    """The (disc, stack minimum from it down) pairs of one stack code,
+    bottom to top; read from the documented layout, not from the oracle."""
+    out = []
+    while code:
+        code, entry = divmod(code, base * base)
+        out.append((entry % base, entry // base))
+    return out[::-1]
+
+
+def decode(codes, base: int):
+    return tuple(tuple(disc for disc, _ in entries(code, base)) for code in codes)
+
+
+def arrangements(n: int):
+    """Every placement of discs 1..n in three ordered stacks; each is
+    legal at distance n - 1, so these are all legal states at any C."""
+    for order in permutations(range(1, n + 1)):
+        for cut in range(n + 1):
+            for cut2 in range(cut, n + 1):
+                yield order[:cut], order[cut:cut2], order[cut2:]
+
+
+def test_codec_round_trips_every_state_up_to_six_discs():
+    for n in range(7):
+        base = n + 1
+        codes_seen = set()
+        for stacks in arrangements(n):
+            codes = _encode(stacks, base)
+            assert decode(codes, base) == stacks
+            for stack, code in zip(stacks, codes):
+                lows = [min(stack[: k + 1]) for k in range(len(stack))]
+                assert [low for _, low in entries(code, base)] == lows
+                # the O(1) reads the search makes: top disc and minimum
+                if stack:
+                    assert code % base == stack[-1]
+                    assert code % (base * base) // base == min(stack)
+                else:
+                    assert code == 0
+            codes_seen.add(codes)
+        assert len(codes_seen) == len(list(arrangements(n)))
+
+
+@given(
+    graph=st.sampled_from(GRAPHS),
+    drawn=legal_states(max_n=8, distances=(1, 2, 3)),
+)
+def test_code_neighbours_equal_the_tuple_neighbours(graph, drawn):
+    model, state = drawn
+    edges, C, base = graph.sorted_edges(), model.distance, state.n + 1
+    expected = list(_neighbors(state.stacks, edges, C))
+    codes = _encode(state.stacks, base)
+    moves = _sparse_moves(edges)
+    got = [(mv, decode(new, base)) for mv, new in _sparse_neighbors(codes, moves, base, C)]
+    assert got == expected
+    # the level expander makes the same step inline, in the same order
+    level = _expand([codes], moves, base, C, {codes: 0}, {}, 10**6)
+    assert [decode(new, base) for new in level] == [new for _, new in expected]
+    assert level == [new for _, new in _sparse_neighbors(codes, moves, base, C)]
+
+
+def test_a_stored_state_costs_under_190_bytes():
+    model, start = Model.relaxed(1), standard_state(10, 1)
+    tracemalloc.start()
+    try:
+        result = bfs_distance(model, start, GoalPredicate.standard_on(2), want_path=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.explored == 78411
+    assert peak / result.explored < 190

@@ -1,5 +1,5 @@
-"""The bidirectional stack-tuple search (distance >= 1) against the
-one-sided reference BFS, plus its state cap and its counters."""
+"""The bidirectional search (distance >= 1) against the one-sided
+reference BFS, plus its state cap and its counters."""
 
 import tracemalloc
 
