@@ -12,10 +12,9 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import chain
 from typing import Iterator
 
@@ -34,7 +33,6 @@ from .model import (
     enumerate_graph_classes,
     standard_state,
 )
-from .model import PEG_PERMUTATIONS, GraphClass  # noqa: F401 - re-exported
 from .solvers import (
     a_symmetric,
     classical_solve,
@@ -47,7 +45,40 @@ from .solvers import (
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
+
+
+# ---------------------------------------------------------------------------
+# Output: every CSV and JSON document goes through one of these two writers.
+
+
+def _write_csv(header, rows) -> None:
+    """Write `header` and `rows` as CSV lines: fields as `str` writes them, a
+    `str` holding a comma, quote, CR or LF quoted as csv.QUOTE_MINIMAL does
+    (csv.writer scans every digit of long counts).  A `str` row is a whole line."""
+    def field(value) -> str:
+        if isinstance(value, str) and any(c in value for c in ',"\r\n'):
+            return '"' + value.replace('"', '""') + '"'
+        return str(value)
+
+    sys.stdout.writelines(
+        row if isinstance(row, str) else ",".join(map(field, row)) + "\n"
+        for row in chain((header,), rows)
+    )
+
+
+def _write_json(doc, key=None, items=()) -> None:
+    """Write `doc` as one line of `json.dumps(doc, sort_keys=True)`.  Given
+    `items`, the empty list `doc[key]`, or `doc` itself without a `key`, is
+    written from them: encoded elements, each led by a separator the first drops."""
+    text = json.dumps(doc, sort_keys=True)
+    if key is not None or items:
+        head, mark, tail = text.partition("[]" if key is None else f'"{key}": []')
+        items = iter(items)
+        # an encoded element starts with neither a comma nor a space
+        sys.stdout.write(head + mark[:-1] + next(items, "").lstrip(", "))
+        sys.stdout.writelines(items)
+        text = "]" + tail
+    print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +263,17 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         return EXIT_FAILURE
 
     blocks = move_blocks(fn, *params)
-    fmt = args.format
-    # each distinct block is formatted once and written whole; one formatted
-    # line per distinct move
-    if fmt == "plain":
-        line = {move: f"{move}\n" for move in MOVES.values()}
-        texts = _rendered(blocks, lambda block: "".join(map(line.__getitem__, block)))
-        sys.stdout.writelines(texts)
+    # one formatted text per distinct move
+    if args.format == "plain":
+        sys.stdout.writelines(_rendered(blocks, {move: f"{move}\n" for move in MOVES.values()}))
         print(f"length: {length}")
-    elif fmt == "csv":
-        print("index,from,to")
+    elif args.format == "csv":
         tail = {move: f",{move.src},{move.dst}\n" for move in MOVES.values()}
-        sys.stdout.writelines(
-            f"{index}{tail[move]}"
-            for index, move in enumerate(chain.from_iterable(blocks), start=1)
+        _write_csv(
+            ("index", "from", "to"),
+            (f"{index}{tail[move]}" for index, move in enumerate(chain.from_iterable(blocks), 1)),
         )
     else:
-        # byte-identical to json.dumps(..., sort_keys=True) of the whole
-        # document: "length" sorts before "moves", which streams last but for
-        # the scalar keys after it; each Move encodes as [src, dst]
         doc = {
             "model": args.model,
             "solver": solver,
@@ -261,31 +284,25 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "length": length,
             "moves": [],
         }
-        head, _, tail = json.dumps(doc, sort_keys=True).partition('"moves": []')
         item = {move: f", [{move.src}, {move.dst}]" for move in MOVES.values()}
-        texts = _rendered(blocks, lambda block: "".join(map(item.__getitem__, block)))
-        sys.stdout.write(head + '"moves": [' + next(texts, "")[2:])
-        sys.stdout.writelines(texts)
-        print("]" + tail)
+        _write_json(doc, "moves", _rendered(blocks, item))
     return EXIT_OK
 
 
-def _rendered(blocks, render) -> Iterator[str]:
-    """The text of each block in turn, rendering each distinct block object
-    once (the solvers memoise their blocks)."""
+def _rendered(blocks, text: dict) -> Iterator[str]:
+    """The text of each block in turn, its moves' `text` joined, made once
+    per distinct block object (the solvers memoise their blocks)."""
     texts: dict[int, tuple] = {}
     for block in blocks:
         entry = texts.get(id(block))
         if entry is None:
             # the entry keeps the block alive, so its id stays unique
-            entry = texts[id(block)] = (block, render(block))
+            entry = texts[id(block)] = (block, "".join(map(text.__getitem__, block)))
         yield entry[1]
 
 
 # ---------------------------------------------------------------------------
 # table
-
-COLUMNS = ("N12", "N21", "N13", "N31", "N23", "N32")
 
 
 class _Unprintable(Exception):
@@ -331,13 +348,10 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
                 )
             yield n, row
 
-    fmt = args.format
-    if fmt in ("plain", "csv"):
-        print("n," + ",".join(COLUMNS))
-        sys.stdout.writelines(
-            ",".join(map(str, (n, *row))) + "\n" for n, row in checked(rows())
-        )
-        if fmt == "plain" and closed is not None:
+    columns = ("n", *(f"N{i}{j}" for i, j in recurrence.PAIR_ORDER))
+    if args.format in ("plain", "csv"):
+        _write_csv(columns, ((n, *row) for n, row in checked(rows())))
+        if args.format == "plain" and closed is not None:
             print(f"closed_form[{closed[0]}]: {'ok' if closed_ok else 'MISMATCH'}")
     else:
         # "closed_form" sorts before "rows": check it on a first pass of the
@@ -351,15 +365,10 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "rows": [],
             "closed_form": None if closed is None else {"class": closed[0], "ok": closed_ok},
         }
-        head, _, tail = json.dumps(doc, sort_keys=True).partition('"rows": []')
         # each row as json.dumps(..., sort_keys=True) writes it
-        fields = sorted(enumerate(("n", *COLUMNS)), key=lambda field: field[1])
-        row_json = "{{" + ", ".join(f'"{name}": {{{c}}}' for c, name in fields) + "}}"
-        sys.stdout.write(head + '"rows": [')
-        sys.stdout.writelines(
-            (", " if n else "") + row_json.format(n, *row) for n, row in rows()
-        )
-        print("]" + tail)
+        named = sorted(enumerate(columns), key=lambda column: column[1])
+        row_json = ", {{" + ", ".join(f'"{name}": {{{c}}}' for c, name in named) + "}}"
+        _write_json(doc, "rows", (row_json.format(n, *row) for n, row in rows()))
     return EXIT_FAILURE if closed_ok is False else EXIT_OK
 
 
@@ -375,7 +384,6 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     # a suite run below one disc would check nothing and still pass
     if args.n is not None and args.n < 1:
         parser.error("--n must be >= 1")
-    fmt = args.format
     if args.suite == "graphs":
         n_max = args.n if args.n is not None else 5
         by_graph = {
@@ -387,50 +395,28 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         }
         rows = [report for reports in by_graph.values() for report in reports]
         ok = all(report.ok for report in rows)
-        if fmt == "csv":
-            writer = csv.writer(sys.stdout, lineterminator="\n")
-            writer.writerow(["edges", "n", "pair", "bfs", "algorithm", "recurrence", "ok"])
-            writer.writerows(
-                [
-                    report.graph.format(),
-                    check.n,
-                    f"{check.pair[0]}>{check.pair[1]}",
-                    check.bfs,
-                    check.algorithm,
-                    check.recurrence,
-                    check.ok,
-                ]
-                for report in rows
-                for check in report.checks
+        if args.format == "csv":
+            _write_csv(
+                ("edges", "n", "pair", "bfs", "algorithm", "recurrence", "ok"),
+                (
+                    (r.graph.format(), c.n, MOVES[c.pair], c.bfs, c.algorithm, c.recurrence, c.ok)
+                    for r in rows
+                    for c in r.checks
+                ),
             )
-        elif fmt == "json":
-            print(
-                json.dumps(
-                    {
-                        "suite": "graphs",
-                        "n_max": n_max,
-                        "pass": ok,
-                        "graphs": [
-                            {
-                                "edges": r.graph.format(),
-                                "n": r.n,
-                                "ok": r.ok,
-                                "failures": [
-                                    {
-                                        "pair": list(c.pair),
-                                        "bfs": c.bfs,
-                                        "algorithm": c.algorithm,
-                                        "recurrence": c.recurrence,
-                                    }
-                                    for c in r.failures()
-                                ],
-                            }
-                            for r in rows
-                        ],
-                    },
-                    sort_keys=True,
-                )
-            )
+        elif args.format == "json":
+            graphs = [
+                {
+                    "edges": r.graph.format(),
+                    "n": r.n,
+                    "ok": r.ok,
+                    "failures": [
+                        {k: v for k, v in asdict(c).items() if k != "n"} for c in r.failures()
+                    ],
+                }
+                for r in rows
+            ]
+            _write_json({"suite": "graphs", "n_max": n_max, "pass": ok, "graphs": graphs})
         else:
             for graph, reports in by_graph.items():
                 status = "ok" if all(r.ok for r in reports) else "MISMATCH"
@@ -438,35 +424,38 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             print(f"graphs suite: {'PASS' if ok else 'FAIL'} ({len(by_graph)} graphs, n<={n_max})")
         return EXIT_OK if ok else EXIT_FAILURE
 
+    # the sized suites take --n, the others keep their own bounds
+    params = {} if args.n is None else {"n_max": args.n}
     if args.suite == "relaxed":
-        params = {}
-        if args.n is not None:
-            params["n_max"] = args.n
         if args.distance is not None:
             params["distance"] = args.distance
-        report = verify.claim_harness("eq3-vs-oracle", params, max_states=args.max_states)
-        return _emit_harness_reports([report], fmt)
-
-    # claims; the sized suites take --n, the others keep their own bounds
-    sized = {"n_max": args.n} if args.n is not None else None
-    reports = [
-        verify.claim_harness("eq3-vs-oracle", sized, max_states=args.max_states),
-        verify.claim_harness("claim51-inequality", max_states=args.max_states),
-        verify.claim_harness("dn-negative", max_states=args.max_states),
-        verify.claim_harness("symmetric-odd", sized, max_states=args.max_states),
-        verify.claim_harness("symmetric-equals-a", sized, max_states=args.max_states),
-    ]
-    return _emit_harness_reports(reports, fmt)
-
-
-def _emit_harness_reports(reports, fmt: str) -> int:
+        reports = [verify.claim_harness("eq3-vs-oracle", params, max_states=args.max_states)]
+    else:
+        reports = [
+            verify.claim_harness("eq3-vs-oracle", params, max_states=args.max_states),
+            verify.claim_harness("claim51-inequality", max_states=args.max_states),
+            verify.claim_harness("dn-negative", max_states=args.max_states),
+            verify.claim_harness("symmetric-odd", params, max_states=args.max_states),
+            verify.claim_harness("symmetric-equals-a", params, max_states=args.max_states),
+        ]
     ok = all(r.passed for r in reports)
-    if fmt == "json":
-        print("[" + ",".join(r.to_json() for r in reports) + "]")
-    elif fmt == "csv":
-        print("suite,pass,counterexamples")
-        for r in reports:
-            print(f"{r.suite},{r.passed},{len(r.counterexamples)}")
+    if args.format == "json":
+        docs = (
+            {
+                "suite": r.suite,
+                "params": r.params,
+                "pass": r.passed,
+                "counterexamples": r.counterexamples,
+            }
+            for r in reports
+        )
+        # this list's separator is "," where json.dumps writes ", "
+        _write_json([], items=("," + json.dumps(doc, sort_keys=True) for doc in docs))
+    elif args.format == "csv":
+        _write_csv(
+            ("suite", "pass", "counterexamples"),
+            ((r.suite, r.passed, len(r.counterexamples)) for r in reports),
+        )
     else:
         for r in reports:
             print(f"{r.suite}: {'PASS' if r.passed else 'FAIL'}")
@@ -488,14 +477,19 @@ def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     report = oracle.conjecture_probe(
         args.distance, args.n_max, src=args.src, tgt=args.tgt, max_states=args.max_states
     )
+    rows = [(asdict(row), row.match) for row in report.rows]
+    verdict = {True: "MATCH", False: "MISMATCH"}
     if args.format == "csv":
-        sys.stdout.write(report.to_csv())
+        _write_csv(
+            [*(field.name for field in fields(oracle.ProbeRow)), "match"],
+            ([*values.values(), verdict[match]] for values, match in rows),
+        )
     elif args.format == "json":
-        rows = [{**asdict(row), "match": row.match} for row in report.rows]
-        print(json.dumps({"distance": report.distance, "rows": rows}, sort_keys=True))
+        docs = [{**values, "match": match} for values, match in rows]
+        _write_json({"distance": report.distance, "rows": docs})
     else:
-        for row in report.rows:
-            print(" ".join([*(f"{k}={v}" for k, v in asdict(row).items()), row.verdict]))
+        for values, match in rows:
+            print(" ".join([*(f"{k}={v}" for k, v in values.items()), verdict[match]]))
     return EXIT_OK
 
 
@@ -505,26 +499,23 @@ def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def cmd_graphs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     classes = enumerate_graph_classes()
-    fmt = args.format
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["class", "size", "representative", "note"])
-        writer.writerows([c.name, c.size, c.representative.format(), c.note] for c in classes)
-    elif fmt == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "class": c.name,
-                        "size": c.size,
-                        "representative": c.representative.format(),
-                        "members": [g.format() for g in c.members],
-                        "note": c.note,
-                    }
-                    for c in classes
-                ],
-                sort_keys=True,
-            )
+    if args.format == "csv":
+        _write_csv(
+            ("class", "size", "representative", "note"),
+            ((c.name, c.size, c.representative.format(), c.note) for c in classes),
+        )
+    elif args.format == "json":
+        _write_json(
+            [
+                {
+                    "class": c.name,
+                    "size": c.size,
+                    "representative": c.representative.format(),
+                    "members": [g.format() for g in c.members],
+                    "note": c.note,
+                }
+                for c in classes
+            ]
         )
     else:
         for c in classes:
@@ -542,6 +533,9 @@ def cmd_graphs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # solve, verify and conjecture take --max-states
+    if getattr(args, "max_states", 1) < 1:
+        parser.error("--max-states must be >= 1")
     try:
         return args.func(parser, args)
     except (SearchCapExceeded, _Unprintable) as err:

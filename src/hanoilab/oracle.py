@@ -25,7 +25,7 @@ state is stored, and exceeding it raises.
 from __future__ import annotations
 
 import functools
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Iterator, TypeAlias
 
 from . import recurrence
@@ -678,10 +678,6 @@ class ProbeRow:
     def match(self) -> bool:
         return self.bfs_std == self.a_conj and self.bfs_any == self.b_conj
 
-    @property
-    def verdict(self) -> str:
-        return "MATCH" if self.match else "MISMATCH"
-
 
 @dataclass(frozen=True)
 class ProbeReport:
@@ -692,14 +688,6 @@ class ProbeReport:
 
     distance: int
     rows: tuple[ProbeRow, ...]
-
-    CSV_HEADER = ",".join([f.name for f in fields(ProbeRow)] + ["match"])
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(",".join(map(str, (*astuple(row), row.verdict))))
-        return "\n".join(lines) + "\n"
 
 
 def conjecture_probe(

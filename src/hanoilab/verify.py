@@ -8,7 +8,6 @@ statements its solvers and recurrences rely on.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -183,17 +182,6 @@ class HarnessReport:
     params: dict
     passed: bool
     counterexamples: tuple[dict, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "params": self.params,
-                "pass": self.passed,
-                "counterexamples": list(self.counterexamples),
-            },
-            sort_keys=True,
-        )
 
 
 _SUITE_DEFAULTS: dict[str, dict] = {

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from hanoilab.cli import all_strongly_connected_graphs
+from hanoilab.cli import all_strongly_connected_graphs, run
 from hanoilab.model import (
     Model,
     Move,
@@ -23,9 +23,7 @@ from hanoilab.model import (
 )
 from hanoilab.oracle import (
     GoalPredicate,
-    SearchCapExceeded,
     bfs_distance,
-    conjecture_probe,
     shortest_symmetric,
     verify_optimality,
 )
@@ -175,20 +173,24 @@ def test_criterion_6_symmetric_search():
     _report(6, "shortest symmetric: odd, equals a(n), n=4 witness", ok, elapsed)
 
 
-def test_criterion_7_conjecture_probe():
+def test_criterion_7_conjecture_probe(capsys):
     t0 = time.monotonic()
     ok = True
     for C, n_max in ((2, 7), (3, 8)):
-        try:
-            report = conjecture_probe(C, n_max)
-        except SearchCapExceeded:
-            # acceptable only for the distance-3 tail by its own terms
-            ok = ok and C == 3
-            report = conjecture_probe(C, 7)
-        ok = ok and [row.n for row in report.rows] == list(range(1, len(report.rows) + 1))
-        for row in report.rows:
-            ok = ok and row.bfs_any <= row.bfs_std <= min(row.len_a_sym, row.len_q)
-        csv = report.to_csv()
+        argv = ["conjecture", "--distance", str(C), "--format", "csv"]
+        if run([*argv, "--n-max", str(n_max)]) != 0:
+            # a state cap is acceptable only for the distance-3 tail by its own terms
+            ok = ok and C == 3 and "resource cap exceeded" in capsys.readouterr().err
+            ok = ok and run([*argv, "--n-max", "7"]) == 0
+        csv = capsys.readouterr().out
+        header, *lines = csv.strip().split("\n")
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        ok = ok and [row["n"] for row in rows] == [str(n) for n in range(1, len(rows) + 1)]
+        for row in rows:
+            bfs_any, bfs_std, len_a_sym, len_q = (
+                int(row[name]) for name in ("bfs_any", "bfs_std", "len_a_sym", "len_q")
+            )
+            ok = ok and bfs_any <= bfs_std <= min(len_a_sym, len_q)
         ok = ok and csv.startswith("n,bfs_std,bfs_any,a_conj,b_conj,len_a_sym,len_q,match")
         ok = ok and all(
             line.endswith(("MATCH", "MISMATCH")) for line in csv.strip().split("\n")[1:]

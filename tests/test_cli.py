@@ -310,6 +310,11 @@ def test_byte_for_byte_determinism(capsys):
         ("solve", "--n", "3", "--max-moves", "-1"),
         # a cap above 2^64: no longer sequence can be written
         ("solve", "--n", "1000", "--max-moves", str(2**1001)),
+        # a state cap below one state, whether or not a search reads it
+        ("solve", "--solver", "bfs", "--n", "3", "--max-states", "-5"),
+        ("solve", "--n", "3", "--max-states", "-5"),
+        ("verify", "--suite", "graphs", "--n", "1", "--max-states", "-1"),
+        ("conjecture", "--distance", "1", "--max-states", "0"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

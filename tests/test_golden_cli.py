@@ -13,11 +13,13 @@ Commands run in-process through `cli.run`, so the suite stays fast.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+from hanoilab import oracle, verify
 from hanoilab.cli import all_strongly_connected_graphs, run
-from hanoilab.recurrence import PAIR_ORDER
+from hanoilab.recurrence import CYCLE_GRAPH, PAIR_ORDER
 
 SOLVE_N_MAX = 6
 
@@ -352,3 +354,107 @@ def test_constructive_solve_stdout_is_byte_identical(capsys, solver, fmt):
 def test_emit_exact_stdout_is_byte_identical(capsys, command):
     out = _stdout(capsys, command.split())
     assert hashlib.sha256(out.encode()).hexdigest() == EMIT_EXACT_DIGESTS[command]
+
+
+# ---------------------------------------------------------------------------
+# Failure paths, made by substituting one library call, and the success
+# formats pinned nowhere above.  Recorded before CSV and JSON output moved
+# behind two shared writers in `cli`.
+
+#: (substitute, command) -> digest; "harness" and "graphs" runs exit 1
+FAILURE_DIGESTS = {
+    ("harness", "verify --suite relaxed --format plain"): "86d1a400a8258e94ef9011d6f6de9a0aa07495fc47fa796ac6141d94f35bf272",
+    ("harness", "verify --suite relaxed --format csv"): "6bbfec0e7619fecc0ed868ecc72878583fd91398e11238b3eefad0516eb644ca",
+    ("harness", "verify --suite relaxed --format json"): "d5cbc5616683d37bd58d25caa4ba3213ef44b5c76a759d698d6da878d3fcbcd8",
+    ("graphs", "verify --suite graphs --n 2 --format plain"): "8bc1c9a98266f2c391e2f40dd3a779f913306fb6d216c2ee8da45f90f66ccc43",
+    ("graphs", "verify --suite graphs --n 2 --format csv"): "0777451b90c339ef50d0407b38a53c9d7b34a162d0c0ec4a78f517b25168be52",
+    ("graphs", "verify --suite graphs --n 2 --format json"): "a5474ea2cd38576f91af24b3c257c3c467ac57b5a313521c3b6b63d2794e93f0",
+    ("conjecture", "conjecture --distance 1 --n-max 4 --format plain"): "27ab0a6a3ef30591d9f497eb0122fa83b6ff2bf78518ef314323b4028ffd0b5f",
+    ("conjecture", "conjecture --distance 1 --n-max 4 --format csv"): "98212ceb892ce047cc4bdd492120c805c22635f32fe6d6d611ef0218f2c225e7",
+    ("conjecture", "conjecture --distance 1 --n-max 4 --format json"): "bc083fb9c04c88c038449d489b10da8c6d8165bcb9db4dfd3542a60ae916ddd6",
+}
+
+
+def _substitute(monkeypatch, which):
+    if which == "harness":
+        counterexample = {"n": 2, "bfs_std": 3, "expected_a": 4, "bfs_any": 3, "expected_b": 3}
+
+        def claim_harness(name, params=None, *, max_states):
+            return verify.HarnessReport(
+                name, {"distance": 1, "n_max": 2}, False, (counterexample,)
+            )
+
+        monkeypatch.setattr("hanoilab.verify.claim_harness", claim_harness)
+    elif which == "graphs":
+        real = oracle.verify_optimality
+
+        def verify_optimality(graph, n, *, max_states):
+            report = real(graph, n, max_states=max_states)
+            if graph != CYCLE_GRAPH or n != 2:
+                return report
+            first = report.checks[0]
+            bad = replace(first, algorithm=first.algorithm + 1)
+            return replace(report, checks=(bad, *report.checks[1:]))
+
+        monkeypatch.setattr("hanoilab.oracle.verify_optimality", verify_optimality)
+    else:
+        real = oracle.conjecture_probe
+
+        def conjecture_probe(*args, **kwargs):
+            report = real(*args, **kwargs)
+            last = report.rows[-1]
+            bad = replace(last, a_conj=last.a_conj + 1)
+            return replace(report, rows=(*report.rows[:-1], bad))
+
+        monkeypatch.setattr("hanoilab.oracle.conjecture_probe", conjecture_probe)
+
+
+@pytest.mark.parametrize("which, command", sorted(FAILURE_DIGESTS))
+def test_failure_stdout_is_byte_identical(capsys, monkeypatch, which, command):
+    _substitute(monkeypatch, which)
+    assert run(command.split()) == (0 if which == "conjecture" else 1)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAILURE_DIGESTS[(which, command)]
+
+
+#: `verify --suite relaxed` in the formats the plain digest above leaves out
+RELAXED_SUITE_DIGESTS = {
+    "verify --suite relaxed --format csv": "2d0373c9327895cf9c773552d682b5f2c06ed8e0ad7bd81e7477dee4cf6b72ee",
+    "verify --suite relaxed --format json": "8533d8265bdfa972636c13603a8a000ba9a133d8dd6889595f87e4e4aeb754b0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RELAXED_SUITE_DIGESTS))
+def test_relaxed_suite_formats_are_byte_identical(capsys, command):
+    out = _stdout(capsys, command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == RELAXED_SUITE_DIGESTS[command]
+
+
+BFS_FORMAT_N_MAX = 5
+
+#: `solve --solver bfs` in csv and json, n = 0..5 over every ordered pair,
+#: on one distance-0 digraph and on the distance-1 relaxed model
+BFS_FORMAT_DIGESTS = {
+    ("digraph", "csv"): "e2428792c981c0acc80a2ec12a047dfd91a32ca1b1ed1199f9143ec5bbe4133e",
+    ("digraph", "json"): "25292bd5e5ae005e8d7efe5a4bbc0a1ddd3a5aa4dd59b8321a8e86a5fd0406e1",
+    ("relaxed", "csv"): "eb3c1f54ceb1dab901c346d418f406361731772c8cea891cb0c63110e69af45d",
+    ("relaxed", "json"): "048ffc231de95a7020dfef62891e75cb9e634c56c74b0fe71166d081735ede6e",
+}
+
+BFS_FORMAT_MODELS = {
+    "digraph": ["--model", "digraph", "--edges", "1>2,2>3,3>1"],
+    "relaxed": ["--model", "relaxed", "--distance", "1"],
+}
+
+
+@pytest.mark.parametrize("model, fmt", sorted(BFS_FORMAT_DIGESTS))
+def test_solve_bfs_formats_are_byte_identical(capsys, model, fmt):
+    digest = hashlib.sha256()
+    for src, tgt in PAIR_ORDER:
+        for n in range(BFS_FORMAT_N_MAX + 1):
+            argv = [
+                "solve", "--solver", "bfs", *BFS_FORMAT_MODELS[model], "--format", fmt,
+                "--from", str(src), "--to", str(tgt), "--n", str(n),
+            ]
+            digest.update(_stdout(capsys, argv).encode())
+    assert digest.hexdigest() == BFS_FORMAT_DIGESTS[(model, fmt)]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hanoilab.cli import run
 from hanoilab.model import Model, Move, MoveGraph, State, apply_all, standard_state
 from hanoilab.oracle import (
     GoalPredicate,
@@ -258,9 +259,9 @@ def test_probe_distance_two():
     assert report.rows[2].bfs_any == 3  # three direct moves are optimal
 
 
-def test_probe_csv_shape():
-    report = conjecture_probe(2, 3)
-    lines = report.to_csv().strip().split("\n")
+def test_probe_csv_shape(capsys):
+    assert run(["conjecture", "--distance", "2", "--n-max", "3", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,bfs_std,bfs_any,a_conj,b_conj,len_a_sym,len_q,match"
     assert len(lines) == 4
     assert all(line.endswith(("MATCH", "MISMATCH")) for line in lines[1:])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hanoilab.cli import run
 from hanoilab.model import (
     IllegalMoveError,
     Model,
@@ -248,9 +249,14 @@ def test_symmetric_suites_pass_at_full_defaults():
     assert claim_harness("symmetric-equals-a").passed
 
 
-def test_harness_report_json_schema():
-    report = claim_harness("dn-negative", {"n_max": 10})
-    payload = json.loads(report.to_json())
+def test_harness_report_json_schema(capsys, monkeypatch):
+    # `verify --suite relaxed` writes the one report it is handed
+    monkeypatch.setattr(
+        "hanoilab.verify.claim_harness",
+        lambda name, params, *, max_states: claim_harness("dn-negative", {"n_max": 10}),
+    )
+    assert run(["verify", "--suite", "relaxed", "--format", "json"]) == 0
+    (payload,) = json.loads(capsys.readouterr().out)
     assert set(payload) == {"suite", "params", "pass", "counterexamples"}
     assert payload["suite"] == "dn-negative"
     assert payload["pass"] is True
