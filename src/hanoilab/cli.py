@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
         # flags are spelled in full, so no abbreviation reaches another flag
         p = sub.add_parser(name, parents=list(parents), help=summary, allow_abbrev=False)
         p.add_argument("--format", choices=("plain", "csv", "json"), default=fmt)
-        p.set_defaults(func=func)
+        # each command reports its usage errors with its own usage line
+        p.set_defaults(func=func, parser=p)
         return p
 
     p_solve = command("solve", cmd_solve, "emit a move sequence", (pegs, budget))
@@ -309,23 +310,11 @@ class _Unprintable(Exception):
     """An exact count is too long for this Python to print."""
 
 
-def _closed_form_for(graph: MoveGraph):
-    if graph == recurrence.COMPLETE_GRAPH:
-        return "complete", lambda pair, n: 2**n - 1
-    if graph == recurrence.CYCLE_GRAPH:
-        return "cycle", lambda pair, n: recurrence.closed_form_cycle(pair, n).as_integer()
-    if graph == recurrence.LINEAR_GRAPH:
-        return "linear", recurrence.closed_form_linear
-    if graph == recurrence.CHORD_GRAPH:
-        return "cycle-chord", lambda pair, n: recurrence.closed_form_chord(pair, n).as_integer()
-    return None
-
-
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.n < 0:
         parser.error("table requires --n >= 0")
     graph = _build_graph(parser, args)
-    closed = _closed_form_for(graph)
+    closed = recurrence.closed_form_for(graph)
     # rows stream from the recurrence, which keeps only the previous row;
     # the closed form, if any, is checked row by row until it first fails
     closed_ok = None if closed is None else True
@@ -531,13 +520,12 @@ def cmd_graphs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # solve, verify and conjecture take --max-states
     if getattr(args, "max_states", 1) < 1:
-        parser.error("--max-states must be >= 1")
+        args.parser.error("--max-states must be >= 1")
     try:
-        return args.func(parser, args)
+        return args.func(args.parser, args)
     except (SearchCapExceeded, _Unprintable) as err:
         print(f"error: resource cap exceeded: {err}", file=sys.stderr)
         return EXIT_FAILURE

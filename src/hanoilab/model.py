@@ -15,7 +15,7 @@ and compares against a running stack minimum so that a move costs O(1).
 The search compares inline, once per candidate move of every searched
 state: in `oracle._expand` and `oracle._sparse_neighbors` against the stack
 minimum each coded stack entry carries, and at distance 0 in
-`oracle._dense_neighbors`; an adjacent-only reading would change all five.
+`oracle._dense_neighbors`; an adjacent-only reading would change all six.
 
 All values are immutable and all public operations are pure functions.
 """
@@ -176,12 +176,16 @@ class GraphClass:
         return len(self.members)
 
 
-_CLASS_NOTES = {
-    "cycle": "sqrt(3) closed forms",
-    "linear": "3^n closed forms",
-    "cycle-chord": "sqrt(17) closed forms",
-    "five-edge": "growth ~2.34 (reciprocal cubic root)",
-    "complete": "classical 2^n-1",
+#: The five classes of strongly connected move graphs under peg relabeling
+#: (Sapir, "The Tower of Hanoi with forbidden moves", 2004), in output order:
+#: each name maps to the labeled graph its closed forms in `recurrence` are
+#: written for, and to a note on those forms.
+GRAPH_CLASSES: dict[str, tuple[MoveGraph, str]] = {
+    "cycle": (MoveGraph.parse("1>2,2>3,3>1"), "sqrt(3) closed forms"),
+    "cycle-chord": (MoveGraph.parse("1>2,1>3,3>1,2>3"), "sqrt(17) closed forms"),
+    "linear": (MoveGraph.parse("1>2,2>1,1>3,3>1"), "3^n closed forms"),
+    "five-edge": (MoveGraph.parse("1>2,1>3,2>3,3>1,3>2"), "growth ~2.34 (reciprocal cubic root)"),
+    "complete": (MoveGraph.complete(), "classical 2^n-1"),
 }
 
 
@@ -198,32 +202,15 @@ def all_strongly_connected_graphs() -> tuple[MoveGraph, ...]:
     return tuple(sorted(graphs, key=lambda g: (len(g.edges), g.sorted_edges())))
 
 
-def _structural_name(graph: MoveGraph) -> str:
-    m = len(graph.edges)
-    if m == 3:
-        return "cycle"
-    if m == 5:
-        return "five-edge"
-    if m == 6:
-        return "complete"
-    # four edges: either two double edges (linear) or a cycle plus chord
-    if all((j, i) in graph.edges for i, j in graph.edges):
-        return "linear"
-    return "cycle-chord"
-
-
 def enumerate_graph_classes() -> tuple[GraphClass, ...]:
-    """Group the strongly connected graphs under peg relabeling."""
-    buckets: dict[tuple, list[MoveGraph]] = {}
-    for graph in all_strongly_connected_graphs():
-        canon = min(graph.relabel(perm).sorted_edges() for perm in PEG_PERMUTATIONS)
-        buckets.setdefault(canon, []).append(graph)
+    """Each class of `GRAPH_CLASSES` with its members, the relabelings of
+    its graph in edge-list order; the first is the representative."""
     classes = []
-    for members in buckets.values():
-        members.sort(key=MoveGraph.sorted_edges)
-        name = _structural_name(members[0])
-        classes.append(GraphClass(name, members[0], tuple(members), _CLASS_NOTES[name]))
-    return tuple(sorted(classes, key=lambda c: (len(c.representative.edges), c.name)))
+    for name, (graph, note) in GRAPH_CLASSES.items():
+        relabelings = {graph.relabel(perm) for perm in PEG_PERMUTATIONS}
+        members = sorted(relabelings, key=MoveGraph.sorted_edges)
+        classes.append(GraphClass(name, members[0], tuple(members), note))
+    return tuple(classes)
 
 
 @dataclass(frozen=True)

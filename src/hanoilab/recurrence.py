@@ -6,10 +6,11 @@ a, b, held as integers over one common denominator), so every equality
 check is exact: move counts grow exponentially and floating point would
 mask errors at the sizes we verify.
 
-The four named graphs below are the strongly connected shapes (up to peg
-relabeling, besides the complete graph) whose count columns have known
-closed forms or growth constants; `hanoilab.model.enumerate_graph_classes`
-reconstructs the same classification by brute force.
+The five named graphs below are the labeled graphs of the classes in
+`hanoilab.model.GRAPH_CLASSES`, for which the closed forms and growth
+constants are written.  Four classes have closed forms, and
+`closed_form_for` applies them to every labeling by relabeling the pegs;
+the five-edge class has growth constants only.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterator, Literal
+from typing import Callable, Iterator, Literal
 
-from .model import MoveGraph, third_peg
+from .model import GRAPH_CLASSES, PEG_PERMUTATIONS, MoveGraph, third_peg
 
 #: Ordered peg pairs in fixed column order (also the CSV column order).
 PAIR_ORDER: tuple[tuple[int, int], ...] = (
@@ -31,15 +32,15 @@ PAIR_ORDER: tuple[tuple[int, int], ...] = (
     (3, 2),
 )
 
-COMPLETE_GRAPH = MoveGraph.complete()
+COMPLETE_GRAPH = GRAPH_CLASSES["complete"][0]
 #: Directed cycle 1 -> 2 -> 3 -> 1; sqrt(3) closed forms.
-CYCLE_GRAPH = MoveGraph.parse("1>2,2>3,3>1")
+CYCLE_GRAPH = GRAPH_CLASSES["cycle"][0]
 #: Two double edges sharing peg 1 (the centre); 3^n closed forms.
-LINEAR_GRAPH = MoveGraph.parse("1>2,2>1,1>3,3>1")
+LINEAR_GRAPH = GRAPH_CLASSES["linear"][0]
 #: Directed cycle plus the reverse chord 1>3; sqrt(17) closed forms.
-CHORD_GRAPH = MoveGraph.parse("1>2,1>3,3>1,2>3")
+CHORD_GRAPH = GRAPH_CLASSES["cycle-chord"][0]
 #: Complete graph minus the edge 2>1; growth analysed via two cubics.
-FIVE_EDGE_GRAPH = MoveGraph.parse("1>2,1>3,2>3,3>1,3>2")
+FIVE_EDGE_GRAPH = GRAPH_CLASSES["five-edge"][0]
 
 #: Cubic appearing in the generating-function denominators of the
 #: five-edge graph, and its coefficient-reversed (reciprocal) companion.
@@ -406,6 +407,29 @@ def closed_form_chord(pair: tuple[int, int], n: int) -> QuadValue:
             -3 + (4 + s17) / s17 * phi_plus**n - (4 - s17) / s17 * phi_minus**n
         ) / 2
     raise ValueError(f"unknown pair {pair!r}")
+
+
+#: The exact integer count at (pair, n) of each class with closed forms, on
+#: the class's graph in `GRAPH_CLASSES`.
+_CLOSED_FORMS = {
+    "complete": lambda pair, n: 2**n - 1,
+    "cycle": lambda pair, n: closed_form_cycle(pair, n).as_integer(),
+    "linear": closed_form_linear,
+    "cycle-chord": lambda pair, n: closed_form_chord(pair, n).as_integer(),
+}
+
+
+def closed_form_for(graph: MoveGraph) -> tuple[str, Callable[[tuple[int, int], int], int]] | None:
+    """``(class name, count(pair, n))`` for any labeling of a class with
+    closed forms, else None.  A relabeling sigma maps `graph` onto the
+    class's graph, so the count of (i, j) is the closed form at
+    (sigma[i], sigma[j])."""
+    for name, count in _CLOSED_FORMS.items():
+        target = GRAPH_CLASSES[name][0]
+        for sigma in PEG_PERMUTATIONS:
+            if graph.relabel(sigma) == target:
+                return name, lambda pair, n: count((sigma[pair[0]], sigma[pair[1]]), n)
+    return None
 
 
 def ab_closed_form(n: int, which: Literal["a", "b"] = "a") -> QuadValue:

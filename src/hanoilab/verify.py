@@ -21,7 +21,6 @@ from .model import (
     apply_all,
     mirror_move,
     remove_disc,
-    standard_state,
     third_peg,
 )
 
@@ -215,27 +214,18 @@ def claim_harness(
     counterexamples: list[dict] = []
 
     if name == "eq3-vs-oracle":
-        C, n_max = merged["distance"], merged["n_max"]
-        model = Model.relaxed(C)
-        a, b = recurrence.conjecture_values(n_max, C)
-        for n in range(1, n_max + 1):
-            start = standard_state(n, 1)
-            bfs_std, bfs_any = (
-                oracle.bfs_distance(
-                    model, start, goal, max_states=max_states, want_path=False
-                ).distance
-                for goal in (oracle.GoalPredicate.standard_on(2), oracle.GoalPredicate.all_on(2))
-            )
-            if bfs_std != a[n] or bfs_any != b[n]:
-                counterexamples.append(
-                    {
-                        "n": n,
-                        "bfs_std": bfs_std,
-                        "expected_a": a[n],
-                        "bfs_any": bfs_any,
-                        "expected_b": b[n],
-                    }
-                )
+        probe = oracle.conjecture_probe(merged["distance"], merged["n_max"], max_states=max_states)
+        counterexamples = [
+            {
+                "n": row.n,
+                "bfs_std": row.bfs_std,
+                "expected_a": row.a_conj,
+                "bfs_any": row.bfs_any,
+                "expected_b": row.b_conj,
+            }
+            for row in probe.rows
+            if not row.match
+        ]
 
     elif name == "claim51-inequality":
         n_max = merged["n_max"]

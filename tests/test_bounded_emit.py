@@ -122,7 +122,7 @@ def test_a_failed_closed_form_still_prints_every_row(capsys, monkeypatch, fmt):
     argv = ["table", "--model", "digraph", "--edges", "1>2,2>3,3>1", "--n", "12", "--format", fmt]
     _, good, _ = invoke(capsys, *argv)
     monkeypatch.setattr(
-        "hanoilab.cli._closed_form_for", lambda graph: ("cycle", lambda pair, n: 2**n - 1)
+        "hanoilab.recurrence.closed_form_for", lambda graph: ("cycle", lambda pair, n: 2**n - 1)
     )
     code, out, err = invoke(capsys, *argv)
     assert (code, err) == (1, "")

@@ -323,6 +323,24 @@ def test_usage_errors_exit_two(capsys, argv):
     assert err.value.code == 2
 
 
+# flag errors that cli checks itself, not argparse
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--n", "-1"),
+        ("solve", "--n", "3", "--max-states", "-5"),
+        ("table", "--n", "-1"),
+        ("verify", "--suite", "graphs", "--n", "0"),
+        ("conjecture", "--distance", "0"),
+    ],
+)
+def test_usage_errors_print_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run(list(argv))
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: hanoilab {argv[0]} ")
+
+
 def test_resource_cap_exits_one(capsys):
     code = run(
         ["conjecture", "--distance", "2", "--n-max", "7", "--max-states", "50"]
