@@ -13,7 +13,8 @@ three; `table` runs `recurrence`; `solve --solver bfs` runs `oracle`;
 `conjecture` and `verify --suite graphs` run `oracle` and `recurrence`; the
 other `verify` suites run all three.  Public names resolve through a PEP 562
 `__getattr__`.  That hook alone would keep the three out of `sys.modules`,
-where a tracer that wraps their functions looks them up.
+where a tracer that wraps their functions looks them up.  No module imports
+`dataclasses` or `inspect`, and `cli` imports `json` only to write JSON.
 """
 
 import importlib.util

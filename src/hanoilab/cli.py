@@ -12,9 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict, fields
 from itertools import chain
 from typing import Iterator
 
@@ -66,11 +64,16 @@ def _write_csv(header, rows) -> None:
     )
 
 
+def _dumps(doc) -> str:
+    import json  # here, so that only a command that writes JSON loads it
+    return json.dumps(doc, sort_keys=True)
+
+
 def _write_json(doc, key=None, items=()) -> None:
-    """Write `doc` as one line of `json.dumps(doc, sort_keys=True)`.  Given
-    `items`, the empty list `doc[key]`, or `doc` itself without a `key`, is
-    written from them: encoded elements, each led by a separator the first drops."""
-    text = json.dumps(doc, sort_keys=True)
+    """Write `doc` as one line of `_dumps(doc)`.  Given `items`, the empty
+    list `doc[key]`, or `doc` itself without a `key`, is written from them:
+    encoded elements, each led by a separator the first drops."""
+    text = _dumps(doc)
     if key is not None or items:
         head, mark, tail = text.partition("[]" if key is None else f'"{key}": []')
         items = iter(items)
@@ -400,7 +403,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
                     "n": r.n,
                     "ok": r.ok,
                     "failures": [
-                        {k: v for k, v in asdict(c).items() if k != "n"} for c in r.failures()
+                        {k: v for k, v in c._asdict().items() if k != "n"} for c in r.failures()
                     ],
                 }
                 for r in rows
@@ -439,7 +442,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             for r in reports
         )
         # this list's separator is "," where json.dumps writes ", "
-        _write_json([], items=("," + json.dumps(doc, sort_keys=True) for doc in docs))
+        _write_json([], items=("," + _dumps(doc) for doc in docs))
     elif args.format == "csv":
         _write_csv(
             ("suite", "pass", "counterexamples"),
@@ -449,7 +452,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
         for r in reports:
             print(f"{r.suite}: {'PASS' if r.passed else 'FAIL'}")
             for ce in r.counterexamples:
-                print(f"  counterexample: {json.dumps(ce, sort_keys=True)}")
+                print(f"  counterexample: {_dumps(ce)}")
     return EXIT_OK if ok else EXIT_FAILURE
 
 
@@ -466,11 +469,11 @@ def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     report = oracle.conjecture_probe(
         args.distance, args.n_max, src=args.src, tgt=args.tgt, max_states=args.max_states
     )
-    rows = [(asdict(row), row.match) for row in report.rows]
+    rows = [(row._asdict(), row.match) for row in report.rows]
     verdict = {True: "MATCH", False: "MISMATCH"}
     if args.format == "csv":
         _write_csv(
-            [*(field.name for field in fields(oracle.ProbeRow)), "match"],
+            [*oracle.ProbeRow._fields, "match"],
             ([*values.values(), verdict[match]] for values, match in rows),
         )
     elif args.format == "json":

@@ -22,7 +22,6 @@ All values are immutable and all public operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, permutations
 from typing import Iterable, NamedTuple
 
@@ -78,18 +77,19 @@ class IllegalMoveError(ValueError):
         super().__init__(f"illegal move {self.move}{where}: {reason}")
 
 
-@dataclass(frozen=True)
-class MoveGraph:
+class MoveGraph(NamedTuple("MoveGraph", [("edges", frozenset)])):
     """Directed graph of permitted peg-to-peg moves on the three pegs."""
 
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
-    def __post_init__(self) -> None:
-        for i, j in self.edges:
+    def __new__(cls, edges: frozenset[tuple[int, int]]) -> "MoveGraph":
+        for i, j in edges:
             _check_peg(i)
             _check_peg(j)
             if i == j:
                 raise ValueError(f"self-loop {i}>{j} is not a move")
+        return super().__new__(cls, edges)
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "MoveGraph":
@@ -162,8 +162,7 @@ class MoveGraph:
 PEG_PERMUTATIONS = tuple(dict(zip(PEGS, perm)) for perm in permutations(PEGS))
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     """One isomorphism class of strongly connected move graphs."""
 
     name: str
@@ -213,16 +212,16 @@ def enumerate_graph_classes() -> tuple[GraphClass, ...]:
     return tuple(classes)
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple("Model", [("graph", MoveGraph), ("distance", int)])):
     """A move graph plus the placement distance C."""
 
-    graph: MoveGraph
-    distance: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
-    def __post_init__(self) -> None:
-        if self.distance < 0:
+    def __new__(cls, graph: MoveGraph, distance: int = 0) -> "Model":
+        if distance < 0:
             raise ValueError("model distance must be >= 0")
+        return super().__new__(cls, graph, distance)
 
     @classmethod
     def classical(cls) -> "Model":
@@ -239,8 +238,7 @@ class Model:
         return cls(graph, 0)
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """Three disc stacks, bottom to top.  Disc k has size k."""
 
     stacks: tuple[Stack, Stack, Stack]
@@ -287,15 +285,17 @@ DEFAULT_MOVE_BUDGET = 1 << 20
 
 
 class SearchCapExceeded(RuntimeError):
-    """The search outgrew its state budget; results would be incomplete."""
+    """The search outgrew its state budget while storing `level`, counted
+    from its side's origin, with `forward` and `backward` states stored on
+    each side (none backward from the start alone); results are incomplete."""
 
-    def __init__(self, cap: int) -> None:
-        self.cap = cap
-        super().__init__(f"search exceeded the state budget of {cap} states")
+    def __init__(self, cap: int, level: int, forward: int, backward: int = 0) -> None:
+        self.cap, self.level, self.forward, self.backward = cap, level, forward, backward
+        where = f"at level {level} ({forward} forward and {backward} backward states stored)"
+        super().__init__(f"search exceeded the state budget of {cap} states {where}")
 
 
-@dataclass(frozen=True)
-class GoalPredicate:
+class GoalPredicate(NamedTuple):
     """What counts as "done": the standard state on a peg, any legal
     all-on-one-peg state, or one explicit state."""
 

@@ -25,8 +25,7 @@ state is stored, and exceeding it raises.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, TypeAlias
+from typing import Iterable, Iterator, NamedTuple, TypeAlias
 
 from . import recurrence
 from .model import (
@@ -47,8 +46,7 @@ from .model import (
 from .solvers import a_symmetric, directed_move, move_blocks, q_sequence
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of one search.  `distance` is None when no goal state is
     reachable; a witness path, when present, has length == distance and
     replays cleanly."""
@@ -214,7 +212,7 @@ def _dense_distances(
                     if new not in visited:
                         visited.add(new)
                         if len(visited) > max_states:
-                            raise SearchCapExceeded(max_states)
+                            raise SearchCapExceeded(max_states, level, len(visited))
                         nxt.append(new)
                         if new in remaining:
                             found[new] = level
@@ -357,10 +355,11 @@ def _expand(
     seen: dict[Codes, int],
     other: dict[Codes, int],
     max_states: int,
+    backward: bool = False,
 ) -> list[Codes] | None:
     """The next level of one search side, or None as soon as a state of
-    the other side is reached.  The cap counts both sides' stored states
-    and is checked as each state is inserted."""
+    the other side is reached.  The cap counts both sides' stored states,
+    checked as each is inserted; `backward` marks the backward side."""
     depth = seen[frontier[0]] + 1
     limit = max_states - len(other)
     nxt = []
@@ -394,7 +393,8 @@ def _expand(
                     return None
                 seen[new] = depth
                 if len(seen) > limit:
-                    raise SearchCapExceeded(max_states)
+                    sides = (len(other), len(seen)) if backward else (len(seen), len(other))
+                    raise SearchCapExceeded(max_states, depth, *sides)
                 nxt.append(new)
     return nxt
 
@@ -426,7 +426,7 @@ def _sparse_search(
     for goal in goals:
         bwd[_encode(goal, base)] = 0
         if len(fwd) + len(bwd) > max_states:
-            raise SearchCapExceeded(max_states)
+            raise SearchCapExceeded(max_states, 0, len(fwd), len(bwd))
     if origin in bwd:
         return 0, [] if want_path else None, len(fwd) + len(bwd), len(bwd)
     levels = [[origin]]
@@ -437,7 +437,7 @@ def _sparse_search(
         if forward:
             nxt = _expand(levels[-1], moves, base, C, fwd, bwd, max_states)
         else:
-            nxt = _expand(back, reverse, base, C, bwd, fwd, max_states)
+            nxt = _expand(back, reverse, base, C, bwd, fwd, max_states, True)
         if nxt is None:
             break
         if not nxt:
@@ -524,8 +524,7 @@ def bfs_distance(
     return SearchResult(d, tuple(path) if path is not None else None, explored, peak)
 
 
-@dataclass(frozen=True)
-class OptimalityCheck:
+class OptimalityCheck(NamedTuple):
     pair: tuple[int, int]
     n: int
     bfs: int
@@ -537,8 +536,7 @@ class OptimalityCheck:
         return self.bfs == self.algorithm == self.recurrence
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
+class OptimalityReport(NamedTuple):
     """Three-way comparison (search / construction / recurrence) for every
     ordered peg pair of one graph at one disc count."""
 
@@ -661,8 +659,7 @@ def shortest_symmetric(
     return SearchResult(None, None, len(seen), peak)
 
 
-@dataclass(frozen=True)
-class ProbeRow:
+class ProbeRow(NamedTuple):
     """One probe row.  Its fields, in order, then `match` are the columns
     of every output format."""
 
@@ -679,8 +676,7 @@ class ProbeRow:
         return self.bfs_std == self.a_conj and self.bfs_any == self.b_conj
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Conjecture probe: oracle optima versus conjectured values and the
     two constructive sequence lengths, one row per disc count.  Rows are
     marked MATCH/MISMATCH without failing the run - the recurrences under

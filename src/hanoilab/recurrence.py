@@ -16,9 +16,8 @@ the five-edge class has growth constants only.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterator, Literal, NamedTuple
 
 from .model import GRAPH_CLASSES, PEG_PERMUTATIONS, MoveGraph, third_peg
 
@@ -109,10 +108,10 @@ class QuadValue:
         _set_slot(self, "d", d)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return QuadValue, (self.a, self.b, self.d)
@@ -275,8 +274,7 @@ class QuadValue:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
-@dataclass(frozen=True, eq=True)
-class CountTable:
+class CountTable(NamedTuple):
     """Exact move counts per ordered peg pair for n = 0..n_max."""
 
     graph: MoveGraph
@@ -486,8 +484,7 @@ def q_lengths(n_max: int, C: int) -> list[int]:
     return x
 
 
-@dataclass(frozen=True)
-class RootBracket:
+class RootBracket(NamedTuple):
     """Rational interval [lo, hi] across which the polynomial changes sign."""
 
     lo: Fraction
@@ -546,8 +543,7 @@ def bisect_root(
     return RootBracket(lo, hi, tuple(coefficients))
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     """Growth analysis of the five-edge graph's count columns.
 
     The generating-function denominator carries the cubic

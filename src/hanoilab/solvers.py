@@ -23,7 +23,6 @@ steps and no huge integer.
 
 from __future__ import annotations
 
-from inspect import unwrap
 from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
@@ -328,6 +327,13 @@ _ROOTS: dict[Callable, Callable[..., tuple]] = {
 }
 
 
+def _unwrap(fn: Callable) -> Callable:
+    """`fn` with its `functools.wraps` wrappers peeled off."""
+    while hasattr(fn, "__wrapped__"):
+        fn = fn.__wrapped__
+    return fn
+
+
 def move_blocks(solver: Callable[..., list[Move]], *args) -> Iterator[tuple[Move, ...]]:
     """The moves of ``solver(*args)`` as non-empty blocks of at most
     BLOCK_MOVES moves, without building the list.
@@ -338,7 +344,7 @@ def move_blocks(solver: Callable[..., list[Move]], *args) -> Iterator[tuple[Move
     its sequence forms a single block.  Arguments are checked at once,
     before the first block is asked for.
     """
-    root = _ROOTS.get(unwrap(solver))
+    root = _ROOTS.get(_unwrap(solver))
     if root is None:
         moves = tuple(solver(*args))
         return iter((moves,) if moves else ())
@@ -353,7 +359,7 @@ def move_count(solver: Callable[..., list[Move]], *args, cap: int) -> int | None
     soon as a partial length passes `cap`.  Any other callable is called
     and its result measured.
     """
-    root = _ROOTS.get(unwrap(solver))
+    root = _ROOTS.get(_unwrap(solver))
     if root is None:
         length = len(solver(*args))
         return length if length <= cap else None

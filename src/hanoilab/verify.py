@@ -8,8 +8,7 @@ statements its solvers and recurrences rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import oracle, recurrence
 from .model import (
@@ -25,8 +24,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Non-raising replay outcome.  `ok` implies a final state is present
     and no bad index is reported; indices are 1-based."""
 
@@ -120,8 +118,7 @@ def project_out_largest(
     return projected
 
 
-@dataclass(frozen=True)
-class LambdaClassification:
+class LambdaClassification(NamedTuple):
     is_lambda: bool
     is_lambda_prime: bool
 
@@ -175,8 +172,7 @@ def lambda_predicates(
 # Claim harnesses.
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(NamedTuple):
     suite: str
     params: dict
     passed: bool

@@ -13,7 +13,6 @@ Commands run in-process through `cli.run`, so the suite stays fast.
 """
 
 import hashlib
-from dataclasses import replace
 
 import pytest
 
@@ -393,8 +392,8 @@ def _substitute(monkeypatch, which):
             if graph != CYCLE_GRAPH or n != 2:
                 return report
             first = report.checks[0]
-            bad = replace(first, algorithm=first.algorithm + 1)
-            return replace(report, checks=(bad, *report.checks[1:]))
+            bad = first._replace(algorithm=first.algorithm + 1)
+            return report._replace(checks=(bad, *report.checks[1:]))
 
         monkeypatch.setattr("hanoilab.oracle.verify_optimality", verify_optimality)
     else:
@@ -403,8 +402,8 @@ def _substitute(monkeypatch, which):
         def conjecture_probe(*args, **kwargs):
             report = real(*args, **kwargs)
             last = report.rows[-1]
-            bad = replace(last, a_conj=last.a_conj + 1)
-            return replace(report, rows=(*report.rows[:-1], bad))
+            bad = last._replace(a_conj=last.a_conj + 1)
+            return report._replace(rows=(*report.rows[:-1], bad))
 
         monkeypatch.setattr("hanoilab.oracle.conjecture_probe", conjecture_probe)
 

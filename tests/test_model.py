@@ -1,10 +1,21 @@
-"""States, moves, legality rules, and the mirror transform."""
+"""States, moves, legality rules, the mirror transform, and the value
+classes of every module."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hanoilab
+from hanoilab import oracle, recurrence, verify
 from hanoilab.model import (
+    GoalPredicate,
+    GraphClass,
     IllegalMoveError,
     MalformedStateError,
     Model,
@@ -287,3 +298,147 @@ def test_mirror_sequence_is_an_involution(pair, pegs):
     src, tgt = pegs
     seq = legal_moves(model, state)
     assert mirror_sequence(mirror_sequence(seq, src, tgt), src, tgt) == list(seq)
+
+
+_CHECK = oracle.OptimalityCheck((1, 2), 2, 3, 3, 3)
+_ROW = oracle.ProbeRow(1, 1, 1, 1, 1, 1, 1)
+_BRACKET = recurrence.RootBracket(Fraction(2), Fraction(3), (1, -1, -4, 2))
+
+#: Each value class: a factory of fresh, equal values, its field names in
+#: order, and whether its values hash (CountTable and HarnessReport hold a
+#: dict).
+VALUES = {
+    "MoveGraph": (lambda: MoveGraph.parse("1>2,2>3,3>1"), "edges", True),
+    "GraphClass": (
+        lambda: GraphClass("cycle", CYCLE, (CYCLE,), "note"),
+        "name representative members note",
+        True,
+    ),
+    "Model": (lambda: Model(CYCLE, 1), "graph distance", True),
+    "State": (lambda: standard_state(3, 1), "stacks", True),
+    "GoalPredicate": (lambda: GoalPredicate.all_on(2), "kind peg state", True),
+    "SearchResult": (
+        lambda: oracle.SearchResult(1, (Move(1, 2),), 2, 1),
+        "distance path explored peak_frontier",
+        True,
+    ),
+    "OptimalityCheck": (
+        lambda: oracle.OptimalityCheck((1, 2), 2, 3, 3, 3),
+        "pair n bfs algorithm recurrence",
+        True,
+    ),
+    "OptimalityReport": (
+        lambda: oracle.OptimalityReport(CYCLE, 2, (_CHECK,)),
+        "graph n checks",
+        True,
+    ),
+    "ProbeRow": (
+        lambda: oracle.ProbeRow(1, 1, 1, 1, 1, 1, 1),
+        "n bfs_std bfs_any a_conj b_conj len_a_sym len_q",
+        True,
+    ),
+    "ProbeReport": (lambda: oracle.ProbeReport(1, (_ROW,)), "distance rows", True),
+    "CountTable": (
+        lambda: recurrence.eval_move_counts(CYCLE, 3),
+        "graph n_max counts",
+        False,
+    ),
+    "RootBracket": (
+        lambda: recurrence.RootBracket(Fraction(2), Fraction(3), (1, 2)),
+        "lo hi coefficients",
+        True,
+    ),
+    "GrowthReport": (
+        lambda: recurrence.GrowthReport(_BRACKET, _BRACKET, Fraction(7, 3), 4, (2, 1)),
+        "denominator_root reciprocal_root ratio ratio_n pair",
+        True,
+    ),
+    "ValidationReport": (
+        lambda: verify.ValidationReport(True, 0, final_state=standard_state(1, 1)),
+        "ok length first_bad_index final_state reason",
+        True,
+    ),
+    "LambdaClassification": (
+        lambda: verify.LambdaClassification(True, False),
+        "is_lambda is_lambda_prime",
+        True,
+    ),
+    "HarnessReport": (
+        lambda: verify.HarnessReport("dn-negative", {"n_max": 2}, True, ()),
+        "suite params passed counterexamples",
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_classes_are_immutable_equal_by_value_and_named_in_repr(name):
+    make, names, hashable = VALUES[name]
+    fields = names.split()
+    value, twin = make(), make()
+    assert type(value).__name__ == name and value is not twin
+    assert value == twin
+    if hashable:
+        assert hash(value) == hash(twin)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    text = repr(value)
+    assert text.startswith(f"{name}(") and all(f"{field}=" in text for field in fields)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert value == twin
+
+
+def test_constructor_defaults_are_kept():
+    assert Model(CYCLE) == Model(CYCLE, 0) == Model(graph=CYCLE, distance=0)
+    assert GoalPredicate("exact") == GoalPredicate("exact", None, None)
+    report = verify.ValidationReport(False, 3)
+    assert (report.first_bad_index, report.final_state, report.reason) == (None, None, None)
+
+
+def test_quadvalue_refuses_assignment_and_deletion_with_attribute_error():
+    value = recurrence.QuadValue(1, 2, 5)
+    for act in (lambda: setattr(value, "d", 7), lambda: delattr(value, "d")):
+        with pytest.raises(AttributeError) as err:
+            act()
+        assert type(err.value) is AttributeError
+    assert value == recurrence.QuadValue(1, 2, 5)
+
+
+PACKAGE_ROOT = str(Path(hanoilab.__file__).resolve().parents[1])
+PATHS = [PACKAGE_ROOT, *filter(None, [os.environ.get("PYTHONPATH")])]
+VALIDATION = """
+from hanoilab.model import Model, MoveGraph
+bad = [
+    lambda: MoveGraph(frozenset({(1, 1)})),
+    lambda: MoveGraph(frozenset({(1, 4)})),
+    lambda: MoveGraph.from_edges([(0, 2)]),
+    lambda: Model(MoveGraph.complete(), -1),
+    lambda: Model(MoveGraph.complete(), distance=-2),
+    lambda: Model(MoveGraph.complete())._replace(distance=-1),
+    lambda: MoveGraph.complete()._replace(edges=frozenset({(2, 2)})),
+]
+for make in bad:
+    try:
+        make()
+    except ValueError:
+        continue
+    raise SystemExit("accepted: " + repr(make()))
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_validated_classes_reject_bad_values_also_under_python_O(flags):
+    child = subprocess.run(
+        [sys.executable, *flags, "-c", VALIDATION],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(PATHS)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0 and child.stdout == "ok\n", child.stderr + child.stdout

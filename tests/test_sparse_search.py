@@ -86,6 +86,54 @@ def _stored_states(err) -> int:
     return len(frame["fwd"]) + len(frame["bwd"])  # raised while storing goals
 
 
+def _side_counts(err) -> tuple[int, int, int]:
+    """(level, forward, backward) as the frame that raised holds them."""
+    frame = err.traceback[-1].frame.f_locals
+    if "seen" in frame:  # raised while expanding a level of one side
+        sides = (len(frame["seen"]), len(frame["other"]))
+        return (frame["depth"], *(sides[::-1] if frame["backward"] else sides))
+    if "fwd" in frame:  # raised while storing goals
+        return 0, len(frame["fwd"]), len(frame["bwd"])
+    return frame["level"], len(frame["visited"]), 0  # the dense core
+
+
+CAPPED = {
+    "forward level": lambda: bfs_distance(
+        Model.relaxed(1), standard_state(8, 1), GoalPredicate.standard_on(2), max_states=100
+    ),
+    "backward level": lambda: bfs_distance(
+        Model.relaxed(1), standard_state(8, 1), GoalPredicate.standard_on(2), max_states=90
+    ),
+    "goal states": lambda: bfs_distance(
+        Model.relaxed(2), standard_state(7, 1), GoalPredicate.all_on(2), max_states=50
+    ),
+    "symmetric": lambda: shortest_symmetric(Model.relaxed(1), 7, 1, 2, max_states=100),
+    "dense": lambda: bfs_distance(
+        Model.classical(), standard_state(12, 1), GoalPredicate.standard_on(2), max_states=100
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CAPPED))
+def test_cap_error_names_the_level_and_the_states_of_each_side(case):
+    with pytest.raises(SearchCapExceeded) as err:
+        CAPPED[case]()
+    cap = err.value
+    # each case raises where its name says
+    assert err.traceback[-1].frame.f_locals.get("backward") == (
+        None if case in ("dense", "goal states") else case == "backward level"
+    )
+    level, forward, backward = _side_counts(err)
+    assert (cap.level, cap.forward, cap.backward) == (level, forward, backward)
+    if case != "dense":
+        assert forward + backward == _stored_states(err) == cap.cap + 1
+    assert backward > 0 if "level" in case or case == "goal states" else backward == 0
+    assert str(cap) == (
+        f"search exceeded the state budget of {cap.cap} states at level {level}"
+        f" ({forward} forward and {backward} backward states stored)"
+    )
+
+
 @pytest.mark.parametrize("want_path", [False, True])
 def test_cap_is_checked_as_each_state_is_inserted(want_path):
     with pytest.raises(SearchCapExceeded) as err:
