@@ -294,6 +294,9 @@ class SearchCapExceeded(RuntimeError):
         where = f"at level {level} ({forward} forward and {backward} backward states stored)"
         super().__init__(f"search exceeded the state budget of {cap} states {where}")
 
+    def __reduce__(self):  # `BaseException` would pickle the message alone
+        return type(self), (self.cap, self.level, self.forward, self.backward)
+
 
 class GoalPredicate(NamedTuple):
     """What counts as "done": the standard state on a peg, any legal

@@ -9,15 +9,24 @@ Two BFS cores share the public API.  For distance 0 the stack order is
 forced, so a state packs into a base-3 integer keyed by disc, and moves
 come from a table cached per graph: the legal (move, code delta) pairs
 for each placement of the six smallest discs.  The visited map is a
-bytearray over all 3**n codes when that many fit the state budget, and
-a set otherwise.  For distance >= 1 a state is one integer per stack,
-coding each disc with the smallest disc from it down (`_encode`), and is
-searched from both ends: forward from the start and backward from every
-goal state over the reversed edges, one level of the smaller frontier at
-a time.  There `explored` counts both sides' stored states, goal states
-included, and `peak_frontier` is the largest level of either side.
+bytearray over all 3**n codes when that many fit the state budget (1 B a
+state), and a set otherwise.  For distance >= 1 a state is one integer
+per stack, coding each disc with the smallest disc from it down
+(`_encode`), and is searched from both ends: forward from the start and
+backward from every goal state over the reversed edges, one level of the
+smaller frontier at a time, each side a dict from state to depth (about
+150 B a state).  There `explored` counts both sides' stored states, goal
+states included, and `peak_frontier` is the largest level of either side.
 `shortest_symmetric` grows its levels from the start alone with the same
 level expander, `_expand`.
+
+No search keeps its levels: a witness is rebuilt from the depths.  A
+sweep back from the goal side over the reversed edges marks the states on
+shortest paths, keeping only predecessors one level nearer the start, and
+a walk from the start takes the smallest move to a marked state one level
+further.  At distance 0 the witness search stores depth + 1 in the
+narrowest unsigned items that hold 3**n (2 B a state to n = 10, 4 B to
+n = 20).
 Searches never truncate silently: the state budget is checked as each
 state is stored, and exceeding it raises.
 """
@@ -31,6 +40,7 @@ from . import recurrence
 from .model import (
     DEFAULT_STATE_BUDGET,
     GoalPredicate,
+    MOVES,
     Model,
     Move,
     MoveGraph,
@@ -85,7 +95,7 @@ def unpack_state(code: int, n: int) -> State:
 
 def _dense_neighbors(
     code: int, n: int, edges: tuple[tuple[int, int], ...], pow3: list[int]
-) -> list[tuple[tuple[int, int], int]]:
+) -> list[tuple[Move, int]]:
     tops = [0, 0, 0]
     c = code
     remaining = 3
@@ -105,14 +115,16 @@ def _dense_neighbors(
         t = tops[j - 1]
         if t and t < d:
             continue
-        out.append(((i, j), code + (j - i) * pow3[d - 1]))
+        out.append((MOVES[i, j], code + (j - i) * pow3[d - 1]))
     return out
 
 
 #: Discs covered by a move-table entry; the table has 3**6 = 729 entries.
 _TABLE_DISCS = 6
 
-DenseMoves = tuple[tuple[tuple[int, int], int], ...]
+DenseMoves = tuple[tuple[Move, int], ...]
+#: depth + 1 of each visited code, or just 1 when no witness is wanted
+DepthMap: TypeAlias = "bytearray | memoryview | dict[int, int] | set[int]"
 
 
 @functools.lru_cache(maxsize=None)  # keys: at most 64 edge sets x 7 sizes
@@ -132,7 +144,7 @@ def _move_table(
     size = 3**k
     one_peg = {0, (size - 1) // 2, size - 1}
     # at most 6 edges x k discs distinct pairs: share one tuple for each
-    shared: dict[tuple[tuple[int, int], int], tuple[tuple[int, int], int]] = {}
+    shared: dict[tuple[Move, int], tuple[Move, int]] = {}
     return tuple(
         None
         if low in one_peg
@@ -162,37 +174,41 @@ def _dense_distances(
     start: int,
     goals: set[int],
     max_states: int,
-    levels: list[list[int]] | None = None,
-) -> tuple[dict[int, int], int, int]:
+    depths: bool = False,
+) -> tuple[dict[int, int], int, int, DepthMap]:
     """Level BFS on packed codes until every goal code is found (or the
-    component is exhausted).  Returns ({goal: distance}, explored, peak);
-    when `levels` is given, every level from the start on is appended.
+    component is exhausted).  Returns ({goal: distance}, explored, peak,
+    visited map); with `depths` the map holds each state's depth + 1, else 1.
 
-    The visited map is a bytearray indexed by code whenever all 3**n codes
-    fit the state budget (the cap cannot fire there); above that it is a
-    set, checked against the cap as each state is inserted.
+    The visited map is indexed by code whenever all 3**n codes fit the state
+    budget (the cap cannot fire there): a bytearray, or with `depths` a view
+    of one as the narrowest unsigned items that hold 3**n.  Above that it
+    is a set, or a dict with `depths`, checked against the cap as each state
+    is inserted.
     """
     table = _move_table(edges, min(n, _TABLE_DISCS))
     low = len(table)
     dense_map = 3**n <= max_states
+    visited: DepthMap = {start: 1} if depths else {start}
     if dense_map:
-        visited: bytearray | set[int] = bytearray(3**n)
+        if depths:  # a view, not an `array`: no extension module to load
+            typecode, width = next(tw for tw in zip("BHIQ", (1, 2, 4, 8)) if 3**n < 1 << 8 * tw[1])
+            visited = memoryview(bytearray(width * 3**n)).cast(typecode)
+        else:
+            visited = bytearray(3**n)
         visited[start] = 1
-    else:
-        visited = {start}
     found: dict[int, int] = {}
     remaining = set(goals)
     if start in remaining:
         found[start] = 0
         remaining.discard(start)
     frontier = [start]
-    if levels is not None:
-        levels.append(frontier)
     explored = 1
     level = 0
     peak = 1
     while frontier and remaining:
         level += 1
+        mark = level + 1 if depths else 1
         nxt: list[int] = []
         # a None table entry (small discs all on one peg) decodes the code
         if dense_map:
@@ -200,7 +216,7 @@ def _dense_distances(
                 for _, delta in table[code % low] or _dense_moves(code, n, edges):
                     new = code + delta
                     if not visited[new]:
-                        visited[new] = 1
+                        visited[new] = mark
                         nxt.append(new)
                         if new in remaining:
                             found[new] = level
@@ -210,7 +226,10 @@ def _dense_distances(
                 for _, delta in table[code % low] or _dense_moves(code, n, edges):
                     new = code + delta
                     if new not in visited:
-                        visited.add(new)
+                        if depths:
+                            visited[new] = mark
+                        else:
+                            visited.add(new)  # a set costs less than a dict
                         if len(visited) > max_states:
                             raise SearchCapExceeded(max_states, level, len(visited))
                         nxt.append(new)
@@ -218,48 +237,49 @@ def _dense_distances(
                             found[new] = level
                             remaining.discard(new)
         frontier = nxt
-        if levels is not None:
-            levels.append(nxt)
         explored += len(nxt)
         if len(nxt) > peak:
             peak = len(nxt)
-    return found, explored, peak
+    return found, explored, peak, visited
 
 
-def _dense_witness(
+def _dense_search(
     n: int,
     edges: tuple[tuple[int, int], ...],
     start: int,
     goal: int,
     max_states: int,
+    want_path: bool,
 ) -> tuple[int | None, list[Move] | None, int, int]:
-    """BFS with full levels retained, then a backward sweep marking states
-    on shortest paths, then a forward greedy walk taking the smallest
-    optimal move at each step."""
-    levels: list[list[int]] = []
-    found, explored, peak = _dense_distances(n, edges, start, {goal}, max_states, levels)
+    """Level BFS to `goal`.  For a witness each state's depth is stored, a
+    sweep back from the goal over the reversed edges marks the states on
+    shortest paths, and a forward greedy walk takes the smallest optimal
+    move at each step."""
+    found, explored, peak, visited = _dense_distances(
+        n, edges, start, {goal}, max_states, want_path
+    )
     goal_level = found.get(goal)
-    if goal_level is None:
-        return None, None, explored, peak
-    on_shortest: list[set[int]] = [set() for _ in range(goal_level + 1)]
-    on_shortest[goal_level] = {goal}
-    table = _move_table(edges, min(n, _TABLE_DISCS))
-    low = len(table)
-    for lvl in range(goal_level - 1, -1, -1):
-        marked = on_shortest[lvl + 1]
-        keep = on_shortest[lvl]
-        for code in levels[lvl]:
-            for _, delta in table[code % low] or _dense_moves(code, n, edges):
-                if code + delta in marked:
-                    keep.add(code)
-                    break
+    if goal_level is None or not want_path:
+        return goal_level, None, explored, peak
+    depth = visited.get if isinstance(visited, dict) else visited.__getitem__
+    # a reversed move undoes a move: keep predecessors one level nearer the start
+    reverse = tuple(sorted((j, i) for i, j in edges))
+    marked, todo = {goal}, [goal]
+    while todo:
+        code = todo.pop()
+        for _, delta in _dense_moves(code, n, reverse):
+            prev = code + delta
+            if depth(prev) == depth(code) - 1 and prev not in marked:
+                marked.add(prev)
+                todo.append(prev)
     path: list[Move] = []
     current = start
-    for lvl in range(goal_level):
+    for _ in range(goal_level):
         for mv, delta in _dense_moves(current, n, edges):
-            if current + delta in on_shortest[lvl + 1]:
-                path.append(Move(*mv))
-                current += delta
+            new = current + delta
+            if new in marked and depth(new) == depth(current) + 1:
+                path.append(mv)
+                current = new
                 break
         else:  # pragma: no cover - would indicate a marking bug
             raise RuntimeError("witness reconstruction lost the shortest-path set")
@@ -277,7 +297,7 @@ SparseMoves: TypeAlias = "tuple[tuple[Move, int, int], ...]"
 
 
 def _sparse_moves(edges: Iterable[tuple[int, int]]) -> SparseMoves:
-    return tuple((Move(i, j), i - 1, j - 1) for i, j in edges)
+    return tuple((MOVES[i, j], i - 1, j - 1) for i, j in edges)
 
 
 def _encode(stacks: Stacks, base: int) -> Codes:
@@ -413,7 +433,8 @@ def _sparse_search(
     The sides stay disjoint until one reaches the other, so the distance is
     then the two completed depths plus one.  The witness takes the smallest
     move to a state one step closer to a goal: backward depths say how close
-    beyond the last completed forward level, a sweep back marks the rest.
+    beyond the last completed forward level, a sweep back over the reversed
+    edges, keeping predecessors one forward depth nearer, marks the rest.
     """
     edges = model.graph.sorted_edges()
     moves = _sparse_moves(edges)
@@ -429,13 +450,13 @@ def _sparse_search(
             raise SearchCapExceeded(max_states, 0, len(fwd), len(bwd))
     if origin in bwd:
         return 0, [] if want_path else None, len(fwd) + len(bwd), len(bwd)
-    levels = [[origin]]
+    front = [origin]
     back = list(bwd)
     peak = len(back)
     while True:
-        forward = len(levels[-1]) <= len(back)
+        forward = len(front) <= len(back)
         if forward:
-            nxt = _expand(levels[-1], moves, base, C, fwd, bwd, max_states)
+            nxt = _expand(front, moves, base, C, fwd, bwd, max_states)
         else:
             nxt = _expand(back, reverse, base, C, bwd, fwd, max_states, True)
         if nxt is None:
@@ -443,21 +464,21 @@ def _sparse_search(
         if not nxt:
             return None, None, len(fwd) + len(bwd), peak
         peak = max(peak, len(nxt))
-        if forward:
-            levels.append(nxt)
-        else:
-            back = nxt
+        front, back = (nxt, back) if forward else (front, nxt)
     explored = len(fwd) + len(bwd)
-    distance = len(levels) + bwd[back[0]]
+    distance = fwd[front[0]] + bwd[back[0]] + 1
     if not want_path:
         return distance, None, explored, peak
-    # give the forward states on shortest paths their moves left, too
-    for lvl in range(len(levels) - 1, 0, -1):
-        for codes in levels[lvl]:
-            for _, new in _sparse_neighbors(codes, moves, base, C):
-                if bwd.get(new) == distance - lvl - 1:
-                    bwd[codes] = distance - lvl
-                    break
+    # mark back from the last complete backward level; a partial next one
+    # has no predecessor before the last forward level, which is complete
+    todo = list(back)
+    while todo:
+        codes = todo.pop()
+        left = bwd[codes] + 1
+        for _, prev in _sparse_neighbors(codes, reverse, base, C):
+            if fwd.get(prev) == distance - left and prev not in bwd:
+                bwd[prev] = left
+                todo.append(prev)
     path: list[Move] = []
     current = origin
     for left in range(distance - 1, -1, -1):
@@ -500,18 +521,10 @@ def bfs_distance(
             # encoding collapse it onto a legal one
             return SearchResult(None, None, 0, 0)
     if model.distance == 0:
-        edges = model.graph.sorted_edges()
         goal_code = pack_state(State(next(_goal_states(goal, n, 0))))
-        start_code = pack_state(start)
-        if want_path:
-            d, path, explored, peak = _dense_witness(
-                n, edges, start_code, goal_code, max_states
-            )
-        else:
-            found, explored, peak = _dense_distances(
-                n, edges, start_code, {goal_code}, max_states
-            )
-            d, path = found.get(goal_code), None
+        d, path, explored, peak = _dense_search(
+            n, model.graph.sorted_edges(), pack_state(start), goal_code, max_states, want_path
+        )
     else:
         d, path, explored, peak = _sparse_search(
             model, start.stacks, _goal_states(goal, n, model.distance), max_states, want_path
@@ -566,7 +579,7 @@ def verify_optimality(
         goals = {
             pack_state(standard_state(n, tgt)): tgt for tgt in (1, 2, 3) if tgt != src
         }
-        found, _, _ = _dense_distances(
+        found, _, _, _ = _dense_distances(
             n, edges, pack_state(standard_state(n, src)), set(goals), max_states
         )
         for code, tgt in goals.items():

@@ -99,3 +99,18 @@ def test_cap_is_checked_as_each_state_is_inserted(want_path):
         )
     # the search stops at the first state over the cap, mid-level
     assert len(err.traceback[-1].frame.f_locals["visited"]) == 101
+
+
+def test_witness_stores_a_depth_per_state_not_the_levels():
+    # the classical n=11 witness explores all 3**11 states; held as BFS
+    # level lists they cost about 43 B each, as depths 4 B plus the path
+    n = 11
+    tracemalloc.start()
+    try:
+        result = bfs_distance(CLASSICAL, standard_state(n, 1), GoalPredicate.standard_on(3))
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.explored == 3**n
+    assert len(result.path) == result.distance == 2**n - 1
+    assert peak_bytes < 3_000_000

@@ -18,6 +18,7 @@ import pytest
 
 from hanoilab import oracle, verify
 from hanoilab.cli import all_strongly_connected_graphs, run
+from hanoilab.model import GRAPH_CLASSES
 from hanoilab.recurrence import CYCLE_GRAPH, PAIR_ORDER
 
 SOLVE_N_MAX = 6
@@ -457,3 +458,85 @@ def test_solve_bfs_formats_are_byte_identical(capsys, model, fmt):
             ]
             digest.update(_stdout(capsys, argv).encode())
     assert digest.hexdigest() == BFS_FORMAT_DIGESTS[(model, fmt)]
+
+
+#: model flags -> disc counts of the larger witness searches below
+LARGE_WITNESS_MODELS = {
+    **{
+        f"--solver bfs --model digraph --edges {graph.format()}": (8, 9)
+        for graph, _ in GRAPH_CLASSES.values()
+    },
+    "--solver bfs --model relaxed --distance 1": (7, 8),
+    "--solver bfs --model relaxed --distance 2": (7, 8),
+    "--model custom --edges 1>2,2>1,1>3,3>1 --distance 1": (7, 8),
+}
+
+#: `solve` witnesses at the disc counts above, stdout concatenated over
+#: them, keyed (model flags, src, tgt); recorded before witnesses were
+#: rebuilt from per-state depths instead of stored BFS levels
+LARGE_WITNESS_DIGESTS = {
+    ("--solver bfs --model digraph --edges 1>2,2>3,3>1", 1, 2): "168008b878394694da7bc4f185d459aa24f1fbeb5c2b6ccf2f38008abafe91f2",
+    ("--solver bfs --model digraph --edges 1>2,2>3,3>1", 2, 1): "3bcd3248c53837e8053e35d850f6d800ad327f1f887e86b5934bc09f4391db00",
+    ("--solver bfs --model digraph --edges 1>2,2>3,3>1", 1, 3): "8c14cdec4b9da367a95182d2f901c3f9d7e336318af2d2b5fcd9f1efa84b2780",
+    ("--solver bfs --model digraph --edges 1>2,2>3,3>1", 3, 1): "07cc667e7fe4832c8f7cbd76651be2a86475be9495f5fd783df236a72120b707",
+    ("--solver bfs --model digraph --edges 1>2,2>3,3>1", 2, 3): "b2f82590788cecf63dc3bb83342fede6d9a0b17d068dea3a28f385be8fbf6469",
+    ("--solver bfs --model digraph --edges 1>2,2>3,3>1", 3, 2): "6c12a1cb182174f8c5759f02a86300395fefe698f2e8da2dfa10915e96c651e4",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1", 1, 2): "4ab115542b77d8fcb1fc504954662f4a5c85e9baf423fc8cb06f82962c19cde6",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1", 2, 1): "04272847bf197f88fc0628f8c02789888f6a64dd3d1aaf1151e760e612df45dd",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1", 1, 3): "debdff784e20b98ed7cff85a366863fbd49393dab5b6746f134839ba0e61b3b1",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1", 3, 1): "eb5794c6bd31eef4174cc5543ca40e428c6a702b78f5fa7b2cc0631fdeb9c91f",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1", 2, 3): "b924e503454cd0e8f5e8937a7b902eb2c1625b9903ace0814ddbf18103e9704c",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1", 3, 2): "f05b1a26136afaf9f9acee9bc48e5ecf4d0b41cfece8a9d35e32a2b0c6cdbce6",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,3>1", 1, 2): "5e0b37529f6aa7863f9f075bb57cc1fe6c8fffdac9ae51f7aa015879f71fea19",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,3>1", 2, 1): "ac919e6490cff044fdb1ed0174fe5e97d76b3ff9504bfde233cb41a3802b578a",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,3>1", 1, 3): "d7b4dc9da80dc22af82b300bbc2f60818dc70d02b9f1cb4675becaae26474413",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,3>1", 3, 1): "d8ba87dcb6359d2fa70e0f931ec60e90291747867d5bd33c3e6aeae82a0ebf08",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,3>1", 2, 3): "129ba2f13c186f97054d3f23d9bc693756c22c38dfd5bd46a09ec4797fe42bb1",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,3>1", 3, 2): "53dd179f983846bc55845defd5c91cf548b2c7f131985df617b4fdb5a8cae239",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1,3>2", 1, 2): "f010bd99d6406541c72360c887608ff477eb6f397b68b9bf111aa9f3163793aa",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1,3>2", 2, 1): "cc66268535d4b597a9a5a3e8e6e226d8c233c527074fbe0f954d450265c9358e",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1,3>2", 1, 3): "e88d71af3c56b5c850105739b287c96d9bbe6081460d0bba60ead97cde397cbb",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1,3>2", 3, 1): "c6edb64c18969613b29996977975b04a296747d66b1a35b0a5d973a1579a2eeb",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1,3>2", 2, 3): "50e9fb76c001e84e7de2bfd0d6f5044bad31a2a5237ef4209e3b38de9f29f013",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>3,3>1,3>2", 3, 2): "550a242d645d5fca2cde3d53b9832104cbbd2d8d01d765bf2f8dde81bc7d8787",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2", 1, 2): "52cdee1aa78001c56e7d388cad26eef5fb62df330beea3f8f7664b7f15b5cc76",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2", 2, 1): "b633b28ff32b07e8a22a065543c6bcaebf88a5bf70727308f0eba0efe51954a2",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2", 1, 3): "8eb016dbac16f2fc8c9928aa577b982da193d62d3afaef4b3da09f7a57233e31",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2", 3, 1): "a1ba36d0ebb2566f44661e3c9881322332086ab3899e3180e5438626220c08dd",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2", 2, 3): "2b77ebd921107382ea936572a82be8259ac56359723ba733a35fe19ace7acd11",
+    ("--solver bfs --model digraph --edges 1>2,1>3,2>1,2>3,3>1,3>2", 3, 2): "45cf3b8ae15b4d02d381cba8923608817a14cfc8d5394f86e880fe9695e8c87f",
+    ("--solver bfs --model relaxed --distance 1", 1, 2): "d1414940b07cbe7ea73907bbd931fa299204dba2c4c332334a5e6adb0bb4db18",
+    ("--solver bfs --model relaxed --distance 1", 2, 1): "df3f7849787389b4aca21f802b7120f3b7232d99ac91aee016bb68ea19a885c7",
+    ("--solver bfs --model relaxed --distance 1", 1, 3): "950e8cea38fb6c9d72d8d423b01a5f152f717b86a7902c1c18d63d4fb3b7a5be",
+    ("--solver bfs --model relaxed --distance 1", 3, 1): "37b056f638213e2d1e8d04d5de80719308e1713ead959aac77ab45b87257c97a",
+    ("--solver bfs --model relaxed --distance 1", 2, 3): "4cb6666f1c526b9578bdb8366dc1e523d54251ef73be6d78a1be18a0ead86bcb",
+    ("--solver bfs --model relaxed --distance 1", 3, 2): "9789a72284e8283dc7f256a1e5d6ba00513960326c8582899598d2ebb12e76ae",
+    ("--solver bfs --model relaxed --distance 2", 1, 2): "09ef0bb82298be6341b00caa99456da1a67dee3b88a33ff917f2ebf8ced90ba2",
+    ("--solver bfs --model relaxed --distance 2", 2, 1): "3feb06a78cb2ea339485a2a40c5880b8628f55a445c5b3f9c8e1cbfbafebe98f",
+    ("--solver bfs --model relaxed --distance 2", 1, 3): "004cb2a0cac35dc378264602d18a5482c6ff866a35b8ae84596958bf09827974",
+    ("--solver bfs --model relaxed --distance 2", 3, 1): "9a269b2745e1941fa5fd76e39c59c02a85f3a9ac95f69257f3f090ae469b9555",
+    ("--solver bfs --model relaxed --distance 2", 2, 3): "7f8a33bb3e43d1d9576a9aa9ec080c9262be06fc1299b96a7802c917a60e0bed",
+    ("--solver bfs --model relaxed --distance 2", 3, 2): "01e20206305f592047b8fda39232b4ea90e924736b58e2a343a69a28438846ff",
+    ("--model custom --edges 1>2,2>1,1>3,3>1 --distance 1", 1, 2): "65a85361da3d8fe7aa8522d15e6336e23916c7468bda1c8ac256162742ed2af6",
+    ("--model custom --edges 1>2,2>1,1>3,3>1 --distance 1", 2, 1): "e9b7fb116b34c7d2a6c84adcf1990cf09bfd575e5608e6552f45e11bd14774a2",
+    ("--model custom --edges 1>2,2>1,1>3,3>1 --distance 1", 1, 3): "9b823063428b85ad77d2f83b443fe2e221c1462e666149bad1e6464b215e0213",
+    ("--model custom --edges 1>2,2>1,1>3,3>1 --distance 1", 3, 1): "c2e106acace4352821bfcf9ddf585241470748398d6a885b873b37421d1e45e6",
+    ("--model custom --edges 1>2,2>1,1>3,3>1 --distance 1", 2, 3): "5fba6afa4e1d3495e21665ef38c1920dfa55d068099031bf5f393236b0fa80e2",
+    ("--model custom --edges 1>2,2>1,1>3,3>1 --distance 1", 3, 2): "ed3e87217a8a0e9f03b8a3f01486c48ef9cc2c6230eeeab105311c6e99046229",
+}
+
+
+def test_large_witness_digests_cover_every_model_and_pair():
+    assert set(LARGE_WITNESS_DIGESTS) == {
+        (flags, src, tgt) for flags in LARGE_WITNESS_MODELS for src, tgt in PAIR_ORDER
+    }
+
+
+@pytest.mark.parametrize("flags", list(LARGE_WITNESS_MODELS))
+def test_large_witness_stdout_is_byte_identical(capsys, flags):
+    for src, tgt in PAIR_ORDER:
+        digest = hashlib.sha256()
+        for n in LARGE_WITNESS_MODELS[flags]:
+            argv = ["solve", *flags.split(), "--from", str(src), "--to", str(tgt), "--n", str(n)]
+            digest.update(_stdout(capsys, argv).encode())
+        assert digest.hexdigest() == LARGE_WITNESS_DIGESTS[(flags, src, tgt)], (src, tgt)

@@ -2,6 +2,7 @@
 classes of every module."""
 
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from hanoilab.model import (
     Model,
     Move,
     MoveGraph,
+    SearchCapExceeded,
     State,
     apply,
     apply_all,
@@ -442,3 +444,14 @@ def test_validated_classes_reject_bad_values_also_under_python_O(flags):
         timeout=60,
     )
     assert child.returncode == 0 and child.stdout == "ok\n", child.stderr + child.stdout
+
+
+def test_search_cap_exceeded_survives_pickle():
+    err = SearchCapExceeded(5, 2, 4, 2)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is SearchCapExceeded
+    assert (back.cap, back.level, back.forward, back.backward) == (5, 2, 4, 2)
+    assert str(back) == str(err) == (
+        "search exceeded the state budget of 5 states at level 2"
+        " (4 forward and 2 backward states stored)"
+    )

@@ -3,7 +3,7 @@
 import pytest
 
 from hanoilab.cli import run
-from hanoilab.model import Model, Move, MoveGraph, State, apply_all, standard_state
+from hanoilab.model import MOVES, Model, Move, MoveGraph, State, apply_all, standard_state
 from hanoilab.oracle import (
     GoalPredicate,
     SearchCapExceeded,
@@ -270,3 +270,15 @@ def test_probe_csv_shape(capsys):
 def test_probe_rejects_distance_zero():
     with pytest.raises(ValueError):
         conjecture_probe(0, 3)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [CLASSICAL, Model(CYCLE_GRAPH, 0), Model.relaxed(1)],
+    ids=["classical", "cycle", "relaxed"],
+)
+def test_witness_moves_are_the_shared_move_objects(model):
+    for src, tgt in ((1, 2), (2, 3), (3, 1)):
+        result = bfs_distance(model, standard_state(6, src), GoalPredicate.standard_on(tgt))
+        assert result.path
+        assert all(move is MOVES[(move.src, move.dst)] for move in result.path)
