@@ -38,7 +38,8 @@ _EXPORTS = {
     " SearchCapExceeded State apply apply_all is_legal_state legal_moves mirror_move"
     " mirror_sequence mirror_state standard_state",
     solvers: "a_symmetric classical_solve directed_move q_sequence zeta",
-    oracle: "SearchResult bfs_distance conjecture_probe shortest_symmetric verify_optimality",
+    oracle: "SearchResult bfs_distance conjecture_probe optimality_reports shortest_symmetric"
+    " verify_optimality",
     recurrence: "CountTable QuadValue RootBracket ab_closed_form closed_form_chord"
     " closed_form_cycle closed_form_linear conjecture_values eval_move_counts growth_rate_5edge",
     verify: "HarnessReport ValidationReport claim_harness is_symmetric lambda_predicates"

@@ -379,10 +379,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.suite == "graphs":
         n_max = args.n if args.n is not None else 5
         by_graph = {
-            graph: [
-                oracle.verify_optimality(graph, n, max_states=args.max_states)
-                for n in range(1, n_max + 1)
-            ]
+            graph: oracle.optimality_reports(graph, n_max, max_states=args.max_states)
             for graph in all_strongly_connected_graphs()
         }
         rows = [report for reports in by_graph.values() for report in reports]

@@ -27,6 +27,16 @@ a walk from the start takes the smallest move to a marked state one level
 further.  At distance 0 the witness search stores depth + 1 in the
 narrowest unsigned items that hold 3**n (2 B a state to n = 10, 4 B to
 n = 20).
+
+`optimality_reports` certifies a graph at every n up to n_max from one
+distance-0 search per source peg at n_max discs.  Its goals are the
+embedded states: discs 1..k standard on a target, the larger discs still
+parked on the source.  Whether a disc may move depends only on the
+smaller discs, so deleting the moves of every disc above k keeps a
+sequence legal and makes it no longer, and a k-disc sequence stays legal
+over the parked discs: the distance to the embedded state is the k-disc
+optimum.
+
 Searches never truncate silently: the state budget is checked as each
 state is stored, and exceeding it raises.
 """
@@ -53,7 +63,7 @@ from .model import (
     mirror_sequence,
     standard_state,
 )
-from .solvers import a_symmetric, directed_move, move_blocks, q_sequence
+from .solvers import a_symmetric, directed_move, move_block_streams, q_sequence
 
 
 class SearchResult(NamedTuple):
@@ -264,20 +274,25 @@ def _dense_search(
     depth = visited.get if isinstance(visited, dict) else visited.__getitem__
     # a reversed move undoes a move: keep predecessors one level nearer the start
     reverse = tuple(sorted((j, i) for i, j in edges))
+    table = _move_table(edges, min(n, _TABLE_DISCS))
+    back = _move_table(reverse, min(n, _TABLE_DISCS))
+    low = len(table)
     marked, todo = {goal}, [goal]
     while todo:
         code = todo.pop()
-        for _, delta in _dense_moves(code, n, reverse):
+        nearer = depth(code) - 1
+        for _, delta in back[code % low] or _dense_moves(code, n, reverse):
             prev = code + delta
-            if depth(prev) == depth(code) - 1 and prev not in marked:
+            if depth(prev) == nearer and prev not in marked:
                 marked.add(prev)
                 todo.append(prev)
     path: list[Move] = []
     current = start
     for _ in range(goal_level):
-        for mv, delta in _dense_moves(current, n, edges):
+        further = depth(current) + 1
+        for mv, delta in table[current % low] or _dense_moves(current, n, edges):
             new = current + delta
-            if new in marked and depth(new) == depth(current) + 1:
+            if new in marked and depth(new) == further:
                 path.append(mv)
                 current = new
                 break
@@ -565,36 +580,63 @@ class OptimalityReport(NamedTuple):
         return tuple(check for check in self.checks if not check.ok)
 
 
+def optimality_reports(
+    graph: MoveGraph, n_max: int, *, max_states: int = DEFAULT_STATE_BUDGET
+) -> tuple[OptimalityReport, ...]:
+    """`verify_optimality` for every n in 1..n_max, from one search per
+    source peg at `n_max` discs, one count table and one construction walk.
+
+    A search's goals are the embedded states, discs 1..k standard on a
+    target and discs k+1..n_max parked on the source.  Deleting every move
+    of a disc above k from a legal sequence leaves a legal k-disc sequence
+    (at distance 0 a disc's moves depend only on smaller discs), and a
+    k-disc sequence stays legal over the parked discs, so the distance to
+    the embedded state is the k-disc optimum.  That never exceeds the
+    n_max-disc optimum: the search ends at the level where a search for
+    the standard goals alone ends.
+    """
+    if not graph.is_strongly_connected():
+        raise ValueError("move graph must be strongly connected")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    table = recurrence.eval_move_counts(graph, n_max)
+    edges = graph.sorted_edges()
+    bfs: dict[tuple[tuple[int, int], int], int] = {}
+    for src in (1, 2, 3):
+        start = pack_state(standard_state(n_max, src))
+        # discs 1..k move from src to tgt: (tgt - src) * 3**(d-1) each
+        goals = {
+            start + (tgt - src) * (3**k - 1) // 2: ((src, tgt), k)
+            for tgt in (1, 2, 3)
+            if tgt != src
+            for k in range(1, n_max + 1)
+        }
+        found, _, _, _ = _dense_distances(n_max, edges, start, set(goals), max_states)
+        for code, key in goals.items():
+            bfs[key] = found[code]
+    calls = [(pair, n) for n in range(1, n_max + 1) for pair in recurrence.PAIR_ORDER]
+    streams = move_block_streams(directed_move, ((graph, *pair, n) for pair, n in calls))
+    built = {call: sum(map(len, blocks)) for call, blocks in zip(calls, streams)}
+    return tuple(
+        OptimalityReport(
+            graph,
+            n,
+            tuple(
+                OptimalityCheck(pair, n, bfs[pair, n], built[pair, n], table.value(pair, n))
+                for pair in recurrence.PAIR_ORDER
+            ),
+        )
+        for n in range(1, n_max + 1)
+    )
+
+
 def verify_optimality(
     graph: MoveGraph, n: int, *, max_states: int = DEFAULT_STATE_BUDGET
 ) -> OptimalityReport:
     """Assert BFS distance == constructed length == recurrence value for
-    all six ordered peg pairs at `n` discs (distance-0 model)."""
-    if not graph.is_strongly_connected():
-        raise ValueError("move graph must be strongly connected")
-    table = recurrence.eval_move_counts(graph, n)
-    edges = graph.sorted_edges()
-    bfs: dict[tuple[int, int], int] = {}
-    for src in (1, 2, 3):
-        goals = {
-            pack_state(standard_state(n, tgt)): tgt for tgt in (1, 2, 3) if tgt != src
-        }
-        found, _, _, _ = _dense_distances(
-            n, edges, pack_state(standard_state(n, src)), set(goals), max_states
-        )
-        for code, tgt in goals.items():
-            bfs[(src, tgt)] = found[code]
-    checks = tuple(
-        OptimalityCheck(
-            pair,
-            n,
-            bfs[pair],
-            sum(map(len, move_blocks(directed_move, graph, pair[0], pair[1], n))),
-            table.value(pair, n),
-        )
-        for pair in recurrence.PAIR_ORDER
-    )
-    return OptimalityReport(graph, n, checks)
+    all six ordered peg pairs at `n` discs (distance-0 model): the last
+    of `optimality_reports`."""
+    return optimality_reports(graph, n, max_states=max_states)[-1]
 
 
 def shortest_symmetric(

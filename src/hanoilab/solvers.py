@@ -14,17 +14,18 @@ above that size the walk yields its parts in order.  A stream therefore
 holds O(n + BLOCK_MOVES) moves, and the Python-level recursion runs once
 per block, not once per move.  The public solvers return the same blocks
 chained into a list, so there is no second code path; callers that read
-the moves once (the CLI, `oracle.verify_optimality`) iterate the blocks
-instead and never hold the list.  `move_count` gives a sequence's exact
-length from its recurrence before any move is made, iteratively and
-capped, so an input whose answer is astronomically long costs O(log cap)
-steps and no huge integer.
+the moves once (the CLI, `oracle.optimality_reports`) iterate the blocks
+instead and never hold the list.  `move_block_streams` walks many
+transfers through one set of memos, so a block they share is built once.
+`move_count` gives a sequence's exact length from its recurrence before
+any move is made, iteratively and capped, so an input whose answer is
+astronomically long costs O(log cap) steps and no huge integer.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .model import MOVES, Move, MoveGraph, third_peg
 
@@ -42,7 +43,7 @@ class _Run(NamedTuple):
 
 
 class _Walk:
-    """One expansion of a rule into blocks, with its per-call memos.
+    """Expansions of rules into blocks, with the memos they share.
 
     A class rather than nested functions, because recursive closures form
     reference cycles that keep the memos alive until the cyclic collector
@@ -344,11 +345,24 @@ def move_blocks(solver: Callable[..., list[Move]], *args) -> Iterator[tuple[Move
     its sequence forms a single block.  Arguments are checked at once,
     before the first block is asked for.
     """
+    return next(move_block_streams(solver, (args,)))
+
+
+def move_block_streams(
+    solver: Callable[..., list[Move]], calls: Iterable[tuple]
+) -> Iterator[Iterator[tuple[Move, ...]]]:
+    """``move_blocks(solver, *args)`` for each `args` of `calls` in turn,
+    all walked with one set of memos: a subproblem of at most BLOCK_MOVES
+    moves that several of the transfers share is built once.  The
+    arguments of each call are checked when its stream is asked for."""
     root = _ROOTS.get(_unwrap(solver))
-    if root is None:
-        moves = tuple(solver(*args))
-        return iter((moves,) if moves else ())
-    return _Walk().blocks(root(*args))
+    walk = _Walk()
+    for args in calls:
+        if root is None:
+            moves = tuple(solver(*args))
+            yield iter((moves,) if moves else ())
+        else:
+            yield walk.blocks(root(*args))
 
 
 def move_count(solver: Callable[..., list[Move]], *args, cap: int) -> int | None:

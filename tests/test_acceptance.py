@@ -24,8 +24,8 @@ from hanoilab.model import (
 from hanoilab.oracle import (
     GoalPredicate,
     bfs_distance,
+    optimality_reports,
     shortest_symmetric,
-    verify_optimality,
 )
 from hanoilab.recurrence import (
     CHORD_GRAPH,
@@ -75,8 +75,7 @@ def test_criterion_2_digraph_optimality():
     graphs = all_strongly_connected_graphs()
     assert len(graphs) == 18
     for graph in graphs:
-        for n in range(1, 9):
-            report = verify_optimality(graph, n)
+        for report in optimality_reports(graph, 8):
             mismatches += len(report.failures())
     elapsed = time.monotonic() - t0
     _report(

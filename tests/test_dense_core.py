@@ -17,6 +17,7 @@ from hanoilab.oracle import (
     _dense_neighbors,
     _move_table,
     bfs_distance,
+    optimality_reports,
 )
 from hanoilab.recurrence import PAIR_ORDER
 from reference_bfs import goal_match_fn, sparse_distances, sparse_witness
@@ -114,3 +115,38 @@ def test_witness_stores_a_depth_per_state_not_the_levels():
     assert result.explored == 3**n
     assert len(result.path) == result.distance == 2**n - 1
     assert peak_bytes < 3_000_000
+
+
+def _embedded(n, k, src, tgt):
+    """Discs 1..k standard on `tgt`, discs k+1..n standard on `src`."""
+    stacks = [(), (), ()]
+    stacks[src - 1] = tuple(range(n, k, -1))
+    stacks[tgt - 1] = tuple(range(k, 0, -1))
+    return State(tuple(stacks))
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.format())
+def test_embedded_goal_distance_is_the_smaller_optimum(graph):
+    # deleting the moves of discs above k keeps a sequence legal at
+    # distance 0, and parked discs never block the smaller ones
+    model = Model(graph, 0)
+    n_max = 6
+    optimum = {}
+    for k in range(1, n_max + 1):
+        for src in (1, 2, 3):
+            targets = [tgt for tgt in (1, 2, 3) if tgt != src]
+            matches = [goal_match_fn(GoalPredicate.standard_on(tgt), k) for tgt in targets]
+            found, _, _ = sparse_distances(model, standard_state(k, src).stacks, matches, 10**6)
+            optimum.update({(src, tgt, k): d for tgt, d in zip(targets, found)})
+    for n in range(1, n_max + 1):
+        for src, tgt in PAIR_ORDER:
+            start = standard_state(n, src)
+            for k in range(1, n + 1):
+                goal = GoalPredicate.exact(_embedded(n, k, src, tgt))
+                result = bfs_distance(model, start, goal, want_path=False)
+                assert result.distance == optimum[src, tgt, k], (n, k, src, tgt)
+    reports = optimality_reports(graph, n_max)
+    assert [report.n for report in reports] == list(range(1, n_max + 1))
+    for report in reports:
+        for check in report.checks:
+            assert check.bfs == optimum[(*check.pair, report.n)]

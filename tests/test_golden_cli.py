@@ -293,6 +293,34 @@ def test_verify_graphs_csv_is_byte_identical(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GRAPHS_N5_CSV_DIGEST
 
 
+#: `verify --suite graphs --n 8` per format, recorded while each disc count
+#: still ran its own searches
+VERIFY_GRAPHS_N8_DIGESTS = {
+    "plain": "6b15fdbe795560fbf2e2060cb109f8f2a8d0c7b00cd2e9c3109ac132bb01833e",
+    "csv": "27bb6889b1c5884548ca438b172c2728dd4f0349a2aa7a9ba423921a2ca4cdcb",
+    "json": "0367cd0069f83c92c3bbc800e468c9c388718fb992bacadf7d4f206ca9bb1274",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(VERIFY_GRAPHS_N8_DIGESTS))
+def test_verify_graphs_n8_is_byte_identical(capsys, fmt):
+    out = _stdout(capsys, ["verify", "--suite", "graphs", "--n", "8", "--format", fmt])
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_GRAPHS_N8_DIGESTS[fmt]
+
+
+def test_verify_graphs_cap_error_is_unchanged(capsys):
+    # 3**6 codes fit the budget and 3**7 do not: the first n = 7 search
+    # stores a set and hits the cap at the same state as it did per disc count
+    argv = ["verify", "--suite", "graphs", "--n", "7", "--max-states", "1000"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: resource cap exceeded: search exceeded the state budget of 1000 states"
+        " at level 635 (1001 forward and 0 backward states stored)\n"
+    )
+
+
 def _solve_digest(capsys, argv, n_max):
     digest = hashlib.sha256()
     for n in range(n_max + 1):
@@ -386,17 +414,19 @@ def _substitute(monkeypatch, which):
 
         monkeypatch.setattr("hanoilab.verify.claim_harness", claim_harness)
     elif which == "graphs":
-        real = oracle.verify_optimality
+        real = oracle.optimality_reports
 
-        def verify_optimality(graph, n, *, max_states):
-            report = real(graph, n, max_states=max_states)
-            if graph != CYCLE_GRAPH or n != 2:
-                return report
+        def optimality_reports(graph, n_max, *, max_states):
+            reports = real(graph, n_max, max_states=max_states)
+            if graph != CYCLE_GRAPH or n_max < 2:
+                return reports
+            report = reports[1]  # n = 2
             first = report.checks[0]
             bad = first._replace(algorithm=first.algorithm + 1)
-            return report._replace(checks=(bad, *report.checks[1:]))
+            bad_report = report._replace(checks=(bad, *report.checks[1:]))
+            return (*reports[:1], bad_report, *reports[2:])
 
-        monkeypatch.setattr("hanoilab.oracle.verify_optimality", verify_optimality)
+        monkeypatch.setattr("hanoilab.oracle.optimality_reports", optimality_reports)
     else:
         real = oracle.conjecture_probe
 

@@ -2,13 +2,15 @@
 
 import pytest
 
-from hanoilab.cli import run
+from hanoilab import oracle, recurrence, solvers
+from hanoilab.cli import all_strongly_connected_graphs, run
 from hanoilab.model import MOVES, Model, Move, MoveGraph, State, apply_all, standard_state
 from hanoilab.oracle import (
     GoalPredicate,
     SearchCapExceeded,
     bfs_distance,
     conjecture_probe,
+    optimality_reports,
     pack_state,
     shortest_symmetric,
     unpack_state,
@@ -189,6 +191,49 @@ def test_verify_optimality_cycle_and_five_edge():
 def test_verify_optimality_rejects_disconnected():
     with pytest.raises(ValueError):
         verify_optimality(MoveGraph.parse("1>2,2>1"), 2)
+    with pytest.raises(ValueError):
+        optimality_reports(MoveGraph.parse("1>2,2>1"), 2)
+
+
+def test_optimality_reports_need_a_disc():
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        optimality_reports(CYCLE_GRAPH, 0)
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        verify_optimality(CYCLE_GRAPH, 0)
+
+
+@pytest.mark.parametrize("graph", all_strongly_connected_graphs(), ids=lambda g: g.format())
+def test_verify_optimality_is_the_last_of_the_reports(graph):
+    reports = optimality_reports(graph, 5)
+    assert verify_optimality(graph, 5) == reports[-1]
+    assert [verify_optimality(graph, n) for n in range(1, 5)] == list(reports[:-1])
+
+
+def test_graphs_suite_searches_each_source_once_per_graph(capsys, monkeypatch):
+    # one dense search per source peg, one count table and one construction
+    # walk per graph, whatever the largest disc count
+    calls = {"search": 0, "table": 0, "walk": 0}
+    search, table, walk = oracle._dense_distances, recurrence.eval_move_counts, solvers._Walk
+
+    def counting_search(*args, **kwargs):
+        calls["search"] += 1
+        return search(*args, **kwargs)
+
+    def counting_table(*args, **kwargs):
+        calls["table"] += 1
+        return table(*args, **kwargs)
+
+    class CountingWalk(walk):
+        def __init__(self):
+            calls["walk"] += 1
+            super().__init__()
+
+    monkeypatch.setattr(oracle, "_dense_distances", counting_search)
+    monkeypatch.setattr(recurrence, "eval_move_counts", counting_table)
+    monkeypatch.setattr(solvers, "_Walk", CountingWalk)
+    assert run(["verify", "--suite", "graphs", "--n", "4"]) == 0
+    assert capsys.readouterr().out.endswith("graphs suite: PASS (18 graphs, n<=4)\n")
+    assert calls == {"search": 3 * 18, "table": 18, "walk": 18}
 
 
 # ---------------------------------------------------------------------------

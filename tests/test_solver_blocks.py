@@ -14,6 +14,7 @@ from hanoilab.solvers import (
     a_symmetric,
     classical_solve,
     directed_move,
+    move_block_streams,
     move_blocks,
     move_count,
     q_sequence,
@@ -142,12 +143,25 @@ def test_arguments_are_checked_before_the_first_block():
         move_count(directed_move, MoveGraph.parse("1>2,2>1"), 1, 2, 3, cap=10)
 
 
+@pytest.mark.parametrize("graph", GRAPHS, ids=MoveGraph.format)
+def test_streams_through_one_walk_equal_separate_walks(graph):
+    calls = [(graph, src, tgt, n) for n in range(13) for src, tgt in PAIR_ORDER]
+    shared = [list(blocks) for blocks in move_block_streams(directed_move, calls)]
+    separate = [list(move_blocks(directed_move, *args)) for args in calls]
+    assert shared == separate
+    # a block that recurs across the transfers is one object, built once
+    objects = [len({id(b) for b in chain.from_iterable(s)}) for s in (shared, separate)]
+    assert objects[0] < objects[1]
+
+
 def test_other_callables_stream_as_one_block():
     stand_in = lambda: classical_solve(3, 1, 2)  # noqa: E731
     assert list(move_blocks(stand_in)) == [tuple(classical_solve(3, 1, 2))]
     assert move_count(stand_in, cap=7) == 7
     assert move_count(stand_in, cap=6) is None
     assert list(move_blocks(lambda: [])) == []
+    streams = move_block_streams(lambda n: classical_solve(n, 1, 2), [(3,), (0,)])
+    assert [list(blocks) for blocks in streams] == [[tuple(classical_solve(3, 1, 2))], []]
 
 
 def test_wrapped_solvers_stream_as_the_solver_they_wrap():
