@@ -321,15 +321,19 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     # rows stream from the recurrence, which keeps only the previous row;
     # the closed form, if any, is checked row by row until it first fails
     closed_ok = None if closed is None else True
-    # CPython refuses to print an int longer than its digit limit (0: none)
+    # CPython refuses to print an int longer than its digit limit (0: none).
+    # A count at n is at most 3**n - 1 (induction on both recurrence branches),
+    # so only when 3**n > 10**digits (true from n = 3 * digits) does a silent
+    # first pass look for an unprintable row, before any row is written.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    too_long = 10**digits if digits else float("inf")
-
-    def rows():
+    too_long = 10**digits
+    if digits and 3 ** min(args.n, 3 * digits) > too_long:
         for n, row in enumerate(recurrence.move_count_rows(graph, args.n)):
             if max(row) >= too_long:
                 raise _Unprintable(f"the counts for n={n} have more than {digits} digits")
-            yield n, row
+
+    def rows():
+        return enumerate(recurrence.move_count_rows(graph, args.n))
 
     def checked(numbered_rows):
         nonlocal closed_ok

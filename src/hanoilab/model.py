@@ -188,6 +188,16 @@ GRAPH_CLASSES: dict[str, tuple[MoveGraph, str]] = {
 }
 
 
+def class_relabelings(graph: MoveGraph) -> tuple[str, tuple[dict[int, int], ...]] | None:
+    """``(class name, every sigma with graph.relabel(sigma) the class's
+    graph in GRAPH_CLASSES)``, or None for a graph in no class."""
+    for name, (target, _) in GRAPH_CLASSES.items():
+        sigmas = tuple(sigma for sigma in PEG_PERMUTATIONS if graph.relabel(sigma) == target)
+        if sigmas:
+            return name, sigmas
+    return None
+
+
 def all_strongly_connected_graphs() -> tuple[MoveGraph, ...]:
     """Every labeled strongly connected move graph on the three pegs,
     sorted by edge count then edge list."""

@@ -35,7 +35,11 @@ parked on the source.  Whether a disc may move depends only on the
 smaller discs, so deleting the moves of every disc above k keeps a
 sequence legal and makes it no longer, and a k-disc sequence stays legal
 over the parked discs: the distance to the embedded state is the k-disc
-optimum.
+optimum.  A peg relabeling sigma maps each legal move i>j on G to the
+legal move sigma(i)>sigma(j) on sigma(G) from the relabeled state, so the
+distance from src to tgt on G is that from sigma(src) to sigma(tgt) on
+sigma(G): one cached search per class graph and source image serves all
+18 labeled graphs and 3 sources with 10 searches.
 
 Searches never truncate silently: the state budget is checked as each
 state is stored, and exceeding it raises.
@@ -49,6 +53,7 @@ from typing import Iterable, Iterator, NamedTuple, TypeAlias
 from . import recurrence
 from .model import (
     DEFAULT_STATE_BUDGET,
+    GRAPH_CLASSES,
     GoalPredicate,
     MOVES,
     Model,
@@ -59,6 +64,7 @@ from .model import (
     State,
     apply_all,
     can_place,
+    class_relabelings,
     is_legal_state,
     mirror_sequence,
     standard_state,
@@ -580,6 +586,24 @@ class OptimalityReport(NamedTuple):
         return tuple(check for check in self.checks if not check.ok)
 
 
+@functools.lru_cache(maxsize=None)  # keys: at most 10 orbits per (n_max, max_states)
+def _embedded_distances(
+    edges: tuple[tuple[int, int], ...], src: int, n_max: int, max_states: int
+) -> dict[tuple[int, int], int]:
+    """``{(tgt, k): distance}`` from `n_max` discs standard on `src` to
+    each embedded goal: discs 1..k standard on tgt, the rest on `src`."""
+    start = pack_state(standard_state(n_max, src))
+    # discs 1..k move from src to tgt: (tgt - src) * 3**(d-1) each
+    goals = {
+        start + (tgt - src) * (3**k - 1) // 2: (tgt, k)
+        for tgt in (1, 2, 3)
+        if tgt != src
+        for k in range(1, n_max + 1)
+    }
+    found = _dense_distances(n_max, edges, start, set(goals), max_states)[0]
+    return {key: found[code] for code, key in goals.items()}
+
+
 def optimality_reports(
     graph: MoveGraph, n_max: int, *, max_states: int = DEFAULT_STATE_BUDGET
 ) -> tuple[OptimalityReport, ...]:
@@ -594,26 +618,28 @@ def optimality_reports(
     the embedded state is the k-disc optimum.  That never exceeds the
     n_max-disc optimum: the search ends at the level where a search for
     the standard goals alone ends.
+
+    A relabeling sigma onto the class graph is an isomorphism of the state
+    graphs, so the distances from src are read at sigma(tgt) from the
+    cached search on the class graph from sigma(src), with sigma(src) the
+    smallest so that automorphisms merge sources too.
     """
     if not graph.is_strongly_connected():
         raise ValueError("move graph must be strongly connected")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     table = recurrence.eval_move_counts(graph, n_max)
-    edges = graph.sorted_edges()
-    bfs: dict[tuple[tuple[int, int], int], int] = {}
+    name, sigmas = class_relabelings(graph)  # type: ignore[misc]
+    edges = GRAPH_CLASSES[name][0].sorted_edges()
+    shared = {}
     for src in (1, 2, 3):
-        start = pack_state(standard_state(n_max, src))
-        # discs 1..k move from src to tgt: (tgt - src) * 3**(d-1) each
-        goals = {
-            start + (tgt - src) * (3**k - 1) // 2: ((src, tgt), k)
-            for tgt in (1, 2, 3)
-            if tgt != src
-            for k in range(1, n_max + 1)
-        }
-        found, _, _, _ = _dense_distances(n_max, edges, start, set(goals), max_states)
-        for code, key in goals.items():
-            bfs[key] = found[code]
+        sigma = min(sigmas, key=lambda s: s[src])
+        shared[src] = sigma, _embedded_distances(edges, sigma[src], n_max, max_states)
+
+    def bfs(pair: tuple[int, int], n: int) -> int:
+        sigma, distances = shared[pair[0]]
+        return distances[sigma[pair[1]], n]
+
     calls = [(pair, n) for n in range(1, n_max + 1) for pair in recurrence.PAIR_ORDER]
     streams = move_block_streams(directed_move, ((graph, *pair, n) for pair, n in calls))
     built = {call: sum(map(len, blocks)) for call, blocks in zip(calls, streams)}
@@ -622,7 +648,7 @@ def optimality_reports(
             graph,
             n,
             tuple(
-                OptimalityCheck(pair, n, bfs[pair, n], built[pair, n], table.value(pair, n))
+                OptimalityCheck(pair, n, bfs(pair, n), built[pair, n], table.value(pair, n))
                 for pair in recurrence.PAIR_ORDER
             ),
         )

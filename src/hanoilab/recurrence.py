@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterator, Literal, NamedTuple
 
-from .model import GRAPH_CLASSES, PEG_PERMUTATIONS, MoveGraph, third_peg
+from .model import GRAPH_CLASSES, MoveGraph, class_relabelings, third_peg
 
 #: Ordered peg pairs in fixed column order (also the CSV column order).
 PAIR_ORDER: tuple[tuple[int, int], ...] = (
@@ -422,12 +422,11 @@ def closed_form_for(graph: MoveGraph) -> tuple[str, Callable[[tuple[int, int], i
     closed forms, else None.  A relabeling sigma maps `graph` onto the
     class's graph, so the count of (i, j) is the closed form at
     (sigma[i], sigma[j])."""
-    for name, count in _CLOSED_FORMS.items():
-        target = GRAPH_CLASSES[name][0]
-        for sigma in PEG_PERMUTATIONS:
-            if graph.relabel(sigma) == target:
-                return name, lambda pair, n: count((sigma[pair[0]], sigma[pair[1]]), n)
-    return None
+    name, sigmas = class_relabelings(graph) or (None, ())
+    if name not in _CLOSED_FORMS:
+        return None
+    count, sigma = _CLOSED_FORMS[name], sigmas[0]
+    return name, lambda pair, n: count((sigma[pair[0]], sigma[pair[1]]), n)
 
 
 def ab_closed_form(n: int, which: Literal["a", "b"] = "a") -> QuadValue:

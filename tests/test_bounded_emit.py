@@ -170,12 +170,23 @@ def test_a_count_past_the_int_to_str_limit_ends_in_an_error_line(fmt):
     assert done.stderr == (
         "error: resource cap exceeded: the counts for n=2127 have more than 640 digits\n"
     )
-    if fmt == "plain":  # every row before it, each whole
-        lines = done.stdout.splitlines()
-        assert len(lines) == 1 + 2127
-        assert lines[-1] == ",".join(["2126", *[str(2**2126 - 1)] * 6])
-    else:  # the closed-form pass meets it before anything is written
-        assert done.stdout == ""
+    # a silent first pass meets it before anything is written
+    assert done.stdout == ""
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int-to-str limit"
+)
+def test_the_last_count_within_the_int_to_str_limit_prints_every_row():
+    # 3**2126 passes 10**640, so the silent pass runs and finds no long row
+    env = dict(ENV, PYTHONINTMAXSTRDIGITS="640")
+    argv = [sys.executable, "-m", "hanoilab.cli", "table", "--n", "2126"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1 + 2127 + 1
+    assert lines[-2] == ",".join(["2126", *[str(2**2126 - 1)] * 6])
+    assert lines[-1] == "closed_form[complete]: ok"
 
 
 def _largest_n(solver, args, cap):

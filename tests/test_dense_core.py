@@ -13,11 +13,13 @@ from hanoilab.oracle import (
     _TABLE_DISCS,
     GoalPredicate,
     SearchCapExceeded,
+    _dense_distances,
     _dense_moves,
     _dense_neighbors,
     _move_table,
     bfs_distance,
     optimality_reports,
+    pack_state,
 )
 from hanoilab.recurrence import PAIR_ORDER
 from reference_bfs import goal_match_fn, sparse_distances, sparse_witness
@@ -150,3 +152,29 @@ def test_embedded_goal_distance_is_the_smaller_optimum(graph):
     for report in reports:
         for check in report.checks:
             assert check.bfs == optimum[(*check.pair, report.n)]
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.format())
+def test_orbit_shared_distances_equal_a_search_on_the_labeled_graph(graph):
+    # the reports read each distance from a search on the class graph,
+    # through a relabeling; a direct search on `graph` itself must agree
+    n_max = 6
+    direct = {}
+    for src in (1, 2, 3):
+        start = pack_state(standard_state(n_max, src))
+        goals = {
+            pack_state(_embedded(n_max, k, src, tgt)): (src, tgt, k)
+            for tgt in (1, 2, 3)
+            if tgt != src
+            for k in range(1, n_max + 1)
+        }
+        found = _dense_distances(n_max, graph.sorted_edges(), start, set(goals), 10**6)[0]
+        direct.update({key: found[code] for code, key in goals.items()})
+    shared = {(*c.pair, r.n): c.bfs for r in optimality_reports(graph, n_max) for c in r.checks}
+    assert shared == direct
+    model = Model(graph, 0)
+    for k in range(1, 5):
+        for src, tgt in PAIR_ORDER:
+            match = goal_match_fn(GoalPredicate.standard_on(tgt), k)
+            found, _, _ = sparse_distances(model, standard_state(k, src).stacks, [match], 10**6)
+            assert direct[src, tgt, k] == found[0], (src, tgt, k)

@@ -210,8 +210,11 @@ def test_verify_optimality_is_the_last_of_the_reports(graph):
 
 
 def test_graphs_suite_searches_each_source_once_per_graph(capsys, monkeypatch):
-    # one dense search per source peg, one count table and one construction
-    # walk per graph, whatever the largest disc count
+    # one dense search per orbit of (graph, source peg) under relabeling, on
+    # the five class graphs alone; one count table and one construction walk
+    # per graph, whatever the largest disc count
+    oracle._embedded_distances.cache_clear()
+    oracle._move_table.cache_clear()
     calls = {"search": 0, "table": 0, "walk": 0}
     search, table, walk = oracle._dense_distances, recurrence.eval_move_counts, solvers._Walk
 
@@ -233,7 +236,8 @@ def test_graphs_suite_searches_each_source_once_per_graph(capsys, monkeypatch):
     monkeypatch.setattr(solvers, "_Walk", CountingWalk)
     assert run(["verify", "--suite", "graphs", "--n", "4"]) == 0
     assert capsys.readouterr().out.endswith("graphs suite: PASS (18 graphs, n<=4)\n")
-    assert calls == {"search": 3 * 18, "table": 18, "walk": 18}
+    assert calls == {"search": 10, "table": 18, "walk": 18}
+    assert oracle._move_table.cache_info().currsize == 5
 
 
 # ---------------------------------------------------------------------------
