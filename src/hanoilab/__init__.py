@@ -41,7 +41,7 @@ _EXPORTS = {
     oracle: "SearchResult bfs_distance conjecture_probe optimality_reports shortest_symmetric"
     " verify_optimality",
     recurrence: "CountTable QuadValue RootBracket ab_closed_form closed_form_chord"
-    " closed_form_cycle closed_form_linear conjecture_values eval_move_counts growth_rate_5edge",
+    " closed_form_cycle closed_form_linear conjecture_values eval_move_counts growth_table",
     verify: "HarnessReport ValidationReport claim_harness is_symmetric lambda_predicates"
     " project_out_largest validate_sequence",
 }

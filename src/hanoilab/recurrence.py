@@ -7,29 +7,21 @@ check is exact: move counts grow exponentially and floating point would
 mask errors at the sizes we verify.
 
 The five named graphs below are the labeled graphs of the classes in
-`hanoilab.model.GRAPH_CLASSES`, for which the closed forms and growth
-constants are written.  Four classes have closed forms, and
-`closed_form_for` applies them to every labeling by relabeling the pegs;
-the five-edge class has growth constants only.
+`hanoilab.model.GRAPH_CLASSES`, for which the closed forms are written.
+Four classes have closed forms, and `closed_form_for` applies them to
+every labeling by relabeling the pegs.  For all five, `growth_table`
+derives each column's minimal recurrence from its terms by exact
+Berlekamp-Massey (`minimal_recurrence`) and brackets its dominant root.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Literal, NamedTuple
+from typing import Callable, Literal, NamedTuple, Sequence
 
-from .model import GRAPH_CLASSES, MoveGraph, class_relabelings, third_peg
-
-#: Ordered peg pairs in fixed column order (also the CSV column order).
-PAIR_ORDER: tuple[tuple[int, int], ...] = (
-    (1, 2),
-    (2, 1),
-    (1, 3),
-    (3, 1),
-    (2, 3),
-    (3, 2),
-)
+from .model import GRAPH_CLASSES, MoveGraph, class_relabelings
+from .solvers import PAIR_ORDER, move_count_rows
 
 COMPLETE_GRAPH = GRAPH_CLASSES["complete"][0]
 #: Directed cycle 1 -> 2 -> 3 -> 1; sqrt(3) closed forms.
@@ -38,13 +30,8 @@ CYCLE_GRAPH = GRAPH_CLASSES["cycle"][0]
 LINEAR_GRAPH = GRAPH_CLASSES["linear"][0]
 #: Directed cycle plus the reverse chord 1>3; sqrt(17) closed forms.
 CHORD_GRAPH = GRAPH_CLASSES["cycle-chord"][0]
-#: Complete graph minus the edge 2>1; growth analysed via two cubics.
+#: Complete graph minus the edge 2>1; no closed form, see `growth_table`.
 FIVE_EDGE_GRAPH = GRAPH_CLASSES["five-edge"][0]
-
-#: Cubic appearing in the generating-function denominators of the
-#: five-edge graph, and its coefficient-reversed (reciprocal) companion.
-FIVE_EDGE_DENOMINATOR_CUBIC: tuple[int, ...] = (2, -4, -1, 1)
-FIVE_EDGE_RECIPROCAL_CUBIC: tuple[int, ...] = (1, -1, -4, 2)
 
 
 def _is_square_free(d: int) -> bool:
@@ -288,41 +275,6 @@ class CountTable(NamedTuple):
         return self.counts[pair]
 
 
-def move_count_rows(graph: MoveGraph, n_max: int) -> Iterator[tuple[int, ...]]:
-    """Yield the exact move counts for n = 0..n_max, one row per n with
-    the six pairs in PAIR_ORDER, keeping only the previous row.
-
-    For each ordered pair (i, j) with auxiliary peg k, the count for n
-    discs is counts(i,k) + counts(k,j) + 1 when the edge i>j exists, and
-    2*counts(i,j) + counts(j,i) + 2 when it does not (all at n-1 discs).
-    The arguments are checked at once, before the first row is asked for.
-    """
-    if not graph.is_strongly_connected():
-        raise ValueError("move graph must be strongly connected")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    column = {pair: c for c, pair in enumerate(PAIR_ORDER)}
-    # per column: the columns it adds up, and whether it is an edge
-    plan = []
-    for i, j in PAIR_ORDER:
-        k = third_peg(i, j)
-        if graph.has_edge(i, j):
-            plan.append((True, column[i, k], column[k, j]))
-        else:
-            plan.append((False, column[i, j], column[j, i]))
-
-    def rows() -> Iterator[tuple[int, ...]]:
-        row = (0,) * len(PAIR_ORDER)
-        yield row
-        for _ in range(n_max):
-            row = tuple(
-                row[a] + row[b] + 1 if edge else 2 * row[a] + row[b] + 2 for edge, a, b in plan
-            )
-            yield row
-
-    return rows()
-
-
 def eval_move_counts(graph: MoveGraph, n_max: int) -> CountTable:
     """Iterate the six coupled recurrences with exact integers
     (`move_count_rows`) and keep every row."""
@@ -542,62 +494,70 @@ def bisect_root(
     return RootBracket(lo, hi, tuple(coefficients))
 
 
-class GrowthReport(NamedTuple):
-    """Growth analysis of the five-edge graph's count columns.
+def minimal_recurrence(
+    terms: Sequence[int | Fraction],
+) -> tuple[tuple[int | Fraction, ...], int]:
+    """The minimal characteristic polynomial of `terms` and its spare terms.
 
-    The generating-function denominator carries the cubic
-    2x^3 - 4x^2 - x + 1 whose greatest real root is ~2.12, but the growth
-    rate of the coefficients is the reciprocal of the denominator's
-    smallest root, i.e. the greatest real root of the reversed cubic
-    x^3 - x^2 - 4x + 2 (~2.34).  `governing` records which of the two the
-    measured consecutive ratio actually approaches.
+    Exact Berlekamp-Massey over Fraction (Massey, IEEE Trans. Inf. Theory
+    1969) finds the shortest recurrence a(n) = -c1*a(n-1) - ... - cL*a(n-L)
+    that generates every term from the first L; it is returned monic and
+    highest degree first, x^L + c1*x^(L-1) + ... + cL, each coefficient an
+    int when integral.  A zero cL leaves a factor x: the recurrence holds
+    only from n = L.  The first 2L terms fix a recurrence of order L, so
+    only the len(terms) - 2L spare terms test it; with fewer than 2 spare
+    terms the order is not settled.
     """
-
-    denominator_root: RootBracket
-    reciprocal_root: RootBracket
-    ratio: Fraction
-    ratio_n: int
-    pair: tuple[int, int]
-
-    @property
-    def error_vs_denominator(self) -> float:
-        return abs(float(self.ratio) - float(self.denominator_root))
-
-    @property
-    def error_vs_reciprocal(self) -> float:
-        return abs(float(self.ratio) - float(self.reciprocal_root))
-
-    @property
-    def governing(self) -> str:
-        if self.error_vs_reciprocal < self.error_vs_denominator:
-            return "reciprocal"
-        return "denominator"
-
-    @property
-    def matches_denominator_root(self) -> bool:
-        return self.governing == "denominator"
+    c, b = [Fraction(1)], [Fraction(1)]  # connection polynomials, lowest degree first
+    order, shift, last = 0, 1, Fraction(1)
+    for n in range(len(terms)):
+        discrepancy = sum(ci * terms[n - i] for i, ci in enumerate(c[: n + 1]))
+        if discrepancy == 0:
+            shift += 1
+            continue
+        previous, scale = c[:], discrepancy / last
+        c += [Fraction(0)] * (len(b) + shift - len(c))
+        for i, bi in enumerate(b):
+            c[i + shift] -= scale * bi
+        if 2 * order <= n:
+            order, b, last, shift = n + 1 - order, previous, discrepancy, 1
+        else:
+            shift += 1
+    c = (c + [Fraction(0)] * order)[: order + 1]
+    return tuple(x.numerator if x.denominator == 1 else x for x in c), len(terms) - 2 * order
 
 
-def growth_rate_5edge(
+def _greatest_root(coefficients: tuple, tolerance: Fraction | float) -> RootBracket:
+    """Bracket the greatest real root of a monic polynomial.
+
+    Every root lies below the Cauchy bound 1 + max|c|; the scan steps down
+    from it one unit at a time to the first sign change.  A double root, or
+    two roots within one unit above it, would be passed over; the columns
+    of the five classes have neither, and the tests pin each root.
+    """
+    bound = math.ceil(1 + max(map(abs, coefficients[1:]), default=0))
+    for lo in range(bound - 1, -bound - 1, -1):
+        if eval_poly(coefficients, Fraction(lo)) <= 0:
+            return bisect_root(coefficients, lo, lo + 1, tolerance)
+    raise ValueError("no real root changes sign")
+
+
+def growth_table(
     tolerance: Fraction | float,
-    *,
-    ratio_n: int = 40,
-    pair: tuple[int, int] = (2, 1),
-) -> GrowthReport:
-    """Bracket both candidate growth constants and measure the actual one.
+) -> dict[tuple[str, tuple[int, int]], tuple[int, RootBracket]]:
+    """``(spare terms, dominant root)`` of each column (class name, pair)
+    of the five class graphs in GRAPH_CLASSES, counted to 40 discs.
 
-    Isolates the greatest real root of each cubic on [2, 3] (both change
-    sign there), then computes the consecutive-count ratio of the given
-    pair's column at `ratio_n` discs.
+    The root bracket is narrower than `tolerance`, and its `coefficients`
+    are the column's minimal characteristic polynomial
+    (`minimal_recurrence`).  The counts grow like the greatest real root
+    of that polynomial: for the five-edge class, x^3 - x^2 - 4x + 2 gives
+    about 2.3429, not the greatest root of the reversed polynomial (the
+    generating function's denominator), about 2.12.
     """
-    tol = Fraction(tolerance)
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
-    if ratio_n < 2:
-        raise ValueError("ratio_n must be >= 2")
-    denominator_root = bisect_root(FIVE_EDGE_DENOMINATOR_CUBIC, 2, 3, tol)
-    reciprocal_root = bisect_root(FIVE_EDGE_RECIPROCAL_CUBIC, 2, 3, tol)
-    table = eval_move_counts(FIVE_EDGE_GRAPH, ratio_n)
-    column = table.column(tuple(pair))
-    ratio = Fraction(column[ratio_n], column[ratio_n - 1])
-    return GrowthReport(denominator_root, reciprocal_root, ratio, ratio_n, tuple(pair))
+    table = {}
+    for name, (graph, _) in GRAPH_CLASSES.items():
+        for pair, column in eval_move_counts(graph, 40).counts.items():
+            polynomial, spare = minimal_recurrence(column)
+            table[name, pair] = spare, _greatest_root(polynomial, tolerance)
+    return table

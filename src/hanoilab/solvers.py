@@ -19,7 +19,9 @@ instead and never hold the list.  `move_block_streams` walks many
 transfers through one set of memos, so a block they share is built once.
 `move_count` gives a sequence's exact length from its recurrence before
 any move is made, iteratively and capped, so an input whose answer is
-astronomically long costs O(log cap) steps and no huge integer.
+astronomically long costs O(log cap) steps.  For a move graph those
+steps are the rows of `move_count_rows`, the one implementation of the
+six coupled counts, which `recurrence` tabulates.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from .model import MOVES, Move, MoveGraph, third_peg
 BLOCK_MOVES = 1024
 
 _COMPLETE = MoveGraph.complete()
+
+#: Ordered peg pairs in fixed column order (also the CSV column order).
+PAIR_ORDER: tuple[tuple[int, int], ...] = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
 
 
 class _Run(NamedTuple):
@@ -172,6 +177,45 @@ def _q(C: int, m: int, i: int, j: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# The six coupled move counts of a move graph; `recurrence` tabulates them.
+
+
+def move_count_rows(graph: MoveGraph, n_max: int) -> Iterator[tuple[int, ...]]:
+    """Yield the exact move counts for n = 0..n_max, one row per n with
+    the six pairs in PAIR_ORDER, keeping only the previous row.
+
+    For each ordered pair (i, j) with auxiliary peg k, the count for n
+    discs is counts(i,k) + counts(k,j) + 1 when the edge i>j exists, and
+    2*counts(i,j) + counts(j,i) + 2 when it does not (all at n-1 discs).
+    The arguments are checked at once, before the first row is asked for.
+    """
+    if not graph.is_strongly_connected():
+        raise ValueError("move graph must be strongly connected")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    column = {pair: c for c, pair in enumerate(PAIR_ORDER)}
+    # per column: the columns it adds up, and whether it is an edge
+    plan = []
+    for i, j in PAIR_ORDER:
+        k = third_peg(i, j)
+        if graph.has_edge(i, j):
+            plan.append((True, column[i, k], column[k, j]))
+        else:
+            plan.append((False, column[i, j], column[j, i]))
+
+    def rows() -> Iterator[tuple[int, ...]]:
+        row = (0,) * len(PAIR_ORDER)
+        yield row
+        for _ in range(n_max):
+            row = tuple(
+                row[a] + row[b] + 1 if edge else 2 * row[a] + row[b] + 2 for edge, a, b in plan
+            )
+            yield row
+
+    return rows()
+
+
+# ---------------------------------------------------------------------------
 # Exact lengths, capped: count(parameter, m, i, j, cap) is the length of
 # rule(parameter, m, i, j) or None once a partial length passes `cap`.
 # Each loop climbs from the recursion's base and stops within O(log cap)
@@ -179,23 +223,13 @@ def _q(C: int, m: int, i: int, j: int) -> tuple:
 
 
 def _directed_count(edges: frozenset, n: int, src: int, tgt: int, cap: int) -> int | None:
-    # the six coupled counts one disc at a time, saturated at cap + 1; every
-    # count is at least 2^m - 1, so all six saturate after log2(cap) discs
-    over = cap + 1
-    counts = dict.fromkeys(MOVES, 0)
-    for _ in range(n):
-        step = {}
-        for i, j in MOVES:
-            k = third_peg(i, j)
-            if (i, j) in edges:
-                value = counts[i, k] + counts[k, j] + 1
-            else:
-                value = 2 * counts[i, j] + counts[j, i] + 2
-            step[i, j] = min(value, over)
-        counts = step
-        if min(counts.values()) == over:
+    # every count is at least 2^m - 1, so all six pass cap within
+    # log2(cap + 1) + 1 rows
+    column = PAIR_ORDER.index((src, tgt))
+    for row in move_count_rows(MoveGraph(edges), n):
+        if min(row) > cap:
             return None
-    return counts[src, tgt] if counts[src, tgt] <= cap else None
+    return row[column] if row[column] <= cap else None
 
 
 def _zeta_count(C: int, n: int, src: int, tgt: int, cap: int) -> int | None:

@@ -30,16 +30,18 @@ from hanoilab.oracle import (
 from hanoilab.recurrence import (
     CHORD_GRAPH,
     CYCLE_GRAPH,
+    FIVE_EDGE_GRAPH,
     LINEAR_GRAPH,
     PAIR_ORDER,
     QuadValue,
     ab_closed_form,
+    bisect_root,
     closed_form_chord,
     closed_form_cycle,
     closed_form_linear,
     conjecture_values,
     eval_move_counts,
-    growth_rate_5edge,
+    growth_table,
 )
 from hanoilab.solvers import a_symmetric, classical_solve, directed_move, q_sequence, zeta
 from hanoilab.verify import claim_harness, is_symmetric, moved_discs, project_out_largest
@@ -105,19 +107,21 @@ def test_criterion_3_closed_forms_exact():
 
 def test_criterion_4_growth_constants():
     t0 = time.monotonic()
-    report = growth_rate_5edge(Fraction(1, 10**6))
-    bracket = report.denominator_root
-    ok = bracket.width <= Fraction(1, 10**6)
-    ok = ok and Fraction(211, 100) <= bracket.midpoint <= Fraction(213, 100)
-    # the measured growth matches the reciprocal cubic's root, not the
-    # denominator's own greatest root: the stated ~2.12 order is NOT
-    # reproduced and the report must flag that
-    ok = ok and report.error_vs_reciprocal < 1e-3
-    ok = ok and report.error_vs_denominator > 1e-3
-    ok = ok and report.governing == "reciprocal"
-    ok = ok and not report.matches_denominator_root
+    table = growth_table(Fraction(1, 10**6))
+    spare, root = table["five-edge", (1, 2)]
+    ok = spare >= 2 and root.width <= Fraction(1, 10**6)
+    ok = ok and Fraction(234, 100) <= root.lo <= root.hi <= Fraction(235, 100)
+    # the stated ~2.12 order is the greatest root of the reversed cubic (the
+    # generating function's denominator); the measured growth matches the
+    # cubic's own root instead, so ~2.12 is NOT reproduced
+    reversed_root = bisect_root(root.coefficients[::-1], 2, 3, Fraction(1, 10**6))
+    ok = ok and Fraction(211, 100) <= reversed_root.midpoint <= Fraction(213, 100)
+    column = eval_move_counts(FIVE_EDGE_GRAPH, 40).column((2, 1))
+    ratio = float(Fraction(column[40], column[39]))
+    ok = ok and abs(ratio - float(root)) < 1e-3
+    ok = ok and abs(ratio - float(reversed_root)) > 1e-3
     elapsed = time.monotonic() - t0
-    _report(4, "five-edge growth: root brackets and governing constant", ok, elapsed)
+    _report(4, "five-edge growth: dominant root, not the reversed cubic's", ok, elapsed)
 
 
 def test_criterion_5_relaxed_distance_one():

@@ -80,14 +80,15 @@ def test_subcommand_runs_only_the_modules_it_calls(argv, loaded):
 
 
 # Every name the package exported when it imported all five modules eagerly,
-# plus `optimality_reports`, added since.
+# plus `optimality_reports`, added since, with `growth_table` in place of
+# the five-edge-only `growth_rate_5edge` it replaced.
 OLD_EXPORTS = {
     "model": "IllegalMoveError MalformedStateError Model Move MoveGraph State apply apply_all"
     " is_legal_state legal_moves mirror_move mirror_sequence mirror_state standard_state",
     "oracle": "GoalPredicate SearchCapExceeded SearchResult bfs_distance conjecture_probe"
     " optimality_reports shortest_symmetric verify_optimality",
     "recurrence": "CountTable QuadValue RootBracket ab_closed_form closed_form_chord"
-    " closed_form_cycle closed_form_linear conjecture_values eval_move_counts growth_rate_5edge",
+    " closed_form_cycle closed_form_linear conjecture_values eval_move_counts growth_table",
     "solvers": "a_symmetric classical_solve directed_move q_sequence zeta",
     "verify": "HarnessReport ValidationReport claim_harness is_symmetric lambda_predicates"
     " project_out_largest validate_sequence",

@@ -304,7 +304,6 @@ def test_mirror_sequence_is_an_involution(pair, pegs):
 
 _CHECK = oracle.OptimalityCheck((1, 2), 2, 3, 3, 3)
 _ROW = oracle.ProbeRow(1, 1, 1, 1, 1, 1, 1)
-_BRACKET = recurrence.RootBracket(Fraction(2), Fraction(3), (1, -1, -4, 2))
 
 #: Each value class: a factory of fresh, equal values, its field names in
 #: order, and whether its values hash (CountTable and HarnessReport hold a
@@ -348,11 +347,6 @@ VALUES = {
     "RootBracket": (
         lambda: recurrence.RootBracket(Fraction(2), Fraction(3), (1, 2)),
         "lo hi coefficients",
-        True,
-    ),
-    "GrowthReport": (
-        lambda: recurrence.GrowthReport(_BRACKET, _BRACKET, Fraction(7, 3), 4, (2, 1)),
-        "denominator_root reciprocal_root ratio ratio_n pair",
         True,
     ),
     "ValidationReport": (

@@ -1,4 +1,5 @@
-"""Exact recurrences, quadratic-field closed forms, and root isolation."""
+"""Exact recurrences, quadratic-field closed forms, root isolation, and
+minimal recurrences by Berlekamp-Massey."""
 
 import pickle
 from fractions import Fraction
@@ -7,13 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hanoilab.model import MoveGraph
+from hanoilab.model import (
+    GRAPH_CLASSES,
+    MoveGraph,
+    all_strongly_connected_graphs,
+    class_relabelings,
+)
 from hanoilab.recurrence import (
     CHORD_GRAPH,
     CYCLE_GRAPH,
-    FIVE_EDGE_DENOMINATOR_CUBIC,
     FIVE_EDGE_GRAPH,
-    FIVE_EDGE_RECIPROCAL_CUBIC,
     LINEAR_GRAPH,
     PAIR_ORDER,
     QuadValue,
@@ -25,7 +29,8 @@ from hanoilab.recurrence import (
     conjecture_values,
     eval_move_counts,
     eval_poly,
-    growth_rate_5edge,
+    growth_table,
+    minimal_recurrence,
     q_lengths,
 )
 
@@ -359,36 +364,147 @@ def test_bisect_root_validations():
         bisect_root((1, 0, -2), 2, 1, Fraction(1, 100))
 
 
-def test_cubics_change_sign_on_bracket():
-    for cubic in (FIVE_EDGE_DENOMINATOR_CUBIC, FIVE_EDGE_RECIPROCAL_CUBIC):
-        assert eval_poly(cubic, Fraction(2)) < 0 < eval_poly(cubic, Fraction(3))
+def test_eval_poly_is_exact():
+    assert eval_poly((1, -1, -4, 2), Fraction(2)) == -2
+    assert eval_poly((1, -1, -4, 2), Fraction(1, 2)) == Fraction(-1, 8)
 
 
-def test_growth_report_roots():
-    report = growth_rate_5edge(Fraction(1, 10**6))
-    assert Fraction(211, 100) <= report.denominator_root.midpoint <= Fraction(213, 100)
-    assert report.denominator_root.width <= Fraction(1, 10**6)
-    assert Fraction(234, 100) <= report.reciprocal_root.midpoint <= Fraction(235, 100)
+# ---------------------------------------------------------------------------
+# minimal recurrences and growth
 
 
-def test_growth_ratio_matches_reciprocal_root():
-    report = growth_rate_5edge(Fraction(1, 10**9))
-    assert report.error_vs_reciprocal < 1e-3
-    assert report.error_vs_denominator > 0.1
-    assert report.governing == "reciprocal"
-    assert not report.matches_denominator_root
+def times(*factors):
+    """Product of polynomials, coefficients highest degree first."""
+    product = (1,)
+    for factor in factors:
+        out = [0] * (len(product) + len(factor) - 1)
+        for i, a in enumerate(product):
+            for j, b in enumerate(factor):
+                out[i + j] += a * b
+        product = tuple(out)
+    return product
 
 
-def test_growth_ratio_error_eventually_decreases():
-    # consecutive-ratio error against the governing root shrinks
+def run(polynomial, initial, count):
+    """`count` terms of the recurrence with characteristic `polynomial`
+    (monic, highest degree first) from the given initial terms."""
+    terms = list(initial)
+    while len(terms) < count:
+        terms.append(-sum(c * terms[-k] for k, c in enumerate(polynomial[1:], 1)))
+    return terms[:count]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 7).flatmap(
+        lambda order: st.tuples(
+            st.lists(st.integers(-6, 6), min_size=order, max_size=order),
+            st.lists(st.integers(-50, 50), min_size=order, max_size=order),
+        )
+    )
+)
+def test_minimal_recurrence_recovers_drawn_integer_recurrences(drawn):
+    coefficients, initial = drawn
+    order = len(coefficients)
+    polynomial = (1, *coefficients)
+    # from the impulse 0, ..., 0, 1 the drawn recurrence is the minimal one,
+    # settled by 2 spare terms and not before
+    impulse = [0] * (order - 1) + [1] if order else []
+    terms = run(polynomial, impulse, 2 * order + 2)
+    assert minimal_recurrence(terms) == (polynomial, 2)
+    assert minimal_recurrence(terms[:-1])[1] < 2
+    # from any start the minimal recurrence is no longer and generates
+    # every term
+    terms = run(polynomial, initial, 2 * order + 6)
+    found, spare = minimal_recurrence(terms)
+    assert len(found) <= len(polynomial) and found[0] == 1
+    assert spare == len(terms) - 2 * (len(found) - 1)
+    assert run(found, terms[: len(found) - 1], len(terms)) == terms
+
+
+def test_minimal_recurrence_of_too_few_terms_is_not_settled():
+    assert minimal_recurrence([]) == ((1,), 0)
+    assert minimal_recurrence([0, 0, 0]) == ((1,), 3)
+    # every prefix of a class column shorter than 2 * order + 2 reports
+    # fewer than 2 spare terms
+    for name, (graph, _) in GRAPH_CLASSES.items():
+        for column in eval_move_counts(graph, 40).counts.values():
+            order = len(minimal_recurrence(column)[0]) - 1
+            for m in range(2 * order + 2):
+                assert minimal_recurrence(column[:m])[1] < 2, (name, m)
+    # rational coefficients where the terms ask for them
+    assert minimal_recurrence([2, 1, Fraction(1, 2), Fraction(1, 4)]) == ((1, Fraction(-1, 2)), 2)
+
+
+@pytest.fixture(scope="module")
+def growth():
+    return growth_table(Fraction(1, 10**12))
+
+
+def test_growth_table_derives_every_class_polynomial(growth):
+    expected = {
+        "complete": times((1, -1), (1, -2)),
+        "cycle": times((1, -1), (1, -2, -2)),
+        "linear": times((1, -1), (1, -3)),
+        "cycle-chord": times((1, -1), (1, -1, -4)),
+        "five-edge": times((1, -1), (1, -1, -4, 2)),
+    }
+    # the (3, 1) chord column is 0 at n = 0 outside its closed form: a factor
+    # x; the (1, 2) five-edge column needs no factor x - 1
+    exceptions = {
+        ("cycle-chord", (3, 1)): times(expected["cycle-chord"], (1, 0)),
+        ("five-edge", (1, 2)): (1, -1, -4, 2),
+    }
+    assert len(growth) == 30
+    for (name, pair), (spare, root) in growth.items():
+        assert root.coefficients == exceptions.get((name, pair), expected[name])
+        assert spare == 41 - 2 * (len(root.coefficients) - 1) >= 2
+        assert root.width <= Fraction(1, 10**12)
+
+
+def test_growth_table_dominant_roots(growth):
+    for pair in PAIR_ORDER:
+        assert growth["complete", pair][1][:2] == (2, 2)
+        assert growth["linear", pair][1][:2] == (3, 3)
+        cycle = growth["cycle", pair][1]  # 1 + sqrt(3)
+        assert (cycle.lo - 1) ** 2 <= 3 <= (cycle.hi - 1) ** 2
+        chord = growth["cycle-chord", pair][1]  # (1 + sqrt(17)) / 2
+        assert (2 * chord.lo - 1) ** 2 <= 17 <= (2 * chord.hi - 1) ** 2
+        five_edge = growth["five-edge", pair][1]
+        assert round(float(five_edge), 7) == 2.3429231
+
+
+def test_growth_table_rows_hold_for_every_labeling(growth):
+    # a relabeling sigma maps each graph onto its class graph, and the
+    # column (i, j) onto the class column (sigma[i], sigma[j])
+    for graph in all_strongly_connected_graphs():
+        name, (sigma, *_) = class_relabelings(graph)
+        for pair, column in eval_move_counts(graph, 40).counts.items():
+            image = (sigma[pair[0]], sigma[pair[1]])
+            spare, root = growth[name, image]
+            assert minimal_recurrence(column) == (root.coefficients, spare)
+
+
+def test_five_edge_growth_is_not_the_reversed_cubic_root(growth):
+    # the paper states order ~2.12, the greatest root of the reversed cubic
+    # 2x^3 - 4x^2 - x + 1 (the generating function's denominator); the
+    # counts grow like the cubic's own greatest root, ~2.34
+    root = growth["five-edge", (1, 2)][1]
+    assert Fraction(234, 100) <= root.lo <= root.hi <= Fraction(235, 100)
+    reversed_root = bisect_root(root.coefficients[::-1], 2, 3, Fraction(1, 10**9))
+    assert Fraction(211, 100) <= reversed_root.midpoint <= Fraction(213, 100)
+    column = eval_move_counts(FIVE_EDGE_GRAPH, 40).column((2, 1))
+    ratio = Fraction(column[40], column[39])
+    assert abs(ratio - root.midpoint) < Fraction(1, 1000)
+    assert abs(ratio - reversed_root.midpoint) > Fraction(1, 10)
+
+
+def test_growth_ratio_error_eventually_decreases(growth):
+    # consecutive-ratio error against the dominant root shrinks
     # monotonically from some n at or before 20
-    root = bisect_root(FIVE_EDGE_RECIPROCAL_CUBIC, 2, 3, Fraction(1, 10**12)).midpoint
-    errors = []
-    from hanoilab.recurrence import eval_move_counts as emc
-
-    column = emc(FIVE_EDGE_GRAPH, 40).column((2, 1))
-    for n in range(2, 41):
-        errors.append(abs(Fraction(column[n], column[n - 1]) - root))
+    root = growth["five-edge", (2, 1)][1].midpoint
+    column = eval_move_counts(FIVE_EDGE_GRAPH, 40).column((2, 1))
+    errors = [abs(Fraction(column[n], column[n - 1]) - root) for n in range(2, 41)]
     tail_start = None
     for idx in range(len(errors) - 1):
         if all(a > b for a, b in zip(errors[idx:], errors[idx + 1 :])):
@@ -399,6 +515,4 @@ def test_growth_ratio_error_eventually_decreases():
 
 def test_growth_validations():
     with pytest.raises(ValueError):
-        growth_rate_5edge(0)
-    with pytest.raises(ValueError):
-        growth_rate_5edge(Fraction(1, 100), ratio_n=1)
+        growth_table(0)

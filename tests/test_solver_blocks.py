@@ -99,6 +99,23 @@ def test_lengths_equal_the_independent_counts_up_to_sixty():
             assert move_count(q_sequence, n, C, 1, 2, cap=UNCAPPED) == expected
 
 
+#: Small caps, the default `--max-moves` (2^20), its ceiling (2^64) and
+#: the cap below it, and 3^40, far past the ceiling.
+CAPS = (0, 1, 5, 100, 1 << 20, (1 << 64) - 1, 1 << 64, 3**40)
+
+
+@pytest.mark.parametrize("graph", GRAPHS, ids=MoveGraph.format)
+def test_capped_directed_lengths_are_the_counts_within_the_cap(graph):
+    # the capped length stops reading rows once all six counts pass the
+    # cap; below that it is the exact count
+    for pair, column in eval_move_counts(graph, 69).counts.items():
+        for cap in CAPS:
+            for n, count in enumerate(column):
+                expected = count if count <= cap else None
+                assert move_count(directed_move, graph, *pair, n, cap=cap) == expected
+            assert move_count(directed_move, graph, *pair, 10**6, cap=cap) is None
+
+
 CONSTRUCTIVE = [
     (classical_solve, lambda n: (n, 1, 2)),
     (directed_move, lambda n: (MoveGraph.parse("1>2,2>3,3>1"), 1, 2, n)),
