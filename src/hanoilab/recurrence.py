@@ -12,6 +12,7 @@ Four classes have closed forms, and `closed_form_for` applies them to
 every labeling by relabeling the pegs.  For all five, `growth_table`
 derives each column's minimal recurrence from its terms by exact
 Berlekamp-Massey (`minimal_recurrence`) and brackets its dominant root.
+An order bound (`closed_form_for`) proves both for every n.
 """
 
 from __future__ import annotations
@@ -373,7 +374,15 @@ def closed_form_for(graph: MoveGraph) -> tuple[str, Callable[[tuple[int, int], i
     """``(class name, count(pair, n))`` for any labeling of a class with
     closed forms, else None.  A relabeling sigma maps `graph` onto the
     class's graph, so the count of (i, j) is the closed form at
-    (sigma[i], sigma[j])."""
+    (sigma[i], sigma[j]).
+
+    Rows 0..10 decide a closed form for every n.  With a constant seventh
+    coordinate `move_count_rows` is a 7x7 integer matrix, so each column
+    satisfies its characteristic polynomial, of degree 7 (Cayley-Hamilton).
+    A closed form alpha + sum beta*r^n over at most three roots satisfies
+    (x - 1) * prod(x - r), times x for chord column (3, 1)'s n = 0 piece:
+    degree at most 4.  Their difference satisfies the product, of degree
+    at most 11, so it is zero for every n if it is zero for n = 0..10."""
     name, sigmas = class_relabelings(graph) or (None, ())
     if name not in _CLOSED_FORMS:
         return None
@@ -550,10 +559,12 @@ def growth_table(
 
     The root bracket is narrower than `tolerance`, and its `coefficients`
     are the column's minimal characteristic polynomial
-    (`minimal_recurrence`).  The counts grow like the greatest real root
-    of that polynomial: for the five-edge class, x^3 - x^2 - 4x + 2 gives
-    about 2.3429, not the greatest root of the reversed polynomial (the
-    generating function's denominator), about 2.12.
+    (`minimal_recurrence`); it divides the graph's degree-7 row-step
+    polynomial (`closed_form_for`), so 14 terms prove it.  The counts grow
+    like the greatest real root of that polynomial: for the five-edge
+    class, x^3 - x^2 - 4x + 2 gives about 2.3429, not the greatest root of
+    the reversed polynomial (the generating function's denominator), about
+    2.12.
     """
     table = {}
     for name, (graph, _) in GRAPH_CLASSES.items():

@@ -293,6 +293,131 @@ def test_chord_closed_form_matches_recurrence_exactly():
             assert value.as_integer() == table.value(pair, n)
 
 
+S3, S17 = QuadValue.sqrt(3), QuadValue.sqrt(17)
+PHI_PLUS, PHI_MINUS = (1 + S17) / 2, (1 - S17) / 2
+HALF = Fraction(1, 2)
+
+
+def _cycle_form(b):
+    # (b + sqrt3)/(2 sqrt3) * (1 + sqrt3)^n - (b - sqrt3)/(2 sqrt3) * (1 - sqrt3)^n - 1
+    return -1, [(b + S3) / (2 * S3), 1 + S3, -(b - S3) / (2 * S3), 1 - S3]
+
+
+def _chord_form(alpha, b, c, den):
+    return alpha, [(b + c * S17) / (den * S17), PHI_PLUS, -(b - c * S17) / (den * S17), PHI_MINUS]
+
+
+#: Each class graph's closed forms as [alpha, beta1, r1, beta2, r2, ...] with
+#: count(n) = alpha + sum beta*r^n; chord column (3, 1) is 0 at n = 0.
+EXPONENTIAL_FORMS = {
+    "complete": {pair: (-1, [1, 2]) for pair in PAIR_ORDER},
+    "linear": {
+        pair: (-1, [1, 3]) if pair in {(2, 3), (3, 2)} else (-HALF, [HALF, 3])
+        for pair in PAIR_ORDER
+    },
+    "cycle": {
+        **dict.fromkeys([(1, 2), (2, 3), (3, 1)], _cycle_form(1)),
+        **dict.fromkeys([(2, 1), (3, 2), (1, 3)], _cycle_form(2)),
+    },
+    "cycle-chord": {
+        **dict.fromkeys([(1, 2), (2, 3)], _chord_form(Fraction(-3, 4), 11, 3, 8)),
+        **dict.fromkeys([(2, 1), (3, 2)], _chord_form(Fraction(-5, 4), 21, 5, 8)),
+        (1, 3): _chord_form(-HALF, 5, 1, 4),
+        (3, 1): _chord_form(Fraction(-3, 2), 4, 1, 2),
+    },
+}
+
+
+def _first_mismatch(name, pair, form, n_max=10):
+    """The first n <= n_max at which `form` misses the class graph's count."""
+    alpha, terms = form
+    column = eval_move_counts(GRAPH_CLASSES[name][0], n_max).column(pair)
+    for n, count in enumerate(column):
+        if (name, pair, n) == ("cycle-chord", (3, 1), 0):
+            continue  # the n = 0 piece, which the closed form fixes at 0
+        if sum((beta * r**n for beta, r in zip(terms[::2], terms[1::2])), alpha) != count:
+            return n
+    return None
+
+
+@pytest.mark.parametrize("name", EXPONENTIAL_FORMS)
+def test_a_mutated_closed_form_coefficient_fails_by_n_10(name):
+    # `table` checks its closed form on rows 0..10 only (the order bound in
+    # `closed_form_for`); a wrong coefficient must show there
+    for pair, (alpha, terms) in EXPONENTIAL_FORMS[name].items():
+        assert _first_mismatch(name, pair, (alpha, terms), 40) is None
+        mutants = [(alpha + Fraction(1, 1000), terms)] + [
+            (alpha, [*terms[:k], terms[k] + Fraction(1, 1000), *terms[k + 1 :]])
+            for k in range(len(terms))
+        ]
+        for mutant in mutants:
+            assert _first_mismatch(name, pair, mutant) is not None, (pair, mutant)
+
+
+def _row_step_matrix(graph):
+    """The 7x7 integer matrix taking (six counts in PAIR_ORDER, 1) at n - 1
+    discs to n discs: counts(i,k) + counts(k,j) + 1 on an edge i>j (k the
+    third peg), 2*counts(i,j) + counts(j,i) + 2 off one."""
+    index = {pair: c for c, pair in enumerate(PAIR_ORDER)}
+    matrix = [[0] * 7 for _ in range(6)] + [[0] * 6 + [1]]
+    for (i, j), c in index.items():
+        k = 6 - i - j
+        if graph.has_edge(i, j):
+            matrix[c][index[i, k]] += 1
+            matrix[c][index[k, j]] += 1
+            matrix[c][6] = 1
+        else:
+            matrix[c][index[i, j]] += 2
+            matrix[c][index[j, i]] += 1
+            matrix[c][6] = 2
+    return matrix
+
+
+def _characteristic_polynomial(matrix):
+    """det(xI - matrix), highest degree first, by Faddeev-LeVerrier."""
+    size = len(matrix)
+    coefficients, m = [1], [[0] * size for _ in range(size)]
+    for k in range(1, size + 1):
+        m = [
+            [
+                sum(matrix[r][t] * m[t][c] for t in range(size)) + coefficients[-1] * (r == c)
+                for c in range(size)
+            ]
+            for r in range(size)
+        ]
+        trace = sum(matrix[r][t] * m[t][r] for r in range(size) for t in range(size))
+        coefficients.append(Fraction(-trace, k))
+    return tuple(coefficients)
+
+
+def _remainder(dividend, divisor):
+    """`dividend` modulo the monic `divisor`, both highest degree first."""
+    rest = list(dividend)
+    while len(rest) >= len(divisor):
+        lead = rest.pop(0)
+        for k, c in enumerate(divisor[1:]):
+            rest[k] -= lead * c
+    return rest
+
+
+@pytest.mark.parametrize("name", GRAPH_CLASSES)
+def test_every_column_recurrence_divides_the_row_step_polynomial(name):
+    # the premise of the order bound in `closed_form_for`
+    graph = GRAPH_CLASSES[name][0]
+    matrix = _row_step_matrix(graph)
+    vector, table = [0] * 6 + [1], eval_move_counts(graph, 40)
+    for n in range(41):
+        assert tuple(vector[:6]) == tuple(table.value(pair, n) for pair in PAIR_ORDER)
+        vector = [sum(a * v for a, v in zip(row, vector)) for row in matrix]
+    polynomial = _characteristic_polynomial(matrix)
+    assert len(polynomial) == 8 and all(c.denominator == 1 for c in polynomial)
+    if name == "cycle":
+        assert polynomial == (1, -7, 18, -20, 5, 9, -8, 2)
+    for pair in PAIR_ORDER:
+        minimal, _ = minimal_recurrence(table.column(pair))
+        assert not any(_remainder(polynomial, minimal)), (pair, minimal)
+
+
 def test_closed_forms_reject_bad_input():
     with pytest.raises(ValueError):
         closed_form_cycle((1, 1), 2)
