@@ -28,6 +28,24 @@ further.  At distance 0 the witness search stores depth + 1 in the
 narrowest unsigned items that hold 3**n (2 B a state to n = 10, 4 B to
 n = 20).
 
+A standard transfer src -> tgt (src != tgt, n >= 1) on a graph closed
+under mirrored moves is searched from the start alone, in either core.
+Let M swap the src and tgt stacks.  A legal move s -> t maps to the legal
+move M(t) -> M(s): every move can be undone and the graph holds the
+mirrored edge.  So d(s, goal) = d(start, M(s)).  Once level L is complete,
+a state W on it with M(W) stored gives D <= L + depth(M(W)) <= 2L, and the
+state ceil(D/2) moves along a shortest path is such a W with equality, so
+the first level with one is ceil(D/2) and D is L plus the least such
+depth.  The witness keeps its moves: the sweep starts from the midpoints,
+the W on that level with depth(M(W)) = D - L, and past them the walk takes
+the smallest move to a state q with depth(M(q)) one less, the candidates
+of the marked states one level further.  `explored` then counts the states
+within ceil(D/2) of the start (3**(n-1) + 2 for the classical witness,
+not 3**n), none backward.  At distance 0 the pegs are relabeled src, aux,
+tgt -> 1, 2, 3: the start is code 0, the goal 3**n - 1 and M(c) the goal
+minus c, and the predecessors of c are the mirrors of the successors of
+M(c), so the sweep needs no reversed move table.
+
 `optimality_reports` certifies a graph at every n up to n_max from one
 distance-0 search per source peg at n_max discs.  Its goals are the
 embedded states: discs 1..k standard on a target, the larger discs still
@@ -48,7 +66,8 @@ state is stored, and exceeding it raises.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator, NamedTuple, TypeAlias
+import operator
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeAlias
 
 from . import recurrence
 from .model import (
@@ -56,6 +75,7 @@ from .model import (
     GRAPH_CLASSES,
     GoalPredicate,
     MOVES,
+    PEGS,
     Model,
     Move,
     MoveGraph,
@@ -68,6 +88,7 @@ from .model import (
     is_legal_state,
     mirror_sequence,
     standard_state,
+    third_peg,
 )
 from .solvers import a_symmetric, directed_move, move_block_streams, q_sequence
 
@@ -139,16 +160,18 @@ def _dense_neighbors(
 _TABLE_DISCS = 6
 
 DenseMoves = tuple[tuple[Move, int], ...]
-#: depth + 1 of each visited code, or just 1 when no witness is wanted
+#: depth + 1 of each visited code, or 1 + depth % 2 when no witness is wanted
 DepthMap: TypeAlias = "bytearray | memoryview | dict[int, int] | set[int]"
 
 
-@functools.lru_cache(maxsize=None)  # keys: at most 64 edge sets x 7 sizes
+# keys: an edge sequence, whose order breaks ties, x 7 sizes; at most 64
+# edge sets, each sorted or in one of its 6 relabelings for a mirror search
+@functools.lru_cache(maxsize=None)
 def _move_table(
     edges: tuple[tuple[int, int], ...], k: int
 ) -> tuple[DenseMoves | None, ...]:
     """Legal `(move, code delta)` pairs for every assignment L of the k
-    smallest discs, in sorted-edge order.
+    smallest discs, in the order of `edges`.
 
     When those discs sit on at least two pegs, every peg without one has a
     top larger than k, and no such disc may land on a small disc, so the
@@ -175,7 +198,7 @@ def _move_table(
 def _dense_moves(
     code: int, n: int, edges: tuple[tuple[int, int], ...]
 ) -> DenseMoves:
-    """Legal `(move, code delta)` pairs from `code`, in sorted-edge order."""
+    """Legal `(move, code delta)` pairs from `code`, in the order of `edges`."""
     table = _move_table(edges, min(n, _TABLE_DISCS))
     moves = table[code % len(table)]
     if moves is None:
@@ -191,20 +214,27 @@ def _dense_distances(
     goals: set[int],
     max_states: int,
     depths: bool = False,
-) -> tuple[dict[int, int], int, int, DepthMap]:
+    mirror: bool = False,
+) -> tuple[dict[int, int], int, int, DepthMap, list[int]]:
     """Level BFS on packed codes until every goal code is found (or the
     component is exhausted).  Returns ({goal: distance}, explored, peak,
-    visited map); with `depths` the map holds each state's depth + 1, else 1.
+    visited map, last level); with `depths` the map holds each state's
+    depth + 1, else 1 or 2 by the parity of the depth.
 
     The visited map is indexed by code whenever all 3**n codes fit the state
     budget (the cap cannot fire there): a bytearray, or with `depths` a view
     of one as the narrowest unsigned items that hold 3**n.  Above that it
     is a set, or a dict with `depths`, checked against the cap as each state
     is inserted.
+
+    With `mirror` (start 0, goal 3**n - 1, M(c) = goal - c) it stops after
+    the first level L with a stored mirror: D = 2L - 1 if one is on L - 1.
     """
     table = _move_table(edges, min(n, _TABLE_DISCS))
     low = len(table)
     dense_map = 3**n <= max_states
+    top = 3**n - 1
+    depths = depths or (mirror and not dense_map)  # a set holds no depth to read
     visited: DepthMap = {start: 1} if depths else {start}
     if dense_map:
         if depths:  # a view, not an `array`: no extension module to load
@@ -213,6 +243,7 @@ def _dense_distances(
         else:
             visited = bytearray(3**n)
         visited[start] = 1
+    get = visited.get if isinstance(visited, dict) else getattr(visited, "__getitem__", None)
     found: dict[int, int] = {}
     remaining = set(goals)
     if start in remaining:
@@ -224,7 +255,7 @@ def _dense_distances(
     peak = 1
     while frontier and remaining:
         level += 1
-        mark = level + 1 if depths else 1
+        mark = level + 1 if depths else 1 + level % 2
         nxt: list[int] = []
         # a None table entry (small discs all on one peg) decodes the code
         if dense_map:
@@ -256,7 +287,12 @@ def _dense_distances(
         explored += len(nxt)
         if len(nxt) > peak:
             peak = len(nxt)
-    return found, explored, peak, visited
+        if mirror and any(map(get, map(top.__sub__, nxt))):
+            # the first stored mirrors lie on level L - 1 or L, told apart by their mark
+            near = mark - 1 if depths else 3 - mark
+            found[top] = 2 * level - (near in set(map(get, map(top.__sub__, nxt))))
+            break
+    return found, explored, peak, visited, frontier
 
 
 def _dense_search(
@@ -266,39 +302,55 @@ def _dense_search(
     goal: int,
     max_states: int,
     want_path: bool,
+    mirror: bool = False,
 ) -> tuple[int | None, list[Move] | None, int, int]:
     """Level BFS to `goal`.  For a witness each state's depth is stored, a
     sweep back from the goal over the reversed edges marks the states on
     shortest paths, and a forward greedy walk takes the smallest optimal
-    move at each step."""
-    found, explored, peak, visited = _dense_distances(
-        n, edges, start, {goal}, max_states, want_path
+    move at each step.  With `mirror` (see `_dense_distances`) the sweep
+    starts from the midpoints and the walk past them follows the mirrors."""
+    found, explored, peak, visited, last = _dense_distances(
+        n, edges, start, {goal}, max_states, want_path, mirror
     )
     goal_level = found.get(goal)
     if goal_level is None or not want_path:
         return goal_level, None, explored, peak
     depth = visited.get if isinstance(visited, dict) else visited.__getitem__
-    # a reversed move undoes a move: keep predecessors one level nearer the start
-    reverse = tuple(sorted((j, i) for i, j in edges))
     table = _move_table(edges, min(n, _TABLE_DISCS))
-    back = _move_table(reverse, min(n, _TABLE_DISCS))
     low = len(table)
-    marked, todo = {goal}, [goal]
+    if mirror:  # level-L states whose mirror is D - L from the start
+        half = (goal_level + 1) // 2
+        marked = {w for w in last if depth(goal - w) == goal_level - half + 1}
+    else:
+        half = goal_level
+        marked = {goal}
+        # a reversed move undoes a move: keep predecessors one level nearer the start
+        reverse = tuple(sorted((j, i) for i, j in edges))
+        back = _move_table(reverse, min(n, _TABLE_DISCS))
+    todo = list(marked)
     while todo:
         code = todo.pop()
         nearer = depth(code) - 1
-        for _, delta in back[code % low] or _dense_moves(code, n, reverse):
-            prev = code + delta
+        if mirror:  # predecessors of c are the mirrors of the successors of M(c)
+            m = goal - code
+            prevs = [code - delta for _, delta in table[m % low] or _dense_moves(m, n, edges)]
+        else:
+            moves = back[code % low] or _dense_moves(code, n, reverse)
+            prevs = [code + delta for _, delta in moves]
+        for prev in prevs:
             if depth(prev) == nearer and prev not in marked:
                 marked.add(prev)
                 todo.append(prev)
     path: list[Move] = []
-    current = start
-    for _ in range(goal_level):
-        further = depth(current) + 1
+    current, togo = start, 0
+    for step in range(goal_level):
+        if step < half:
+            further = depth(current) + 1
+        else:  # past the midpoints d(q, goal) is depth(M(q)) - 1: one less each move
+            togo = depth(goal - current) - 1
         for mv, delta in table[current % low] or _dense_moves(current, n, edges):
             new = current + delta
-            if new in marked and depth(new) == further:
+            if depth(goal - new) == togo if togo else new in marked and depth(new) == further:
                 path.append(mv)
                 current = new
                 break
@@ -446,6 +498,7 @@ def _sparse_search(
     goals: Iterable[Stacks],
     max_states: int,
     want_path: bool,
+    mirror: Callable[[Codes], Codes] | None = None,
 ) -> tuple[int | None, list[Move] | None, int, int]:
     """Bidirectional level BFS: forward from `start`, backward from `goals`
     over the reversed edges (the pairwise rule lets every legal move be
@@ -456,6 +509,11 @@ def _sparse_search(
     move to a state one step closer to a goal: backward depths say how close
     beyond the last completed forward level, a sweep back over the reversed
     edges, keeping predecessors one forward depth nearer, marks the rest.
+
+    With `mirror`, the src/tgt swap, only the forward side grows, to the
+    first level holding a state whose mirror is stored; its midpoints seed
+    the backward depths, and past them a state's mirror's depth is its
+    distance to the goal.
     """
     edges = model.graph.sorted_edges()
     moves = _sparse_moves(edges)
@@ -465,7 +523,7 @@ def _sparse_search(
     origin = _encode(start, base)
     fwd = {origin: 0}
     bwd: dict[Codes, int] = {}
-    for goal in goals:
+    for goal in () if mirror else goals:
         bwd[_encode(goal, base)] = 0
         if len(fwd) + len(bwd) > max_states:
             raise SearchCapExceeded(max_states, 0, len(fwd), len(bwd))
@@ -473,23 +531,33 @@ def _sparse_search(
         return 0, [] if want_path else None, len(fwd) + len(bwd), len(bwd)
     front = [origin]
     back = list(bwd)
-    peak = len(back)
+    peak = max(1, len(back))
     while True:
-        forward = len(front) <= len(back)
+        forward = mirror or len(front) <= len(back)
         if forward:
             nxt = _expand(front, moves, base, C, fwd, bwd, max_states)
         else:
             nxt = _expand(back, reverse, base, C, bwd, fwd, max_states, True)
         if nxt is None:
+            distance = fwd[front[0]] + bwd[back[0]] + 1
             break
         if not nxt:
             return None, None, len(fwd) + len(bwd), peak
         peak = max(peak, len(nxt))
         front, back = (nxt, back) if forward else (front, nxt)
+        if mirror:  # only levels L - 1 and L can hold the first mirrors found
+            level = fwd[nxt[0]]
+            togo = list(map(fwd.get, map(mirror, nxt)))
+            hits = set(togo) - {None}
+            if hits:
+                distance = level + min(hits)
+                back = [w for w, t in zip(nxt, togo) if t == distance - level]
+                break
     explored = len(fwd) + len(bwd)
-    distance = fwd[front[0]] + bwd[back[0]] + 1
     if not want_path:
         return distance, None, explored, peak
+    if mirror:
+        bwd = dict.fromkeys(back, distance - fwd[back[0]])
     # mark back from the last complete backward level; a partial next one
     # has no predecessor before the last forward level, which is complete
     todo = list(back)
@@ -504,7 +572,7 @@ def _sparse_search(
     current = origin
     for left in range(distance - 1, -1, -1):
         for mv, new in _sparse_neighbors(current, moves, base, C):
-            if bwd.get(new) == left:
+            if bwd.get(new) == left or mirror and fwd.get(mirror(new)) == left:
                 path.append(mv)
                 current = new
                 break
@@ -541,14 +609,26 @@ def bfs_distance(
             # an illegal state is never reached; don't let the packed
             # encoding collapse it onto a legal one
             return SearchResult(None, None, 0, 0)
+    tgt, src = goal.peg, next((p for p in PEGS if start == standard_state(n, p)), None)
+    mirror = goal.kind == "standard" and n >= 1 and src not in (None, tgt)
+    mirror = mirror and model.graph.is_mirror_closed(src, tgt)
+    # src, aux, tgt of a mirror search: a state's mirror swaps the first and the last
+    pegs = (src, third_peg(src, tgt), tgt) if mirror else ()
     if model.distance == 0:
-        goal_code = pack_state(State(next(_goal_states(goal, n, 0))))
-        d, path, explored, peak = _dense_search(
-            n, model.graph.sorted_edges(), pack_state(start), goal_code, max_states, want_path
-        )
+        edges = model.graph.sorted_edges()
+        codes = pack_state(start), pack_state(State(next(_goal_states(goal, n, 0))))
+        if mirror:  # relabeled 1, 2, 3, in sorted-edge order so that ties break as before
+            edges = tuple((pegs.index(i) + 1, pegs.index(j) + 1) for i, j in edges)
+            codes = 0, 3**n - 1
+        d, path, explored, peak = _dense_search(n, edges, *codes, max_states, want_path, mirror)
+        if mirror and path:
+            back = {MOVES[i, j]: MOVES[pegs[i - 1], pegs[j - 1]] for i, j in MOVES}
+            path = list(map(back.__getitem__, path))
     else:
+        swap = operator.itemgetter(*(pegs[2 - pegs.index(p)] - 1 for p in PEGS)) if pegs else None
+        goals = _goal_states(goal, n, model.distance)
         d, path, explored, peak = _sparse_search(
-            model, start.stacks, _goal_states(goal, n, model.distance), max_states, want_path
+            model, start.stacks, goals, max_states, want_path, swap
         )
     if d is None and goal.kind != "exact" and model.graph.is_strongly_connected():
         raise RuntimeError(

@@ -8,6 +8,7 @@ statements its solvers and recurrences rely on.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, NamedTuple, Sequence
 
 from . import oracle, recurrence
@@ -188,6 +189,12 @@ _SUITE_DEFAULTS: dict[str, dict] = {
 }
 
 
+@functools.lru_cache(maxsize=None)  # symmetric-equals-a repeats symmetric-odd at C=1
+def _symmetric_length(C: int, n: int, max_states: int) -> int | None:
+    """Length of the shortest symmetric transfer 1 -> 2 at distance C."""
+    return oracle.shortest_symmetric(Model.relaxed(C), n, 1, 2, max_states=max_states).distance
+
+
 def claim_harness(
     name: str,
     params: Mapping | None = None,
@@ -255,25 +262,19 @@ def claim_harness(
     elif name == "symmetric-odd":
         n_max = merged["n_max"]
         for C in merged["distances"]:
-            model = Model.relaxed(C)
             for n in range(1, n_max + 1):
-                result = oracle.shortest_symmetric(
-                    model, n, 1, 2, max_states=max_states
-                )
-                if result.distance is None or result.distance % 2 == 0:
-                    counterexamples.append(
-                        {"distance": C, "n": n, "length": result.distance}
-                    )
+                length = _symmetric_length(C, n, max_states)
+                if length is None or length % 2 == 0:
+                    counterexamples.append({"distance": C, "n": n, "length": length})
 
     elif name == "symmetric-equals-a":
         C, n_max = merged["distance"], merged["n_max"]
-        model = Model.relaxed(C)
         a, _ = recurrence.conjecture_values(n_max, C)
         for n in range(1, n_max + 1):
-            result = oracle.shortest_symmetric(model, n, 1, 2, max_states=max_states)
-            if result.distance != a[n]:
+            length = _symmetric_length(C, n, max_states)
+            if length != a[n]:
                 counterexamples.append(
-                    {"distance": C, "n": n, "length": result.distance, "expected": a[n]}
+                    {"distance": C, "n": n, "length": length, "expected": a[n]}
                 )
 
     return HarnessReport(

@@ -90,6 +90,25 @@ def sparse_distances(
     return found, len(visited), peak
 
 
+def level_sizes(model: Model, start: Stacks) -> list[int]:
+    """The number of states at each distance from `start`, over its whole
+    component."""
+    edges = model.graph.sorted_edges()
+    visited = {start}
+    sizes = []
+    frontier = [start]
+    while frontier:
+        sizes.append(len(frontier))
+        nxt = []
+        for stacks in frontier:
+            for _, new in _neighbors(stacks, edges, model.distance):
+                if new not in visited:
+                    visited.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return sizes
+
+
 def sparse_witness(
     model: Model,
     start: Stacks,

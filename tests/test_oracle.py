@@ -41,12 +41,17 @@ def test_classical_distance(n):
 
 def test_classical_explores_full_state_space():
     # with the complete graph every disc-to-peg assignment is a state and
-    # the opposite standard state is at maximal distance
+    # the opposite standard state is at maximal distance; the mirror search
+    # stops at half of it: the 3**(n-1) placements of discs 1..n-1 over
+    # disc n on the source, and disc n moved to either other peg
     for n in range(1, 8):
-        result = bfs_distance(
-            CLASSICAL, standard_state(n, 1), GoalPredicate.standard_on(2), want_path=False
-        )
-        assert result.explored == 3**n
+        goal = standard_state(n, 2)
+        for predicate, explored in (
+            (GoalPredicate.exact(goal), 3**n),
+            (GoalPredicate.standard_on(2), 3 ** (n - 1) + 2),
+        ):
+            result = bfs_distance(CLASSICAL, standard_state(n, 1), predicate, want_path=False)
+            assert (result.distance, result.explored) == (2**n - 1, explored)
 
 
 def test_witness_is_lexicographically_minimal():
