@@ -18,15 +18,10 @@ smaller frontier at a time, each side a dict from state to depth (about
 150 B a state).  There `explored` counts both sides' stored states, goal
 states included, and `peak_frontier` is the largest level of either side.
 `shortest_symmetric` grows its levels from the start alone with the same
-level expander, `_expand`.
-
-No search keeps its levels: a witness is rebuilt from the depths.  A
-sweep back from the goal side over the reversed edges marks the states on
-shortest paths, keeping only predecessors one level nearer the start, and
-a walk from the start takes the smallest move to a marked state one level
-further.  At distance 0 the witness search stores depth + 1 in the
-narrowest unsigned items that hold 3**n (2 B a state to n = 10, 4 B to
-n = 20).
+level expander, `_expand`.  No search keeps its levels: `_witness`
+rebuilds every witness from the depths, which the distance-0 witness
+search stores as depth + 1 in the narrowest unsigned items that hold 3**n
+(2 B a state to n = 10, 4 B to n = 20).
 
 A standard transfer src -> tgt (src != tgt, n >= 1) on a graph closed
 under mirrored moves is searched from the start alone, in either core.
@@ -36,15 +31,11 @@ mirrored edge.  So d(s, goal) = d(start, M(s)).  Once level L is complete,
 a state W on it with M(W) stored gives D <= L + depth(M(W)) <= 2L, and the
 state ceil(D/2) moves along a shortest path is such a W with equality, so
 the first level with one is ceil(D/2) and D is L plus the least such
-depth.  The witness keeps its moves: the sweep starts from the midpoints,
-the W on that level with depth(M(W)) = D - L, and past them the walk takes
-the smallest move to a state q with depth(M(q)) one less, the candidates
-of the marked states one level further.  `explored` then counts the states
-within ceil(D/2) of the start (3**(n-1) + 2 for the classical witness,
-not 3**n), none backward.  At distance 0 the pegs are relabeled src, aux,
-tgt -> 1, 2, 3: the start is code 0, the goal 3**n - 1 and M(c) the goal
-minus c, and the predecessors of c are the mirrors of the successors of
-M(c), so the sweep needs no reversed move table.
+depth.  `_witness` keeps the witness's moves.  `explored` then counts the
+states within ceil(D/2) of the start (3**(n-1) + 2 for the classical
+witness, not 3**n), none backward.  At distance 0 the pegs are relabeled
+src, aux, tgt -> 1, 2, 3: the start is code 0, the goal 3**n - 1 and M(c)
+the goal minus c.
 
 `optimality_reports` certifies a graph at every n up to n_max from one
 distance-0 search per source peg at n_max discs.  Its goals are the
@@ -67,7 +58,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeAlias
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeAlias, TypeVar
 
 from . import recurrence
 from .model import (
@@ -108,6 +99,53 @@ class SearchResult(NamedTuple):
         return self.distance is not None
 
 
+S = TypeVar("S", bound=Hashable)
+
+
+def _witness(
+    start: S,
+    goal: int,
+    rest: dict[S, int],
+    seeds: Iterable[S],
+    depth: Callable[[S], int | None],
+    successors: Callable[[S], Iterable[tuple[Move, S]]],
+    predecessors: Callable[[S], Iterable[S]],
+    mirror: Callable[[S], S] | None = None,
+) -> list[Move]:
+    """The witness from `start`: at every step the smallest move, in the
+    order of `successors`, to a state one move nearer the goal.
+
+    `depth` puts the goal at `goal`, no unstored state at or above the
+    start; `rest` has the seeds' exact distances to the goal.  The sweep
+    adds each predecessor one depth nearer: every state on a shortest path
+    to a seed.  A `mirror` search passes its last level L, seeds its w with
+    d(start, M(w)) = D - L, and adds d(M(q), goal) = d(start, q) to `rest`.
+    """
+    origin = depth(start)
+    if mirror:
+        seeds = [w for w in seeds if depth(mirror(w)) == goal + origin - depth(w)]
+        rest.update((w, goal - depth(w)) for w in seeds)
+    todo = list(seeds)
+    while todo:
+        state = todo.pop()
+        left = rest[state] + 1
+        nearer = goal - left
+        for prev in predecessors(state):
+            if depth(prev) == nearer and prev not in rest:
+                rest[prev] = left
+                todo.append(prev)
+    if mirror:
+        rest.update({mirror(state): goal - origin - togo for state, togo in rest.items()})
+    path: list[Move] = []
+    for left in range(goal - origin - 1, -1, -1):
+        for mv, new in successors(start):
+            if rest.get(new) == left:
+                path.append(mv)
+                start = new
+                break
+    return path
+
+
 # ---------------------------------------------------------------------------
 # Dense core: distance 0, states packed as base-3 integers (digit per disc).
 
@@ -119,15 +157,6 @@ def pack_state(state: State) -> int:
         for disc in state.stacks[peg - 1]:
             code += (peg - 1) * 3 ** (disc - 1)
     return code
-
-
-def unpack_state(code: int, n: int) -> State:
-    stacks: list[list[int]] = [[], [], []]
-    c = code
-    for disc in range(1, n + 1):
-        stacks[c % 3].append(disc)
-        c //= 3
-    return State(tuple(tuple(reversed(s)) for s in stacks))  # type: ignore[arg-type]
 
 
 def _dense_neighbors(
@@ -160,8 +189,6 @@ def _dense_neighbors(
 _TABLE_DISCS = 6
 
 DenseMoves = tuple[tuple[Move, int], ...]
-#: depth + 1 of each visited code, or 1 + depth % 2 when no witness is wanted
-DepthMap: TypeAlias = "bytearray | memoryview | dict[int, int] | set[int]"
 
 
 # keys: an edge sequence, whose order breaks ties, x 7 sizes; at most 64
@@ -215,11 +242,11 @@ def _dense_distances(
     max_states: int,
     depths: bool = False,
     mirror: bool = False,
-) -> tuple[dict[int, int], int, int, DepthMap, list[int]]:
+) -> tuple[dict[int, int], int, int, Callable[[int], int | None] | None, list[int]]:
     """Level BFS on packed codes until every goal code is found (or the
     component is exhausted).  Returns ({goal: distance}, explored, peak,
-    visited map, last level); with `depths` the map holds each state's
-    depth + 1, else 1 or 2 by the parity of the depth.
+    the visited map's getter, last level); with `depths` the map holds each
+    state's depth + 1, else 1 or 2 by the parity of the depth.
 
     The visited map is indexed by code whenever all 3**n codes fit the state
     budget (the cap cannot fire there): a bytearray, or with `depths` a view
@@ -235,7 +262,7 @@ def _dense_distances(
     dense_map = 3**n <= max_states
     top = 3**n - 1
     depths = depths or (mirror and not dense_map)  # a set holds no depth to read
-    visited: DepthMap = {start: 1} if depths else {start}
+    visited: bytearray | memoryview | dict[int, int] | set[int] = {start: 1} if depths else {start}
     if dense_map:
         if depths:  # a view, not an `array`: no extension module to load
             typecode, width = next(tw for tw in zip("BHIQ", (1, 2, 4, 8)) if 3**n < 1 << 8 * tw[1])
@@ -292,7 +319,7 @@ def _dense_distances(
             near = mark - 1 if depths else 3 - mark
             found[top] = 2 * level - (near in set(map(get, map(top.__sub__, nxt))))
             break
-    return found, explored, peak, visited, frontier
+    return found, explored, peak, get, frontier
 
 
 def _dense_search(
@@ -304,58 +331,33 @@ def _dense_search(
     want_path: bool,
     mirror: bool = False,
 ) -> tuple[int | None, list[Move] | None, int, int]:
-    """Level BFS to `goal`.  For a witness each state's depth is stored, a
-    sweep back from the goal over the reversed edges marks the states on
-    shortest paths, and a forward greedy walk takes the smallest optimal
-    move at each step.  With `mirror` (see `_dense_distances`) the sweep
-    starts from the midpoints and the walk past them follows the mirrors."""
-    found, explored, peak, visited, last = _dense_distances(
+    """Level BFS to `goal`; for a witness each state's depth + 1 is stored
+    for `_witness`.  `mirror`: see `_dense_distances`."""
+    found, explored, peak, depth, last = _dense_distances(
         n, edges, start, {goal}, max_states, want_path, mirror
     )
     goal_level = found.get(goal)
     if goal_level is None or not want_path:
         return goal_level, None, explored, peak
-    depth = visited.get if isinstance(visited, dict) else visited.__getitem__
     table = _move_table(edges, min(n, _TABLE_DISCS))
-    low = len(table)
-    if mirror:  # level-L states whose mirror is D - L from the start
-        half = (goal_level + 1) // 2
-        marked = {w for w in last if depth(goal - w) == goal_level - half + 1}
-    else:
-        half = goal_level
-        marked = {goal}
-        # a reversed move undoes a move: keep predecessors one level nearer the start
-        reverse = tuple(sorted((j, i) for i, j in edges))
-        back = _move_table(reverse, min(n, _TABLE_DISCS))
-    todo = list(marked)
-    while todo:
-        code = todo.pop()
-        nearer = depth(code) - 1
-        if mirror:  # predecessors of c are the mirrors of the successors of M(c)
-            m = goal - code
-            prevs = [code - delta for _, delta in table[m % low] or _dense_moves(m, n, edges)]
-        else:
-            moves = back[code % low] or _dense_moves(code, n, reverse)
-            prevs = [code + delta for _, delta in moves]
-        for prev in prevs:
-            if depth(prev) == nearer and prev not in marked:
-                marked.add(prev)
-                todo.append(prev)
-    path: list[Move] = []
-    current, togo = start, 0
-    for step in range(goal_level):
-        if step < half:
-            further = depth(current) + 1
-        else:  # past the midpoints d(q, goal) is depth(M(q)) - 1: one less each move
-            togo = depth(goal - current) - 1
-        for mv, delta in table[current % low] or _dense_moves(current, n, edges):
-            new = current + delta
-            if depth(goal - new) == togo if togo else new in marked and depth(new) == further:
-                path.append(mv)
-                current = new
-                break
-        else:  # pragma: no cover - would indicate a marking bug
-            raise RuntimeError("witness reconstruction lost the shortest-path set")
+    # predecessors: the mirrors of the successors of M(c) = goal - c, or reversed moves
+    top, sign = (goal, -1) if mirror else (0, 1)
+    steps = edges if mirror else tuple(sorted((j, i) for i, j in edges))
+    back = _move_table(steps, min(n, _TABLE_DISCS))
+
+    def successors(code: int) -> list[tuple[Move, int]]:
+        out = []  # a loop builds the list faster than a comprehension
+        for mv, delta in table[code % len(table)] or _dense_moves(code, n, edges):
+            out.append((mv, code + delta))
+        return out
+
+    def predecessors(code: int) -> Iterator[int]:
+        key = top + sign * code
+        for _, delta in back[key % len(back)] or _dense_moves(key, n, steps):
+            yield code + sign * delta
+
+    rest, seeds, mirrored = ({}, last, goal.__sub__) if mirror else ({goal: 0}, [goal], None)
+    path = _witness(start, goal_level + 1, rest, seeds, depth, successors, predecessors, mirrored)
     return goal_level, path, explored, peak
 
 
@@ -505,15 +507,10 @@ def _sparse_search(
     undone).  Returns (distance, witness, explored, peak frontier).
 
     The sides stay disjoint until one reaches the other, so the distance is
-    then the two completed depths plus one.  The witness takes the smallest
-    move to a state one step closer to a goal: backward depths say how close
-    beyond the last completed forward level, a sweep back over the reversed
-    edges, keeping predecessors one forward depth nearer, marks the rest.
+    then the two completed depths plus one.
 
     With `mirror`, the src/tgt swap, only the forward side grows, to the
-    first level holding a state whose mirror is stored; its midpoints seed
-    the backward depths, and past them a state's mirror's depth is its
-    distance to the goal.
+    first level holding a state whose mirror is stored.
     """
     edges = model.graph.sorted_edges()
     moves = _sparse_moves(edges)
@@ -546,38 +543,17 @@ def _sparse_search(
         peak = max(peak, len(nxt))
         front, back = (nxt, back) if forward else (front, nxt)
         if mirror:  # only levels L - 1 and L can hold the first mirrors found
-            level = fwd[nxt[0]]
-            togo = list(map(fwd.get, map(mirror, nxt)))
-            hits = set(togo) - {None}
-            if hits:
-                distance = level + min(hits)
-                back = [w for w, t in zip(nxt, togo) if t == distance - level]
+            hits = set(map(fwd.get, map(mirror, nxt))) - {None}
+            if hits:  # `_witness` finds the midpoints on this level
+                distance, back = fwd[nxt[0]] + min(hits), nxt
                 break
     explored = len(fwd) + len(bwd)
     if not want_path:
         return distance, None, explored, peak
-    if mirror:
-        bwd = dict.fromkeys(back, distance - fwd[back[0]])
-    # mark back from the last complete backward level; a partial next one
-    # has no predecessor before the last forward level, which is complete
-    todo = list(back)
-    while todo:
-        codes = todo.pop()
-        left = bwd[codes] + 1
-        for _, prev in _sparse_neighbors(codes, reverse, base, C):
-            if fwd.get(prev) == distance - left and prev not in bwd:
-                bwd[prev] = left
-                todo.append(prev)
-    path: list[Move] = []
-    current = origin
-    for left in range(distance - 1, -1, -1):
-        for mv, new in _sparse_neighbors(current, moves, base, C):
-            if bwd.get(new) == left or mirror and fwd.get(mirror(new)) == left:
-                path.append(mv)
-                current = new
-                break
-        else:  # pragma: no cover - would indicate a marking bug
-            raise RuntimeError("witness reconstruction lost the shortest-path set")
+    # seeds: the last complete backward level; a partial next one is off every shortest path
+    successors = functools.partial(_sparse_neighbors, moves=moves, base=base, C=C)
+    predecessors = lambda codes: (prev for _, prev in _sparse_neighbors(codes, reverse, base, C))
+    path = _witness(origin, distance, bwd, back, fwd.get, successors, predecessors, mirror)
     return distance, path, explored, peak
 
 
@@ -763,9 +739,9 @@ def shortest_symmetric(
     needs W equal to its own mirror (both swapped stacks empty).  Levels
     are scanned outward, even candidates before odd, so the first hit is
     minimal.  Levels grow through `_expand`, the expander of the
-    bidirectional core, with no other side.  The first half walks back
-    from W over the reversed edges, one level at a time, and the second
-    half is its mirrored reverse.
+    bidirectional core, with no other side.  The first half is the
+    smallest shortest path to W (`_witness`, the rule of every
+    `bfs_distance` witness), and the second half is its mirrored reverse.
     """
     if src == tgt:
         raise ValueError("src and tgt must differ")
@@ -778,29 +754,22 @@ def shortest_symmetric(
         return SearchResult(0, (), 1, 1)
     edges = model.graph.sorted_edges()
     moves = _sparse_moves(edges)
-    # each reversed edge is labelled with the forward move it undoes
-    reverse = tuple((mv, j, i) for mv, i, j in moves)
     # only self-mirrored moves can sit in the middle of an odd solution,
     # and only when the graph actually has them
     middle_moves = _sparse_moves(e for e in edges if set(e) == {src, tgt})
     C = model.distance
     base = n + 1
+    successors = functools.partial(_sparse_neighbors, moves=moves, base=base, C=C)
+    reverse = _sparse_moves((j, i) for i, j in edges)
+    predecessors = lambda codes: (prev for _, prev in _sparse_neighbors(codes, reverse, base, C))
     i, j = src - 1, tgt - 1  # a state's mirror swaps these two codes
-    seen = {_encode(start.stacks, base): 0}
-    frontier = list(seen)
+    origin = _encode(start.stacks, base)
+    seen = {origin: 0}
+    frontier = [origin]
     peak = 1
 
     def finish(w: Codes, middle: list[Move]) -> SearchResult:
-        half: list[Move] = []
-        while seen[w]:  # back one level at a time to the start
-            for mv, prev in _sparse_neighbors(w, reverse, base, C):
-                if seen.get(prev) == seen[w] - 1:
-                    half.append(mv)
-                    w = prev
-                    break
-            else:  # pragma: no cover - would indicate a levelling bug
-                raise RuntimeError("symmetric witness lost its level chain")
-        half.reverse()
+        half = _witness(origin, seen[w], {w: 0}, [w], seen.get, successors, predecessors)
         path = half + middle + mirror_sequence(half, src, tgt)
         final = apply_all(model, start, path)
         if final != standard_state(n, tgt):  # pragma: no cover - engine bug

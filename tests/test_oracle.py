@@ -1,5 +1,7 @@
 """Exhaustive-search ground truth: distances, witnesses, and probes."""
 
+import itertools
+
 import pytest
 
 from hanoilab import oracle, recurrence, solvers
@@ -13,7 +15,6 @@ from hanoilab.oracle import (
     optimality_reports,
     pack_state,
     shortest_symmetric,
-    unpack_state,
     verify_optimality,
 )
 from hanoilab.recurrence import CYCLE_GRAPH, FIVE_EDGE_GRAPH, conjecture_values
@@ -22,13 +23,18 @@ from hanoilab.verify import is_symmetric
 CLASSICAL = Model.classical()
 
 
-def test_pack_unpack_roundtrip():
+def test_pack_state_codes_each_forced_state_once():
+    # at distance 0 a state is its disc-to-peg assignment: 3**n of them,
+    # each packed to a distinct base-3 code with disc d as digit d - 1
     for n in range(6):
+        codes = set()
+        for pegs in itertools.product((1, 2, 3), repeat=n):
+            stacks = [tuple(d for d in range(n, 0, -1) if pegs[d - 1] == p) for p in (1, 2, 3)]
+            codes.add(pack_state(State((stacks[0], stacks[1], stacks[2]))))
+        assert codes == set(range(3**n))
         for peg in (1, 2, 3):
-            state = standard_state(n, peg)
-            assert unpack_state(pack_state(state), n) == state
-    mixed = State(((3,), (2,), (1,)))
-    assert unpack_state(pack_state(mixed), 3) == mixed
+            assert pack_state(standard_state(n, peg)) == (peg - 1) * (3**n - 1) // 2
+    assert pack_state(State(((3,), (2,), (1,)))) == 5
 
 
 @pytest.mark.parametrize("n", range(8))

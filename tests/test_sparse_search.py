@@ -217,6 +217,27 @@ def test_symmetric_search_counts_and_witnesses(edges, C, src, tgt):
         assert apply_all(model, start, result.path) == standard_state(n, tgt)
 
 
+#: (edges, C, src, tgt, discs): every case of SYMMETRIC_COUNTS, and a
+#: labeling whose midpoint W at C=1, n=5 has two shortest paths from the start
+SYMMETRIC_HALVES = [(*key, len(counts)) for key, counts in sorted(SYMMETRIC_COUNTS.items())] + [
+    ("1>2,1>3,2>1,3>1", 1, 2, 3, 7),
+    ("1>2,1>3,2>1,3>1", 1, 3, 2, 7),
+]
+
+
+@pytest.mark.parametrize("edges, C, src, tgt, discs", SYMMETRIC_HALVES)
+def test_symmetric_first_half_is_the_smallest_shortest_path_to_its_midpoint(
+    edges, C, src, tgt, discs
+):
+    model = Model(MoveGraph.parse(edges), C)
+    for n in range(discs):
+        result = shortest_symmetric(model, n, src, tgt)
+        half = list(result.path[: result.distance // 2])
+        start = standard_state(n, src)
+        midpoint = GoalPredicate.exact(apply_all(model, start, half))
+        assert reference_search(model, start, midpoint)[:2] == (len(half), half), n
+
+
 def test_goal_states_are_stored_lazily_under_the_cap():
     # 9! legal one-peg stacks: the cap must fire long before they all exist
     tracemalloc.start()
