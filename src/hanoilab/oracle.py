@@ -8,20 +8,23 @@ table.
 Two BFS cores share the public API.  For distance 0 the stack order is
 forced, so a state packs into a base-3 integer keyed by disc, and moves
 come from a table cached per graph: the legal (move, code delta) pairs
-for each placement of the six smallest discs.  The visited map is a
-bytearray over all 3**n codes when that many fit the state budget (1 B a
-state), and a set otherwise.  For distance >= 1 a state is one integer
-per stack, coding each disc with the smallest disc from it down
-(`_encode`), and is searched from both ends: forward from the start and
-backward from every goal state over the reversed edges, one level of the
-smaller frontier at a time, each side a dict from state to depth (about
-150 B a state).  There `explored` counts both sides' stored states, goal
-states included, and `peak_frontier` is the largest level of either side.
-`shortest_symmetric` grows its levels from the start alone with the same
-level expander, `_expand`.  No search keeps its levels: `_witness`
-rebuilds every witness from the depths, which the distance-0 witness
-search stores as depth + 1 in the narrowest unsigned items that hold 3**n
-(2 B a state to n = 10, 4 B to n = 20).
+for each placement of the six smallest discs.  The visited map is indexed
+by code, 1 B a state, when its 3**n items take no more bytes than a dict
+of the whole state budget would (about 85 B a state), and is such a dict
+otherwise; at the default budget that is to n = 19 (1.16 GB).  The map is
+allocated whole, so a search that ends near its start pays for it all.
+For distance >= 1 a state is one integer per stack, coding each disc with
+the smallest disc from it down (`_encode`), and is searched from both
+ends: forward from the start and backward from every goal state over the
+reversed edges, one level of the smaller frontier at a time, each side a
+dict from state to depth (about 150 B a state).  There `explored` counts
+both sides' stored states, goal states included, and `peak_frontier` is
+the largest level of either side.  `shortest_symmetric` grows its levels
+from the start alone with the same level expander, `_expand`.  No search
+keeps its levels: `_witness` rebuilds every witness from the depths,
+which the distance-0 witness search stores as depth + 1 in the narrowest
+unsigned items that hold 3**n (2 B a state to n = 10, 4 B to n = 20),
+indexed by code at the default budget to n = 18 (1.55 GB).
 
 A standard transfer src -> tgt (src != tgt, n >= 1) on a graph closed
 under mirrored moves is searched from the start alone, in either core.
@@ -160,8 +163,10 @@ def pack_state(state: State) -> int:
 
 
 def _dense_neighbors(
-    code: int, n: int, edges: tuple[tuple[int, int], ...], pow3: list[int]
+    code: int, n: int, edges: tuple[tuple[int, int], ...]
 ) -> list[tuple[Move, int]]:
+    """Legal `(move, code delta)` pairs from `code`, in the order of
+    `edges`, decoded from the full code."""
     tops = [0, 0, 0]
     c = code
     remaining = 3
@@ -181,7 +186,7 @@ def _dense_neighbors(
         t = tops[j - 1]
         if t and t < d:
             continue
-        out.append((MOVES[i, j], code + (j - i) * pow3[d - 1]))
+        out.append((MOVES[i, j], (j - i) * 3 ** (d - 1)))
     return out
 
 
@@ -204,9 +209,8 @@ def _move_table(
     top larger than k, and no such disc may land on a small disc, so the
     entry holds for any code whose low k digits are L.  When all k sit on
     one peg the larger discs decide the other tops: the entry is None and
-    the caller decodes the full code instead.
+    the caller decodes the full code with `_dense_neighbors` instead.
     """
-    pow3 = [3**i for i in range(k)]
     size = 3**k
     one_peg = {0, (size - 1) // 2, size - 1}
     # at most 6 edges x k discs distinct pairs: share one tuple for each
@@ -214,24 +218,23 @@ def _move_table(
     return tuple(
         None
         if low in one_peg
-        else tuple(
-            shared.setdefault((mv, new - low), (mv, new - low))
-            for mv, new in _dense_neighbors(low, k, edges, pow3)
-        )
+        else tuple(shared.setdefault(pair, pair) for pair in _dense_neighbors(low, k, edges))
         for low in range(size)
     )
 
 
-def _dense_moves(
-    code: int, n: int, edges: tuple[tuple[int, int], ...]
-) -> DenseMoves:
-    """Legal `(move, code delta)` pairs from `code`, in the order of `edges`."""
-    table = _move_table(edges, min(n, _TABLE_DISCS))
-    moves = table[code % len(table)]
-    if moves is None:
-        pow3 = [3**i for i in range(n)]
-        moves = tuple((mv, new - code) for mv, new in _dense_neighbors(code, n, edges, pow3))
-    return moves
+#: Bytes a state costs in a dict keyed by code (85.5 B/state under
+#: `tracemalloc`, classical n=12): a map indexed by code is chosen while it
+#: is no larger than a dict holding the whole state budget.
+_DICT_STATE_BYTES = 85
+
+
+class _Visited(dict):
+    """A visited map keyed by code where an unstored code reads 0, as it
+    does in a map indexed by code."""
+
+    def __missing__(self, code: int) -> int:
+        return 0
 
 
 def _dense_distances(
@@ -242,35 +245,37 @@ def _dense_distances(
     max_states: int,
     depths: bool = False,
     mirror: bool = False,
-) -> tuple[dict[int, int], int, int, Callable[[int], int | None] | None, list[int]]:
+) -> tuple[dict[int, int], int, int, Callable[[int], int], list[int]]:
     """Level BFS on packed codes until every goal code is found (or the
     component is exhausted).  Returns ({goal: distance}, explored, peak,
     the visited map's getter, last level); with `depths` the map holds each
-    state's depth + 1, else 1 or 2 by the parity of the depth.
+    state's depth + 1, else 1 or 2 by the parity of the depth, and 0 for a
+    code not stored.
 
-    The visited map is indexed by code whenever all 3**n codes fit the state
-    budget (the cap cannot fire there): a bytearray, or with `depths` a view
-    of one as the narrowest unsigned items that hold 3**n.  Above that it
-    is a set, or a dict with `depths`, checked against the cap as each state
-    is inserted.
+    The visited map is indexed by code when its 3**n items take no more
+    bytes than a dict holding `max_states` states: a bytearray, or with
+    `depths` a view of one as the narrowest unsigned items that hold 3**n.
+    Otherwise it is a dict.  Either way the cap is checked as each state is
+    stored.
 
     With `mirror` (start 0, goal 3**n - 1, M(c) = goal - c) it stops after
     the first level L with a stored mirror: D = 2L - 1 if one is on L - 1.
     """
     table = _move_table(edges, min(n, _TABLE_DISCS))
     low = len(table)
-    dense_map = 3**n <= max_states
     top = 3**n - 1
-    depths = depths or (mirror and not dense_map)  # a set holds no depth to read
-    visited: bytearray | memoryview | dict[int, int] | set[int] = {start: 1} if depths else {start}
-    if dense_map:
-        if depths:  # a view, not an `array`: no extension module to load
-            typecode, width = next(tw for tw in zip("BHIQ", (1, 2, 4, 8)) if 3**n < 1 << 8 * tw[1])
-            visited = memoryview(bytearray(width * 3**n)).cast(typecode)
-        else:
-            visited = bytearray(3**n)
-        visited[start] = 1
-    get = visited.get if isinstance(visited, dict) else getattr(visited, "__getitem__", None)
+    typecode, width = "B", 1
+    if depths:
+        typecode, width = next(tw for tw in zip("BHIQ", (1, 2, 4, 8)) if 3**n < 1 << 8 * tw[1])
+    visited: bytearray | memoryview | _Visited
+    if width * 3**n > _DICT_STATE_BYTES * max_states:
+        visited = _Visited()
+    elif depths:  # a view, not an `array`: no extension module to load
+        visited = memoryview(bytearray(width * 3**n)).cast(typecode)
+    else:
+        visited = bytearray(3**n)
+    visited[start] = 1
+    get = visited.__getitem__
     found: dict[int, int] = {}
     remaining = set(goals)
     if start in remaining:
@@ -284,34 +289,20 @@ def _dense_distances(
         level += 1
         mark = level + 1 if depths else 1 + level % 2
         nxt: list[int] = []
-        # a None table entry (small discs all on one peg) decodes the code
-        if dense_map:
-            for code in frontier:
-                for _, delta in table[code % low] or _dense_moves(code, n, edges):
-                    new = code + delta
-                    if not visited[new]:
-                        visited[new] = mark
-                        nxt.append(new)
-                        if new in remaining:
-                            found[new] = level
-                            remaining.discard(new)
-        else:
-            for code in frontier:
-                for _, delta in table[code % low] or _dense_moves(code, n, edges):
-                    new = code + delta
-                    if new not in visited:
-                        if depths:
-                            visited[new] = mark
-                        else:
-                            visited.add(new)  # a set costs less than a dict
-                        if len(visited) > max_states:
-                            raise SearchCapExceeded(max_states, level, len(visited))
-                        nxt.append(new)
-                        if new in remaining:
-                            found[new] = level
-                            remaining.discard(new)
+        for code in frontier:
+            # a None table entry (small discs all on one peg) decodes the code
+            for _, delta in table[code % low] or _dense_neighbors(code, n, edges):
+                new = code + delta
+                if not visited[new]:
+                    visited[new] = mark
+                    explored += 1
+                    if explored > max_states:
+                        raise SearchCapExceeded(max_states, level, explored)
+                    nxt.append(new)
+                    if new in remaining:
+                        found[new] = level
+                        remaining.discard(new)
         frontier = nxt
-        explored += len(nxt)
         if len(nxt) > peak:
             peak = len(nxt)
         if mirror and any(map(get, map(top.__sub__, nxt))):
@@ -347,13 +338,13 @@ def _dense_search(
 
     def successors(code: int) -> list[tuple[Move, int]]:
         out = []  # a loop builds the list faster than a comprehension
-        for mv, delta in table[code % len(table)] or _dense_moves(code, n, edges):
+        for mv, delta in table[code % len(table)] or _dense_neighbors(code, n, edges):
             out.append((mv, code + delta))
         return out
 
     def predecessors(code: int) -> Iterator[int]:
         key = top + sign * code
-        for _, delta in back[key % len(back)] or _dense_moves(key, n, steps):
+        for _, delta in back[key % len(back)] or _dense_neighbors(key, n, steps):
             yield code + sign * delta
 
     rest, seeds, mirrored = ({}, last, goal.__sub__) if mirror else ({goal: 0}, [goal], None)

@@ -14,7 +14,6 @@ from hanoilab.oracle import (
     GoalPredicate,
     SearchCapExceeded,
     _dense_distances,
-    _dense_moves,
     _dense_neighbors,
     _move_table,
     bfs_distance,
@@ -32,17 +31,13 @@ CLASSICAL = Model.classical()
 def test_table_moves_equal_full_decoder(graph):
     edges = graph.sorted_edges()
     for n in range(_TABLE_DISCS + 2):
-        pow3 = [3**i for i in range(n)]
         table = _move_table(edges, min(n, _TABLE_DISCS))
         for code in range(3**n):
-            expected = _dense_neighbors(code, n, edges, pow3)
-            moves = [(mv, code + delta) for mv, delta in _dense_moves(code, n, edges)]
-            assert moves == expected, (n, code)
+            expected = _dense_neighbors(code, n, edges)
             entry = table[code % len(table)]
+            assert list(entry or _dense_neighbors(code, n, edges)) == expected, (n, code)
             low_digits = {code // 3**i % 3 for i in range(min(n, _TABLE_DISCS))}
             assert (entry is None) == (len(low_digits) <= 1), (n, code)
-            if entry is not None:
-                assert [(mv, code + delta) for mv, delta in entry] == expected
 
 
 @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.format())
@@ -97,17 +92,45 @@ def test_budget_equal_to_state_space_never_fires():
 
 
 @pytest.mark.parametrize("want_path", [False, True])
-def test_cap_is_checked_as_each_state_is_inserted(want_path):
+@pytest.mark.parametrize(
+    # n=8 without a path marks a bytearray; the other three fill a dict
+    "n, cap, level",
+    [(8, 100, 20), (12, 1000, 88)],
+)
+def test_cap_is_checked_as_each_state_is_inserted(n, cap, level, want_path):
     with pytest.raises(SearchCapExceeded) as err:
         bfs_distance(
             CLASSICAL,
-            standard_state(8, 1),
+            standard_state(n, 1),
             GoalPredicate.standard_on(2),
-            max_states=100,
+            max_states=cap,
             want_path=want_path,
         )
     # the search stops at the first state over the cap, mid-level
-    assert len(err.traceback[-1].frame.f_locals["visited"]) == 101
+    assert (err.value.level, err.value.forward, err.value.backward) == (level, cap + 1, 0)
+
+
+@pytest.mark.parametrize("want_path, limit", [(False, 1_500_000), (True, 4_000_000)])
+def test_visited_map_is_indexed_by_code_while_smaller_than_a_dict_at_the_cap(want_path, limit):
+    # 3**12 codes exceed a budget of 3**11 + 2 states, but a bytearray of
+    # them (or of 4 B depths) is far smaller than a dict of 3**11 + 2
+    # states, about 15 MB; the mirror search stores exactly that many
+    n = 12
+    tracemalloc.start()
+    try:
+        result = bfs_distance(
+            CLASSICAL,
+            standard_state(n, 1),
+            GoalPredicate.standard_on(3),
+            max_states=3 ** (n - 1) + 2,
+            want_path=want_path,
+        )
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.distance == 2**n - 1
+    assert result.explored == 3 ** (n - 1) + 2
+    assert peak_bytes < limit
 
 
 def test_witness_stores_a_depth_per_state_not_the_levels():
