@@ -349,15 +349,7 @@ def can_place(disc: int, stack: Stack, distance: int) -> bool:
 
 def stack_is_legal(stack: Stack, distance: int) -> bool:
     """True if every disc is within `distance` of every disc below it."""
-    lowest: int | None = None
-    for disc in stack:
-        if lowest is not None:
-            if disc > lowest + distance:
-                return False
-            lowest = min(lowest, disc)
-        else:
-            lowest = disc
-    return True
+    return all(disc <= low + distance for disc, low in zip(stack[1:], accumulate(stack, min)))
 
 
 def is_legal_state(model: Model, state: State) -> bool:

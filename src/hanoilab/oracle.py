@@ -77,7 +77,6 @@ from .model import (
     Stack,
     State,
     apply_all,
-    can_place,
     class_relabelings,
     is_legal_state,
     mirror_sequence,
@@ -424,11 +423,11 @@ def _goal_states(goal: GoalPredicate, n: int, distance: int) -> Iterator[Stacks]
             stack = todo.pop()
             if len(stack) == n:
                 yield tuple(stack if p == peg else () for p in range(3))  # type: ignore[misc]
-            todo.extend(
-                stack + (d,)
-                for d in range(n, 0, -1)
-                if d not in stack and can_place(d, stack, distance)
-            )
+            left = [d for d in range(n, 0, -1) if d not in stack]
+            low = min(stack, default=n)
+            # d goes on only if the largest disc left still fits above it:
+            # then the rest fit in decreasing order, so no branch dead-ends
+            todo.extend(stack + (d,) for d in left if left[0] <= min(low, d) + distance)
     else:
         raise ValueError(f"unknown goal kind {goal.kind!r}")
 

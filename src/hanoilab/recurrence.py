@@ -2,9 +2,9 @@
 
 All counting uses Python's arbitrary-precision integers.  Closed forms are
 evaluated in exact quadratic fields (numbers a + b*sqrt(d) with rational
-a, b, held as integers over one common denominator), so every equality
-check is exact: move counts grow exponentially and floating point would
-mask errors at the sizes we verify.
+a, b, each a `Fraction`), so every equality check is exact: move counts
+grow exponentially and floating point would mask errors at the sizes we
+verify.
 
 The five named graphs below are the labeled graphs of the classes in
 `hanoilab.model.GRAPH_CLASSES`, for which the closed forms are written.
@@ -17,6 +17,7 @@ An order bound (`closed_form_for`) proves both for every n.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Literal, NamedTuple, Sequence
@@ -46,54 +47,23 @@ def _is_square_free(d: int) -> bool:
     return True
 
 
-_new_object = object.__new__
-_set_slot = object.__setattr__
-
-
-def _quad(p: int, q: int, den: int, d: int) -> "QuadValue":
-    """A QuadValue from integers already in lowest terms with den > 0."""
-    value = _new_object(QuadValue)
-    _set_slot(value, "_p", p)
-    _set_slot(value, "_q", q)
-    _set_slot(value, "_den", den)
-    _set_slot(value, "d", d)
-    return value
-
-
-def _reduced(p: int, q: int, den: int, d: int) -> "QuadValue":
-    """A QuadValue from integers with den > 0, divided by their common factor."""
-    g = math.gcd(p, q, den)
-    if g != 1:
-        p, q, den = p // g, q // g, den // g
-    return _quad(p, q, den, d)
-
-
 class QuadValue:
     """Exact number a + b*sqrt(d) with rational a, b and square-free d >= 2.
 
-    The value is held as integers (p + q*sqrt(d)) / den with den > 0 and
-    gcd(p, q, den) == 1, so every value has one representation and each
-    operation is a few integer products and one gcd.  `a` and `b` are
-    Fraction views of p/den and q/den.  Only the public constructor
-    validates the radicand; results of arithmetic inherit it.
-
+    `a` and `b` are `Fraction`s, so every value has one representation.
     Arithmetic never leaves the field and mixing radicands raises
     ValueError; equality is exact.  Values with b == 0 compare and hash
     equal to the corresponding int or Fraction.  Values are immutable.
     """
 
-    __slots__ = ("_p", "_q", "_den", "d")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, a: int | Fraction, b: int | Fraction, d: int) -> None:
         if not _is_square_free(d):
             raise ValueError(f"radicand must be square-free and >= 2, got {d}")
-        a, b = Fraction(a), Fraction(b)
-        # over the lcm of the two denominators the terms are already coprime
-        den = math.lcm(a.denominator, b.denominator)
-        _set_slot(self, "_p", a.numerator * (den // a.denominator))
-        _set_slot(self, "_q", b.numerator * (den // b.denominator))
-        _set_slot(self, "_den", den)
-        _set_slot(self, "d", d)
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "d", d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -104,14 +74,6 @@ class QuadValue:
     def __reduce__(self):
         return QuadValue, (self.a, self.b, self.d)
 
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self._p, self._den)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self._q, self._den)
-
     @classmethod
     def sqrt(cls, d: int) -> "QuadValue":
         return cls(0, 1, d)
@@ -120,28 +82,21 @@ class QuadValue:
     def rational(cls, value: int | Fraction, d: int) -> "QuadValue":
         return cls(value, 0, d)
 
-    def _terms(self, other: object) -> tuple[int, int, int] | None:
-        """(p, q, den) of `other` in this field, or None for a foreign type."""
+    def _terms(self, other: object) -> tuple[int | Fraction, int | Fraction] | None:
+        """(a, b) of `other` in this field, or None for a foreign type."""
         if isinstance(other, QuadValue):
             if other.d != self.d:
                 raise ValueError(f"mixed radicands {self.d} and {other.d}")
-            return other._p, other._q, other._den
-        if isinstance(other, int):
-            return other, 0, 1
-        if isinstance(other, Fraction):
-            return other.numerator, 0, other.denominator
+            return other.a, other.b
+        if isinstance(other, (int, Fraction)):
+            return other, 0
         return None
 
     def __add__(self, other: object) -> "QuadValue":
         t = self._terms(other)
         if t is None:
             return NotImplemented
-        p, q, den = t
-        if den == self._den:
-            return _reduced(self._p + p, self._q + q, den, self.d)
-        return _reduced(
-            self._p * den + p * self._den, self._q * den + q * self._den, self._den * den, self.d
-        )
+        return QuadValue(self.a + t[0], self.b + t[1], self.d)
 
     __radd__ = __add__
 
@@ -149,29 +104,23 @@ class QuadValue:
         t = self._terms(other)
         if t is None:
             return NotImplemented
-        p, q, den = t
-        return self + _quad(-p, -q, den, self.d)
+        return QuadValue(self.a - t[0], self.b - t[1], self.d)
 
     def __rsub__(self, other: object) -> "QuadValue":
         t = self._terms(other)
         if t is None:
             return NotImplemented
-        return -self + _quad(*t, self.d)
+        return QuadValue(t[0] - self.a, t[1] - self.b, self.d)
 
     def __neg__(self) -> "QuadValue":
-        return _quad(-self._p, -self._q, self._den, self.d)
+        return QuadValue(-self.a, -self.b, self.d)
 
     def __mul__(self, other: object) -> "QuadValue":
         t = self._terms(other)
         if t is None:
             return NotImplemented
-        p, q, den = t
-        return _reduced(
-            self._p * p + self.d * self._q * q,
-            self._p * q + self._q * p,
-            self._den * den,
-            self.d,
-        )
+        p, q = t
+        return QuadValue(self.a * p + self.d * self.b * q, self.a * q + self.b * p, self.d)
 
     __rmul__ = __mul__
 
@@ -179,78 +128,56 @@ class QuadValue:
         t = self._terms(other)
         if t is None:
             return NotImplemented
-        p, q, den = t
-        # multiply by den * (p - q*sqrt(d)) / norm, norm = p^2 - d*q^2
-        norm = p * p - self.d * q * q
+        p, q = t
+        # multiply by (p - q*sqrt(d)) / norm, norm = p^2 - d*q^2
+        norm = Fraction(p * p - self.d * q * q)
         if norm == 0:
             raise ZeroDivisionError("division by zero in quadratic field")
-        if norm < 0:
-            norm, den = -norm, -den
-        return _reduced(
-            (self._p * p - self.d * self._q * q) * den,
-            (self._q * p - self._p * q) * den,
-            self._den * norm,
-            self.d,
-        )
+        return self * QuadValue(p / norm, -q / norm, self.d)
 
     def __rtruediv__(self, other: object) -> "QuadValue":
         t = self._terms(other)
         if t is None:
             return NotImplemented
-        return _quad(*t, self.d) / self
+        return QuadValue(*t, self.d) / self
 
     def __pow__(self, exponent: int) -> "QuadValue":
         if exponent < 0:
             raise ValueError("negative exponents are not supported")
-        result = _quad(1, 0, 1, self.d)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
+        result = QuadValue(1, 0, self.d)
+        for bit in bin(exponent)[2:]:  # square and multiply, high bit first
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadValue):
-            return (
-                self.d == other.d
-                and self._p == other._p
-                and self._q == other._q
-                and self._den == other._den
-            )
-        if isinstance(other, int):
-            return self._q == 0 and self._den == 1 and self._p == other
-        if isinstance(other, Fraction):
-            return (
-                self._q == 0
-                and self._p == other.numerator
-                and self._den == other.denominator
-            )
+            return self.d == other.d and self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._q == 0:
+        if self.b == 0:
             return hash(self.a)
-        return hash((self._p, self._q, self._den, self.d))
+        return hash((self.a, self.b, self.d))
 
     def conjugate(self) -> "QuadValue":
-        return _quad(self._p, -self._q, self._den, self.d)
+        return QuadValue(self.a, -self.b, self.d)
 
     @property
     def is_rational(self) -> bool:
-        return self._q == 0
+        return self.b == 0
 
     @property
     def is_integer(self) -> bool:
-        return self._q == 0 and self._den == 1
+        return self.b == 0 and self.a.denominator == 1
 
     def as_integer(self) -> int:
         if not self.is_integer:
             raise ValueError(f"{self} is not an integer")
-        return self._p
+        return self.a.numerator
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
@@ -283,27 +210,61 @@ def eval_move_counts(graph: MoveGraph, n_max: int) -> CountTable:
     return CountTable(graph, n_max, dict(zip(PAIR_ORDER, columns)))
 
 
-_WITH_CYCLE = {(1, 2), (2, 3), (3, 1)}
-_AGAINST_CYCLE = {(2, 1), (3, 2), (1, 3)}
+#: The root r of each radicand's closed forms, as (a, b) of a + b*sqrt(d).
+_ROOTS = {3: (1, 1), 17: (Fraction(1, 2), Fraction(1, 2)), 2: (0, 1)}
+
+#: Every sqrt(d) closed form is alpha + beta*r^n + conj(beta*r^n), with
+#: beta = (u + v*sqrt(d)) / (w*sqrt(d)): (alpha, u, v, w) by radicand, for
+#: the cycle's columns, the cycle-chord's and the distance-1 a(n).
+_COEFFICIENTS = {
+    3: {
+        **dict.fromkeys([(1, 2), (2, 3), (3, 1)], (-1, 1, 1, 2)),
+        **dict.fromkeys([(2, 1), (3, 2), (1, 3)], (-1, 2, 1, 2)),
+    },
+    17: {
+        **dict.fromkeys([(1, 2), (2, 3)], (Fraction(-3, 4), 11, 3, 8)),
+        **dict.fromkeys([(2, 1), (3, 2)], (Fraction(-5, 4), 21, 5, 8)),
+        (1, 3): (Fraction(-1, 2), 5, 1, 4),
+        (3, 1): (Fraction(-3, 2), 4, 1, 2),
+    },
+    2: {"a": (-3, 4, 3, 2)},
+}
+#: (alpha, beta) of each form, beta = v/w + u/(w*d) * sqrt(d)
+_FORMS = {
+    d: {
+        key: (alpha, QuadValue(Fraction(v, w), Fraction(u, w * d), d))
+        for key, (alpha, u, v, w) in forms.items()
+    }
+    for d, forms in _COEFFICIENTS.items()
+}
+
+
+@functools.lru_cache(maxsize=32)
+def _root_power(d: int, n: int) -> QuadValue:
+    """r^n for the root r of the sqrt(d) forms; every column evaluated at
+    the same n shares it."""
+    return QuadValue(*_ROOTS[d], d) ** n
+
+
+def _binet(d: int, key: object, n: int) -> QuadValue:
+    """The sqrt(d) form at `key` for n: alpha + t + conj(t) with
+    t = beta*r^n, so the sqrt(d) parts cancel by construction."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if key not in _FORMS[d]:
+        raise ValueError(f"unknown pair {key!r}")
+    alpha, beta = _FORMS[d][key]
+    term = beta * _root_power(d, n)
+    return term + term.conjugate() + alpha
 
 
 def closed_form_cycle(pair: tuple[int, int], n: int) -> QuadValue:
     """Exact count for the directed-cycle graph, via the sqrt(3) forms.
 
     Pairs along the cycle direction and pairs against it have different
-    leading coefficients; both results are plain integers (the sqrt(3)
-    parts cancel), which the test suite asserts.
+    leading coefficients; both results are plain integers.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    s3 = QuadValue.sqrt(3)
-    if tuple(pair) in _WITH_CYCLE:
-        c_plus, c_minus = (1 + s3) / (2 * s3), (1 - s3) / (2 * s3)
-    elif tuple(pair) in _AGAINST_CYCLE:
-        c_plus, c_minus = (2 + s3) / (2 * s3), (2 - s3) / (2 * s3)
-    else:
-        raise ValueError(f"unknown pair {pair!r}")
-    return c_plus * (1 + s3) ** n - c_minus * (1 - s3) ** n - 1
+    return _binet(3, tuple(pair), n)
 
 
 def closed_form_linear(pair: tuple[int, int], n: int) -> int:
@@ -327,37 +288,9 @@ def closed_form_chord(pair: tuple[int, int], n: int) -> QuadValue:
     The (3, 1) column is piecewise: its expression is valid only for
     n >= 1, with the n = 0 value fixed at 0.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    s17 = QuadValue.sqrt(17)
-    phi_plus = (1 + s17) / 2
-    phi_minus = (1 - s17) / 2
-    p = tuple(pair)
-    if p in {(1, 2), (2, 3)}:
-        return (
-            Fraction(-3, 4)
-            - (11 - 3 * s17) / (8 * s17) * phi_minus**n
-            + (11 + 3 * s17) / (8 * s17) * phi_plus**n
-        )
-    if p in {(2, 1), (3, 2)}:
-        return (
-            Fraction(-5, 4)
-            - (21 - 5 * s17) / (8 * s17) * phi_minus**n
-            + (21 + 5 * s17) / (8 * s17) * phi_plus**n
-        )
-    if p == (1, 3):
-        return (
-            Fraction(-1, 2)
-            - (5 - s17) / (4 * s17) * phi_minus**n
-            + (5 + s17) / (4 * s17) * phi_plus**n
-        )
-    if p == (3, 1):
-        if n == 0:
-            return QuadValue.rational(0, 17)
-        return (
-            -3 + (4 + s17) / s17 * phi_plus**n - (4 - s17) / s17 * phi_minus**n
-        ) / 2
-    raise ValueError(f"unknown pair {pair!r}")
+    if n == 0 and tuple(pair) == (3, 1):
+        return QuadValue.rational(0, 17)
+    return _binet(17, tuple(pair), n)
 
 
 #: The exact integer count at (pair, n) of each class with closed forms, on
@@ -400,11 +333,10 @@ def ab_closed_form(n: int, which: Literal["a", "b"] = "a") -> QuadValue:
     if n < 0:
         raise ValueError("n must be >= 0")
     if which == "b":
-        return (ab_closed_form(n + 1, "a") - 1) / 2
+        return (_binet(2, "a", n + 1) - 1) / 2
     if which != "a":
         raise ValueError(f"which must be 'a' or 'b', got {which!r}")
-    s2 = QuadValue.sqrt(2)
-    return (3 + 2 * s2) / 2 * s2**n + (3 - 2 * s2) / 2 * (-s2) ** n - 3
+    return _binet(2, "a", n)
 
 
 def conjecture_values(n_max: int, C: int) -> tuple[list[int], list[int]]:

@@ -19,7 +19,7 @@ from .model import (
     State,
     _replay,
     apply_all,
-    mirror_move,
+    mirror_sequence,
     remove_disc,
     third_peg,
 )
@@ -77,18 +77,14 @@ def is_symmetric(
     if src == tgt:
         raise ValueError("src and tgt must differ")
     moves = list(seq)
-    L = len(moves)
-    for i in range(L):
-        if moves[L - 1 - i] != mirror_move(moves[i], src, tgt):
-            return False
+    if moves != mirror_sequence(moves, src, tgt):
+        return False
     if model is not None and start is not None:
         try:
             discs = moved_discs(model, start, moves)
         except IllegalMoveError:
             return False
-        for i in range(L):
-            if discs[i] != discs[L - 1 - i]:
-                return False
+        return discs == discs[::-1]
     return True
 
 

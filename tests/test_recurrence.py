@@ -2,12 +2,14 @@
 minimal recurrences by Berlekamp-Massey."""
 
 import pickle
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hanoilab import cli, recurrence
 from hanoilab.model import (
     GRAPH_CLASSES,
     MoveGraph,
@@ -291,6 +293,22 @@ def test_chord_closed_form_matches_recurrence_exactly():
             value = closed_form_chord(pair, n)
             assert value.is_integer  # sqrt(17) parts cancel exactly
             assert value.as_integer() == table.value(pair, n)
+
+
+def test_table_check_computes_each_root_power_once_per_n(capsys, monkeypatch):
+    # the six columns of a sqrt(d) class share r^n at each n of rows 0..10
+    powers = Counter()
+    power = QuadValue.__pow__
+    monkeypatch.setattr(
+        QuadValue, "__pow__", lambda x, e: powers.update([(x, e)]) or power(x, e)
+    )
+    recurrence._root_power.cache_clear()
+    for edges in ("1>2,2>3,3>1", "1>2,1>3,2>3,3>1"):  # cycle, cycle-chord
+        assert cli.run(["table", "--model", "digraph", "--edges", edges, "--n", "12"]) == 0
+    assert capsys.readouterr().out.count("closed_form[") == 2
+    assert sorted((x.d, e, k) for (x, e), k in powers.items()) == [
+        (d, n, 1) for d in (3, 17) for n in range(11)
+    ]
 
 
 S3, S17 = QuadValue.sqrt(3), QuadValue.sqrt(17)

@@ -2,11 +2,20 @@
 reference BFS, plus its state cap and its counters."""
 
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
 from hanoilab.cli import all_strongly_connected_graphs
-from hanoilab.model import Model, MoveGraph, State, apply_all, standard_state, third_peg
+from hanoilab.model import (
+    Model,
+    MoveGraph,
+    State,
+    apply_all,
+    stack_is_legal,
+    standard_state,
+    third_peg,
+)
 from hanoilab.oracle import (
     GoalPredicate,
     SearchCapExceeded,
@@ -68,6 +77,21 @@ def test_all_on_goal_with_every_order_legal():
     witness = bfs_distance(model, standard_state(n, 1), goal)
     assert witness.distance == d == n
     assert witness.path == tuple(path)
+
+
+@pytest.mark.parametrize("C", [1, 2, 3])
+def test_all_on_goals_are_every_legal_one_peg_stack_in_bottom_up_order(C):
+    # permutations of 1..n come in lexicographic order, bottom disc first
+    for n in range(9):
+        stacks = [p for p in permutations(range(1, n + 1)) if stack_is_legal(p, C)]
+        goals = list(_goal_states(GoalPredicate.all_on(3), n, C))
+        assert goals == [((), (), stack) for stack in stacks], n
+
+
+def test_all_on_goals_are_listed_without_dead_ends():
+    # F(23) stacks at C=1, n=22; a listing that also extends stacks it
+    # cannot complete needs over a minute for the 4,181 at n=18
+    assert sum(1 for _ in _goal_states(GoalPredicate.all_on(2), 22, 1)) == 28_657
 
 
 def test_explored_counts_both_sides_goal_states_included():
