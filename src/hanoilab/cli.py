@@ -21,6 +21,7 @@ from .model import (
     DEFAULT_MOVE_BUDGET,
     DEFAULT_STATE_BUDGET,
     MOVES,
+    PEGS,
     GoalPredicate,
     IllegalMoveError,
     Model,
@@ -88,13 +89,34 @@ def _write_json(doc, key=None, items=()) -> None:
 # Argument handling.
 
 
+# Each model's rules: does it read --edges, the least --distance it reads
+# (None: it reads none), and the solver `--solver auto` picks for it.
+_MODELS = {
+    "classical": (False, None, "classical"),
+    "digraph": (True, None, "directed"),
+    "relaxed": (False, 1, "symmetric"),
+    "custom": (True, 0, "bfs"),
+}
+
+
+def _int_in(low: int, high: int | None = None):
+    """An argparse `type`: an int of at least `low`, and at most `high` unless None."""
+    bound = f">= {low}" if high is None else f"in {low}..{high}"
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be {bound}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     pegs = argparse.ArgumentParser(add_help=False)
-    pegs.add_argument("--from", dest="src", type=int, default=1)
-    pegs.add_argument("--to", dest="tgt", type=int, default=2)
+    pegs.add_argument("--from", dest="src", type=int, choices=PEGS, default=1)
+    pegs.add_argument("--to", dest="tgt", type=int, choices=PEGS, default=2)
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument(
-        "--max-states", type=int, default=DEFAULT_STATE_BUDGET, help="search state cap"
+        "--max-states", type=_int_in(1), default=DEFAULT_STATE_BUDGET, help="search state cap"
     )
 
     parser = argparse.ArgumentParser(
@@ -112,38 +134,38 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p_solve = command("solve", cmd_solve, "emit a move sequence", (pegs, budget))
-    p_solve.add_argument(
-        "--model",
-        choices=("classical", "digraph", "relaxed", "custom"),
-        default="classical",
-    )
+    p_solve.add_argument("--model", choices=tuple(_MODELS), default="classical")
     p_solve.add_argument("--edges", help="edge list i>j,k>l (digraph/custom models)")
-    p_solve.add_argument("--distance", type=int, help="placement distance C (relaxed/custom)")
-    p_solve.add_argument("--n", type=int, required=True, help="disc count")
+    p_solve.add_argument("--distance", type=_int_in(0), help="distance C (relaxed/custom)")
+    p_solve.add_argument("--n", type=_int_in(0), required=True, help="disc count")
     p_solve.add_argument(
         "--solver",
         choices=("auto", "classical", "directed", "zeta", "symmetric", "q", "bfs"),
         default="auto",
     )
+    # no longer sequence can be written, and below 2^64 the block walk stays under 80 levels
     p_solve.add_argument(
-        "--max-moves", type=int, default=DEFAULT_MOVE_BUDGET, help="longest sequence to emit"
+        "--max-moves", type=_int_in(0, 1 << 64), default=DEFAULT_MOVE_BUDGET, help="move cap"
     )
 
     p_table = command("table", cmd_table, "exact move-count table for a digraph")
-    p_table.add_argument("--model", choices=("classical", "digraph"), default="classical")
+    at_zero = [name for name, rule in _MODELS.items() if rule[1] is None]  # C = 0 only
+    p_table.add_argument("--model", choices=at_zero, default="classical")
     p_table.add_argument("--edges", help="edge list i>j,k>l (digraph model)")
-    p_table.add_argument("--n", type=int, required=True, help="largest disc count")
+    p_table.add_argument("--n", type=_int_in(0), required=True, help="largest disc count")
+    p_table.set_defaults(distance=None)  # for _build_model: no table model reads one
 
     p_verify = command("verify", cmd_verify, "run a harness suite", (budget,))
     p_verify.add_argument("--suite", choices=("graphs", "relaxed", "claims"), required=True)
-    p_verify.add_argument("--n", type=int, help="largest disc count (default: per suite)")
-    p_verify.add_argument("--distance", type=int, help="placement distance C (relaxed suite)")
+    # a suite run below one disc would check nothing and still pass
+    p_verify.add_argument("--n", type=_int_in(1), help="largest disc count (default: per suite)")
+    p_verify.add_argument("--distance", type=_int_in(1), help="distance C (relaxed suite)")
 
     p_conj = command(
         "conjecture", cmd_conjecture, "probe the conjectured optima", (pegs, budget), fmt="csv"
     )
-    p_conj.add_argument("--distance", type=int, required=True, help="placement distance C >= 1")
-    p_conj.add_argument("--n-max", dest="n_max", type=int, default=7)
+    p_conj.add_argument("--distance", type=_int_in(1), required=True, help="placement distance C")
+    p_conj.add_argument("--n-max", dest="n_max", type=_int_in(1), default=7)
 
     p_graphs = command("graphs", cmd_graphs, "enumerate strongly connected digraphs")
     p_graphs.add_argument("action", nargs="?", choices=("enumerate",), default="enumerate")
@@ -151,38 +173,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_graph(parser: argparse.ArgumentParser, args: argparse.Namespace) -> MoveGraph:
-    if args.model not in ("digraph", "custom"):
-        if args.edges:
-            parser.error("--edges is only valid with --model digraph or custom")
-        return MoveGraph.complete()
-    if not args.edges:
-        parser.error(f"--edges is required for --model {args.model}")
+def _build_model(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Model:
+    """The model of `--model`, its `--edges` and `--distance` checked by its `_MODELS` row."""
+    name = args.model
+    reads_edges, least, _ = _MODELS[name]
+    if bool(args.edges) != reads_edges:
+        parser.error(f"--edges is {'required' if reads_edges else 'not read'} for --model {name}")
+    if least is None and args.distance is not None:
+        parser.error(f"--distance is not read for --model {name}")
+    if least is not None and (args.distance is None or args.distance < least):
+        parser.error(f"--model {name} requires --distance >= {least}")
     try:
-        graph = MoveGraph.parse(args.edges)
+        graph = MoveGraph.parse(args.edges) if reads_edges else MoveGraph.complete()
     except ValueError as err:
         parser.error(str(err))
     if not graph.is_strongly_connected():
         parser.error("--edges must describe a strongly connected graph")
-    return graph
-
-
-def _build_model(parser: argparse.ArgumentParser, args: argparse.Namespace) -> Model:
-    needs_distance = args.model in ("relaxed", "custom")
-    if needs_distance and args.distance is None:
-        parser.error(f"--distance is required for --model {args.model}")
-    if not needs_distance and args.distance is not None:
-        parser.error("--distance is only valid with --model relaxed or custom")
-    if args.model == "relaxed" and args.distance < 1:
-        parser.error("--distance must be >= 1 for the relaxed model")
-    if args.model == "custom" and args.distance < 0:
-        parser.error("--distance must be >= 0")
-    return Model(_build_graph(parser, args), args.distance if needs_distance else 0)
+    return Model(graph, args.distance or 0)
 
 
 def _check_pegs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if args.src not in (1, 2, 3) or args.tgt not in (1, 2, 3):
-        parser.error("--from/--to must be pegs in 1..3")
     if args.src == args.tgt:
         parser.error("--from and --to must differ")
 
@@ -192,24 +202,11 @@ def _check_pegs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
 
 
 def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.n < 0:
-        parser.error("solve requires --n >= 0")
-    # no longer sequence can be written, and the solvers' block walk stays
-    # under 80 levels deep below this ceiling
-    if not 0 <= args.max_moves <= 1 << 64:
-        parser.error("--max-moves must be in 0..2^64")
     _check_pegs(parser, args)
     model = _build_model(parser, args)
     n, src, tgt, cap = args.n, args.src, args.tgt, args.max_moves
 
-    solver = args.solver
-    if solver == "auto":
-        solver = {
-            "classical": "classical",
-            "digraph": "directed",
-            "relaxed": "symmetric",
-            "custom": "bfs",
-        }[args.model]
+    solver = _MODELS[args.model][2] if args.solver == "auto" else args.solver
     if solver == "zeta":
         goal, predicate = "all-on-target", GoalPredicate.all_on(tgt)
     else:
@@ -314,9 +311,7 @@ class _Unprintable(Exception):
 
 
 def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.n < 0:
-        parser.error("table requires --n >= 0")
-    graph = _build_graph(parser, args)
+    graph = _build_model(parser, args).graph
     closed = recurrence.closed_form_for(graph)
     # rows 0..10 decide the closed form for every n (proof: closed_form_for)
     closed_ok = closed is None or all(
@@ -363,11 +358,6 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.distance is not None and args.suite != "relaxed":
         parser.error("--distance is only valid with --suite relaxed")
-    if args.distance is not None and args.distance < 1:
-        parser.error("--distance must be >= 1")
-    # a suite run below one disc would check nothing and still pass
-    if args.n is not None and args.n < 1:
-        parser.error("--n must be >= 1")
     if args.suite == "graphs":
         n_max = args.n if args.n is not None else 5
         by_graph = {
@@ -450,10 +440,6 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 
 def cmd_conjecture(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.distance < 1:
-        parser.error("conjecture requires --distance >= 1")
-    if args.n_max < 1:
-        parser.error("--n-max must be >= 1")
     _check_pegs(parser, args)
     report = oracle.conjecture_probe(
         args.distance, args.n_max, src=args.src, tgt=args.tgt, max_states=args.max_states
@@ -513,9 +499,6 @@ def cmd_graphs(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # solve, verify and conjecture take --max-states
-    if getattr(args, "max_states", 1) < 1:
-        args.parser.error("--max-states must be >= 1")
     try:
         return args.func(args.parser, args)
     except (SearchCapExceeded, _Unprintable) as err:

@@ -103,8 +103,8 @@ class MoveGraph(NamedTuple("MoveGraph", [("edges", frozenset)])):
     def parse(cls, text: str) -> "MoveGraph":
         """Parse a comma-separated edge list like ``"1>2, 2>3, 3>1"``.
 
-        Whitespace is ignored.  Self-loops, duplicate edges, and pegs
-        outside {1,2,3} are rejected.
+        Whitespace is ignored.  Duplicate edges are rejected here, and
+        self-loops and pegs outside {1,2,3} by the constructor.
         """
         cleaned = "".join(text.split())
         if not cleaned:
@@ -115,10 +115,6 @@ class MoveGraph(NamedTuple("MoveGraph", [("edges", frozenset)])):
             if len(pieces) != 2 or not pieces[0].isdigit() or not pieces[1].isdigit():
                 raise ValueError(f"bad edge {part!r}: expected i>j with pegs in 1..3")
             i, j = int(pieces[0]), int(pieces[1])
-            _check_peg(i)
-            _check_peg(j)
-            if i == j:
-                raise ValueError(f"self-loop {part!r} is not a move")
             if (i, j) in edges:
                 raise ValueError(f"duplicate edge {part!r}")
             edges.add((i, j))

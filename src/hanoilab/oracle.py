@@ -418,16 +418,17 @@ def _goal_states(goal: GoalPredicate, n: int, distance: int) -> Iterator[Stacks]
         yield standard_state(n, goal.peg).stacks
     elif goal.kind == "all-on":
         peg = goal.peg - 1
-        todo: list[Stack] = [()]
+        # each entry: a stack, the discs left in descending order, the stack's minimum
+        todo: list[tuple[Stack, Stack, int]] = [((), tuple(range(n, 0, -1)), n)]
         while todo:  # depth first, bottom up, smallest disc first
-            stack = todo.pop()
-            if len(stack) == n:
+            stack, left, low = todo.pop()
+            if not left:
                 yield tuple(stack if p == peg else () for p in range(3))  # type: ignore[misc]
-            left = [d for d in range(n, 0, -1) if d not in stack]
-            low = min(stack, default=n)
             # d goes on only if the largest disc left still fits above it:
             # then the rest fit in decreasing order, so no branch dead-ends
-            todo.extend(stack + (d,) for d in left if left[0] <= min(low, d) + distance)
+            for i, d in enumerate(left):
+                if left[0] <= min(low, d) + distance:
+                    todo.append((stack + (d,), left[:i] + left[i + 1 :], min(low, d)))
     else:
         raise ValueError(f"unknown goal kind {goal.kind!r}")
 

@@ -323,7 +323,7 @@ def test_usage_errors_exit_two(capsys, argv):
     assert err.value.code == 2
 
 
-# flag errors that cli checks itself, not argparse
+# values outside a flag's declared range
 @pytest.mark.parametrize(
     "argv",
     [
@@ -339,6 +339,41 @@ def test_usage_errors_print_the_subcommand_usage(capsys, argv):
         run(list(argv))
     assert err.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: hanoilab {argv[0]} ")
+
+
+# each bounded flag: its boundary value, then the value just outside its range
+@pytest.mark.parametrize(
+    "argv, flag, bound, outside",
+    [
+        (("solve",), "--n", "0", "-1"),
+        (("solve", "--n", "1"), "--max-states", "1", "0"),
+        (("solve", "--n", "1"), "--max-moves", "0", "-1"),
+        (("solve", "--n", "1"), "--max-moves", str(2**64), str(2**64 + 1)),
+        (
+            ("solve", "--model", "custom", "--edges", "1>2,2>3,3>1", "--n", "1"),
+            "--distance", "0", "-1",
+        ),
+        (("solve", "--n", "1"), "--from", "3", "4"),
+        (("table",), "--n", "0", "-1"),
+        (("verify", "--suite", "graphs"), "--n", "1", "0"),
+        (("verify", "--suite", "graphs", "--n", "1"), "--max-states", "1", "0"),
+        (("verify", "--suite", "relaxed", "--n", "1"), "--distance", "1", "0"),
+        (("conjecture", "--n-max", "1"), "--distance", "1", "0"),
+        (("conjecture", "--distance", "1"), "--n-max", "1", "0"),
+        (("conjecture", "--distance", "1", "--n-max", "1"), "--max-states", "1", "0"),
+        (("conjecture", "--distance", "1", "--n-max", "1", "--from", "2"), "--to", "1", "0"),
+    ],
+)
+def test_flag_ranges_are_declared_on_the_flags(capsys, argv, flag, bound, outside):
+    # the boundary value is not a usage error (a cap it sets may still be hit)
+    assert run([*argv, flag, bound]) in (0, 1)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        run([*argv, flag, outside])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"usage: hanoilab {argv[0]} ")
+    assert f"hanoilab {argv[0]}: error: argument {flag}: " in message
 
 
 def test_resource_cap_exits_one(capsys):
