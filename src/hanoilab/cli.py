@@ -71,12 +71,12 @@ def _dumps(doc) -> str:
 
 
 def _write_json(doc, key=None, items=()) -> None:
-    """Write `doc` as one line of `_dumps(doc)`.  Given `items`, the empty
-    list `doc[key]`, or `doc` itself without a `key`, is written from them:
-    encoded elements, each led by a separator the first drops."""
+    """Write `doc` as one line of `_dumps(doc)`.  Given a `key`, the empty
+    list `doc[key]` is streamed from `items`: encoded elements, each led by
+    a separator the first drops."""
     text = _dumps(doc)
-    if key is not None or items:
-        head, mark, tail = text.partition("[]" if key is None else f'"{key}": []')
+    if key is not None:
+        head, mark, tail = text.partition(f'"{key}": []')
         items = iter(items)
         # an encoded element starts with neither a comma nor a space
         sys.stdout.write(head + mark[:-1] + next(items, "").lstrip(", "))
@@ -421,7 +421,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             for r in reports
         )
         # this list's separator is "," where json.dumps writes ", "
-        _write_json([], items=("," + _dumps(doc) for doc in docs))
+        print("[" + ",".join(map(_dumps, docs)) + "]")
     elif args.format == "csv":
         _write_csv(
             ("suite", "pass", "counterexamples"),

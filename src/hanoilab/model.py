@@ -13,9 +13,9 @@ module the check lives in `can_place` / `stack_is_legal` and in the replay
 core `_replay`, which serves `apply`, `apply_all` and `verify.moved_discs`
 and compares against a running stack minimum so that a move costs O(1).
 The search compares inline, once per candidate move of every searched
-state: in `oracle._expand` and `oracle._sparse_neighbors` against the stack
-minimum each coded stack entry carries, and at distance 0 in
-`oracle._dense_neighbors`; an adjacent-only reading would change all six.
+state: in `oracle._expand` against the stack minimum each coded stack entry
+carries, and at distance 0 in `oracle._dense_neighbors`; an adjacent-only
+reading would change all five.
 
 All values are immutable and all public operations are pure functions.
 """

@@ -19,12 +19,14 @@ ends: forward from the start and backward from every goal state over the
 reversed edges, one level of the smaller frontier at a time, each side a
 dict from state to depth (about 150 B a state).  There `explored` counts
 both sides' stored states, goal states included, and `peak_frontier` is
-the largest level of either side.  `shortest_symmetric` grows its levels
-from the start alone with the same level expander, `_expand`.  No search
-keeps its levels: `_witness` rebuilds every witness from the depths,
-which the distance-0 witness search stores as depth + 1 in the narrowest
-unsigned items that hold 3**n (2 B a state to n = 10, 4 B to n = 20),
-indexed by code at the default budget to n = 18 (1.55 GB).
+the largest level of either side.  Only the level expander `_expand`
+writes the placement rule on codes: `shortest_symmetric` grows its levels
+with it, a witness step is its level of one state, and the symmetric
+midpoint test compares codes.  No search keeps its levels: `_witness`
+rebuilds every witness from the depths, which the distance-0 witness
+search stores as depth + 1 in the narrowest unsigned items that hold
+3**n (2 B a state to n = 10, 4 B to n = 20), indexed by code at the
+default budget to n = 18 (1.55 GB).
 
 A standard transfer src -> tgt (src != tgt, n >= 1) on a graph closed
 under mirrored moves is searched from the start alone, in either core.
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeAlias, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
 
 from . import recurrence
 from .model import (
@@ -357,12 +359,13 @@ def _dense_search(
 Stacks = tuple[Stack, Stack, Stack]
 #: one integer code per stack; see `_encode`
 Codes = tuple[int, int, int]
-#: (move, source index, target index) for each edge, in the given order
-SparseMoves: TypeAlias = "tuple[tuple[Move, int, int], ...]"
+#: (source index, target index) for each edge, in the given order
+SparseMoves = tuple[tuple[int, int], ...]
 
 
-def _sparse_moves(edges: Iterable[tuple[int, int]]) -> SparseMoves:
-    return tuple((MOVES[i, j], i - 1, j - 1) for i, j in edges)
+def _sparse_moves(edges: tuple[tuple[int, int], ...]) -> tuple[SparseMoves, SparseMoves]:
+    """The edges in their order, and the reversed edges sorted, as index pairs."""
+    return tuple((i - 1, j - 1) for i, j in edges), tuple(sorted((j - 1, i - 1) for i, j in edges))
 
 
 def _encode(stacks: Stacks, base: int) -> Codes:
@@ -380,31 +383,6 @@ def _encode(stacks: Stacks, base: int) -> Codes:
             code = code * square + disc + base * low
         codes.append(code)
     return codes[0], codes[1], codes[2]
-
-
-def _sparse_neighbors(
-    codes: Codes, moves: SparseMoves, base: int, C: int
-) -> Iterator[tuple[Move, Codes]]:
-    """Each legal move from `codes` in the order of `moves`, with the codes
-    it leads to (`_expand` makes the same step inline)."""
-    square = base * base
-    for mv, i, j in moves:
-        src = codes[i]
-        if not src:
-            continue
-        disc = src % base
-        dst = codes[j]
-        if dst:
-            low = dst % square // base
-            if disc > low + C:
-                continue
-            dst = dst * square + disc + base * (low if low < disc else disc)
-        else:
-            dst = disc * (base + 1)
-        new = list(codes)
-        new[i] = src // square
-        new[j] = dst
-        yield mv, (new[0], new[1], new[2])
 
 
 def _goal_states(goal: GoalPredicate, n: int, distance: int) -> Iterator[Stacks]:
@@ -450,11 +428,10 @@ def _expand(
     limit = max_states - len(other)
     nxt = []
     square = base * base
-    # the step of `_sparse_neighbors`, inline: this loop runs once per
-    # candidate move of every searched state
+    # this loop runs once per candidate move of every searched state
     for codes in frontier:
         a, b, c = codes
-        for _, i, j in moves:
+        for i, j in moves:
             src = codes[i]
             if not src:
                 continue
@@ -485,6 +462,22 @@ def _expand(
     return nxt
 
 
+def _sparse_steps(moves: SparseMoves, reverse: SparseMoves, base: int, C: int) -> tuple:
+    """`_witness`'s successors and predecessors of a coded state: one
+    `_expand` level of that state alone over `moves` or `reverse` (no other
+    side: never None; the cap holds the state and one new state a move).
+    Each successor's move is read off the codes: the pop shrank the
+    source's code and the push grew the target's."""
+    level = lambda codes, steps: _expand([codes], steps, base, C, {codes: 0}, {}, len(steps) + 1)
+
+    def successors(codes: Codes) -> Iterator[tuple[Move, Codes]]:
+        for new in level(codes, moves):
+            grew = [y - x for x, y in zip(codes, new)]
+            yield MOVES[grew.index(min(grew)) + 1, grew.index(max(grew)) + 1], new
+
+    return successors, lambda codes: level(codes, reverse)
+
+
 def _sparse_search(
     model: Model,
     start: Stacks,
@@ -503,9 +496,7 @@ def _sparse_search(
     With `mirror`, the src/tgt swap, only the forward side grows, to the
     first level holding a state whose mirror is stored.
     """
-    edges = model.graph.sorted_edges()
-    moves = _sparse_moves(edges)
-    reverse = _sparse_moves(sorted((j, i) for i, j in edges))
+    moves, reverse = _sparse_moves(model.graph.sorted_edges())
     C = model.distance
     base = sum(map(len, start)) + 1
     origin = _encode(start, base)
@@ -542,9 +533,8 @@ def _sparse_search(
     if not want_path:
         return distance, None, explored, peak
     # seeds: the last complete backward level; a partial next one is off every shortest path
-    successors = functools.partial(_sparse_neighbors, moves=moves, base=base, C=C)
-    predecessors = lambda codes: (prev for _, prev in _sparse_neighbors(codes, reverse, base, C))
-    path = _witness(origin, distance, bwd, back, fwd.get, successors, predecessors, mirror)
+    steps = _sparse_steps(moves, reverse, base, C)
+    path = _witness(origin, distance, bwd, back, fwd.get, *steps, mirror)
     return distance, path, explored, peak
 
 
@@ -729,10 +719,12 @@ def shortest_symmetric(
     landing exactly on W's mirror image; an even solution of length 2m
     needs W equal to its own mirror (both swapped stacks empty).  Levels
     are scanned outward, even candidates before odd, so the first hit is
-    minimal.  Levels grow through `_expand`, the expander of the
-    bidirectional core, with no other side.  The first half is the
-    smallest shortest path to W (`_witness`, the rule of every
-    `bfs_distance` witness), and the second half is its mirrored reverse.
+    minimal.  Levels grow through `_expand` with no other side.  A middle
+    move a>b lands on the mirror iff W's code on a pops to its code on b,
+    and is then legal: the disc goes back onto the stack it sat on in W.
+    The first half is the smallest shortest path to W (`_witness`, the
+    rule of every `bfs_distance` witness), and the second half is its
+    mirrored reverse.
     """
     if src == tgt:
         raise ValueError("src and tgt must differ")
@@ -743,27 +735,22 @@ def shortest_symmetric(
     start = standard_state(n, src)
     if n == 0:
         return SearchResult(0, (), 1, 1)
-    edges = model.graph.sorted_edges()
-    moves = _sparse_moves(edges)
-    # only self-mirrored moves can sit in the middle of an odd solution,
-    # and only when the graph actually has them
-    middle_moves = _sparse_moves(e for e in edges if set(e) == {src, tgt})
-    C = model.distance
-    base = n + 1
-    successors = functools.partial(_sparse_neighbors, moves=moves, base=base, C=C)
-    reverse = _sparse_moves((j, i) for i, j in edges)
-    predecessors = lambda codes: (prev for _, prev in _sparse_neighbors(codes, reverse, base, C))
+    moves, reverse = _sparse_moves(model.graph.sorted_edges())
     i, j = src - 1, tgt - 1  # a state's mirror swaps these two codes
+    # only a self-mirrored move the graph has can be an odd solution's middle
+    middle_moves = [(a, b) for a, b in moves if {a, b} == {i, j}]
+    C, base = model.distance, n + 1
+    square = base * base
+    steps = _sparse_steps(moves, reverse, base, C)
     origin = _encode(start.stacks, base)
     seen = {origin: 0}
     frontier = [origin]
     peak = 1
 
     def finish(w: Codes, middle: list[Move]) -> SearchResult:
-        half = _witness(origin, seen[w], {w: 0}, [w], seen.get, successors, predecessors)
+        half = _witness(origin, seen[w], {w: 0}, [w], seen.get, *steps)
         path = half + middle + mirror_sequence(half, src, tgt)
-        final = apply_all(model, start, path)
-        if final != standard_state(n, tgt):  # pragma: no cover - engine bug
+        if apply_all(model, start, path) != standard_state(n, tgt):  # pragma: no cover - engine bug
             raise RuntimeError("symmetric witness must end standard")
         return SearchResult(len(path), tuple(path), len(seen), peak)
 
@@ -772,9 +759,9 @@ def shortest_symmetric(
             if codes[i] == codes[j]:  # its own mirror
                 return finish(codes, [])
         for codes in frontier:  # odd candidates: length 2*level + 1
-            for mv, new in _sparse_neighbors(codes, middle_moves, base, C):
-                if new[i] == codes[j] and new[j] == codes[i]:  # the mirror
-                    return finish(codes, [mv])
+            for a, b in middle_moves:  # a>b lands on the mirror iff it pops onto b
+                if codes[a] and codes[a] // square == codes[b]:
+                    return finish(codes, [MOVES[a + 1, b + 1]])
         frontier = _expand(frontier, moves, base, C, seen, {}, max_states)
         peak = max(peak, len(frontier))
     return SearchResult(None, None, len(seen), peak)

@@ -203,13 +203,16 @@ def claim_harness(
     system), "claim51-inequality" (five-step increments dominate the
     symmetric ones), "dn-negative" (2b(n-1)+1 < 3b(n-2)+4), "symmetric-odd"
     (shortest symmetric lengths are odd), "symmetric-equals-a" (shortest
-    symmetric equals the standard-to-standard optimum).
+    symmetric equals the standard-to-standard optimum).  A parameter the
+    suite does not read raises `ValueError`.
     """
     if name not in _SUITE_DEFAULTS:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(_SUITE_DEFAULTS)}")
     merged = dict(_SUITE_DEFAULTS[name])
-    if params:
-        merged.update(params)
+    unread = sorted(set(params or ()) - set(merged))
+    if unread:
+        raise ValueError(f"suite {name!r} does not read {unread}; it reads {sorted(merged)}")
+    merged.update(params or ())
     counterexamples: list[dict] = []
 
     if name == "eq3-vs-oracle":

@@ -309,8 +309,9 @@ def test_verify_graphs_n8_is_byte_identical(capsys, fmt):
 
 
 def test_verify_graphs_cap_error_is_unchanged(capsys):
-    # 3**6 codes fit the budget and 3**7 do not: the first n = 7 search
-    # stores a set and hits the cap at the same state as it did per disc count
+    # the first n = 7 search indexes its visited map by code, a 2,187 B
+    # bytearray under the 85,000 B a dict of 1,000 states would take, and
+    # hits the cap at the same state as it did per disc count
     argv = ["verify", "--suite", "graphs", "--n", "7", "--max-states", "1000"]
     assert run(argv) == 1
     captured = capsys.readouterr()

@@ -1,19 +1,31 @@
 """The integer stack codes of the distance >= 1 search: the codec, the
 neighbours it generates against the stack-tuple generator of the
-reference BFS, and the memory a stored state costs."""
+reference BFS, the code test for the middle move of a symmetric
+transfer, and the memory a stored state costs."""
 
 import tracemalloc
 from itertools import permutations
 
 from hypothesis import given, strategies as st
 
-from hanoilab.model import Model, MoveGraph, all_strongly_connected_graphs, standard_state
+from hanoilab.model import (
+    IllegalMoveError,
+    Model,
+    Move,
+    MoveGraph,
+    State,
+    all_strongly_connected_graphs,
+    apply,
+    is_legal_state,
+    mirror_state,
+    standard_state,
+)
 from hanoilab.oracle import (
     GoalPredicate,
     _encode,
     _expand,
     _sparse_moves,
-    _sparse_neighbors,
+    _sparse_steps,
     bfs_distance,
 )
 from reference_bfs import _neighbors
@@ -73,15 +85,44 @@ def test_codec_round_trips_every_state_up_to_six_discs():
 def test_code_neighbours_equal_the_tuple_neighbours(graph, drawn):
     model, state = drawn
     edges, C, base = graph.sorted_edges(), model.distance, state.n + 1
+    reverse = tuple(sorted((j, i) for i, j in edges))
     expected = list(_neighbors(state.stacks, edges, C))
     codes = _encode(state.stacks, base)
-    moves = _sparse_moves(edges)
-    got = [(mv, decode(new, base)) for mv, new in _sparse_neighbors(codes, moves, base, C)]
-    assert got == expected
-    # the level expander makes the same step inline, in the same order
+    moves, reversed_moves = _sparse_moves(edges)
     level = _expand([codes], moves, base, C, {codes: 0}, {}, 10**6)
     assert [decode(new, base) for new in level] == [new for _, new in expected]
-    assert level == [new for _, new in _sparse_neighbors(codes, moves, base, C)]
+    # the witness steps: one level of the state alone, each successor's
+    # move read off the codes; predecessors over the reversed edges
+    successors, predecessors = _sparse_steps(moves, reversed_moves, base, C)
+    assert [(mv, decode(new, base)) for mv, new in successors(codes)] == expected
+    expected_back = [new for _, new in _neighbors(state.stacks, reverse, C)]
+    assert [decode(prev, base) for prev in predecessors(codes)] == expected_back
+
+
+def test_middle_move_code_test_matches_the_mirror():
+    # `shortest_symmetric`'s odd test: a>b lands on W's mirror iff W's code
+    # on a is non-empty and its pop equals W's code on b
+    hits = 0
+    for C in (1, 2, 3):
+        model = Model.relaxed(C)  # the complete graph
+        for n in range(7):
+            base = n + 1
+            square = base * base
+            for stacks in arrangements(n):
+                state = State(stacks)
+                if not is_legal_state(model, state):
+                    continue
+                codes = _encode(stacks, base)
+                for src, tgt in permutations((1, 2, 3), 2):
+                    a, b = src - 1, tgt - 1
+                    coded = bool(codes[a]) and codes[a] // square == codes[b]
+                    try:
+                        lands = apply(model, state, Move(src, tgt)) == mirror_state(state, src, tgt)
+                    except IllegalMoveError:
+                        lands = False
+                    assert coded == lands, (C, stacks, src, tgt)
+                    hits += lands
+    assert hits
 
 
 def test_a_stored_state_costs_under_190_bytes():

@@ -226,6 +226,22 @@ def test_unknown_suite_rejected():
         claim_harness("no-such-suite")
 
 
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("eq3-vs-oracle", "distances"),
+        ("claim51-inequality", "distance"),
+        ("dn-negative", "distance"),
+        ("symmetric-odd", "distance"),
+        ("symmetric-equals-a", "k_values"),
+    ],
+)
+def test_suite_rejects_a_parameter_it_does_not_read(name, key):
+    # a report must not claim a check made at a setting the suite never read
+    with pytest.raises(ValueError, match=rf"{name}.*{key}.*n_max"):
+        claim_harness(name, {"n_max": 3, key: 2})
+
+
 def test_eq3_vs_oracle_passes():
     report = claim_harness("eq3-vs-oracle", {"n_max": 6})
     assert report.passed and not report.counterexamples
