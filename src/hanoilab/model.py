@@ -279,7 +279,7 @@ def standard_state(n: int, peg: int) -> State:
     return State((stacks[0], stacks[1], stacks[2]))
 
 
-#: Default visited-set budget of a search; roughly 3 GiB at the 150-170
+#: Default visited-set budget of a search; about 3.5 GB at the 176-179
 #: bytes a stored state costs at distance >= 1.
 DEFAULT_STATE_BUDGET = 20_000_000
 

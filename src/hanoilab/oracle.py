@@ -17,7 +17,7 @@ For distance >= 1 a state is one integer per stack, coding each disc with
 the smallest disc from it down (`_encode`), and is searched from both
 ends: forward from the start and backward from every goal state over the
 reversed edges, one level of the smaller frontier at a time, each side a
-dict from state to depth (about 150 B a state).  There `explored` counts
+dict from state to depth (176-179 B a state).  There `explored` counts
 both sides' stored states, goal states included, and `peak_frontier` is
 the largest level of either side.  Only the level expander `_expand`
 writes the placement rule on codes: `shortest_symmetric` grows its levels
@@ -38,9 +38,10 @@ state ceil(D/2) moves along a shortest path is such a W with equality, so
 the first level with one is ceil(D/2) and D is L plus the least such
 depth.  `_witness` keeps the witness's moves.  `explored` then counts the
 states within ceil(D/2) of the start (3**(n-1) + 2 for the classical
-witness, not 3**n), none backward.  At distance 0 the pegs are relabeled
-src, aux, tgt -> 1, 2, 3: the start is code 0, the goal 3**n - 1 and M(c)
-the goal minus c.
+witness, not 3**n), none backward.  `bfs_distance` relabels the pegs src,
+aux, tgt -> 1, 2, 3 for either core and maps the witness back: M swaps
+the first and the last stack, and at distance 0 the start is code 0, the
+goal 3**n - 1 and M(c) the goal minus c.
 
 `optimality_reports` certifies a graph at every n up to n_max from one
 distance-0 search per source peg at n_max discs.  Its goals are the
@@ -62,7 +63,6 @@ state is stored, and exceeding it raises.
 from __future__ import annotations
 
 import functools
-import operator
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
 
 from . import recurrence
@@ -238,26 +238,26 @@ class _Visited(dict):
         return 0
 
 
-def _dense_distances(
+def _dense_search(
     n: int,
     edges: tuple[tuple[int, int], ...],
     start: int,
     goals: set[int],
     max_states: int,
-    depths: bool = False,
+    want_path: bool = False,
     mirror: bool = False,
-) -> tuple[dict[int, int], int, int, Callable[[int], int], list[int]]:
+) -> tuple[dict[int, int], list[Move] | None, int, int]:
     """Level BFS on packed codes until every goal code is found (or the
-    component is exhausted).  Returns ({goal: distance}, explored, peak,
-    the visited map's getter, last level); with `depths` the map holds each
-    state's depth + 1, else 1 or 2 by the parity of the depth, and 0 for a
-    code not stored.
+    component is exhausted).  Returns ({goal: distance}, witness, explored,
+    peak).  With `want_path` (one goal) the visited map holds each state's
+    depth + 1, which `_witness` reads, else 1 or 2 by the parity of the
+    depth, and 0 for a code not stored.
 
     The visited map is indexed by code when its 3**n items take no more
     bytes than a dict holding `max_states` states: a bytearray, or with
-    `depths` a view of one as the narrowest unsigned items that hold 3**n.
-    Otherwise it is a dict.  Either way the cap is checked as each state is
-    stored.
+    `want_path` a view of one as the narrowest unsigned items that hold
+    3**n.  Otherwise it is a dict.  Either way the cap is checked as each
+    state is stored.
 
     With `mirror` (start 0, goal 3**n - 1, M(c) = goal - c) it stops after
     the first level L with a stored mirror: D = 2L - 1 if one is on L - 1.
@@ -266,12 +266,12 @@ def _dense_distances(
     low = len(table)
     top = 3**n - 1
     typecode, width = "B", 1
-    if depths:
+    if want_path:
         typecode, width = next(tw for tw in zip("BHIQ", (1, 2, 4, 8)) if 3**n < 1 << 8 * tw[1])
     visited: bytearray | memoryview | _Visited
     if width * 3**n > _DICT_STATE_BYTES * max_states:
         visited = _Visited()
-    elif depths:  # a view, not an `array`: no extension module to load
+    elif want_path:  # a view, not an `array`: no extension module to load
         visited = memoryview(bytearray(width * 3**n)).cast(typecode)
     else:
         visited = bytearray(3**n)
@@ -288,7 +288,7 @@ def _dense_distances(
     peak = 1
     while frontier and remaining:
         level += 1
-        mark = level + 1 if depths else 1 + level % 2
+        mark = level + 1 if want_path else 1 + level % 2
         nxt: list[int] = []
         for code in frontier:
             # a None table entry (small discs all on one peg) decodes the code
@@ -308,49 +308,31 @@ def _dense_distances(
             peak = len(nxt)
         if mirror and any(map(get, map(top.__sub__, nxt))):
             # the first stored mirrors lie on level L - 1 or L, told apart by their mark
-            near = mark - 1 if depths else 3 - mark
+            near = mark - 1 if want_path else 3 - mark
             found[top] = 2 * level - (near in set(map(get, map(top.__sub__, nxt))))
             break
-    return found, explored, peak, get, frontier
-
-
-def _dense_search(
-    n: int,
-    edges: tuple[tuple[int, int], ...],
-    start: int,
-    goal: int,
-    max_states: int,
-    want_path: bool,
-    mirror: bool = False,
-) -> tuple[int | None, list[Move] | None, int, int]:
-    """Level BFS to `goal`; for a witness each state's depth + 1 is stored
-    for `_witness`.  `mirror`: see `_dense_distances`."""
-    found, explored, peak, depth, last = _dense_distances(
-        n, edges, start, {goal}, max_states, want_path, mirror
-    )
-    goal_level = found.get(goal)
-    if goal_level is None or not want_path:
-        return goal_level, None, explored, peak
-    table = _move_table(edges, min(n, _TABLE_DISCS))
-    # predecessors: the mirrors of the successors of M(c) = goal - c, or reversed moves
-    top, sign = (goal, -1) if mirror else (0, 1)
+    if not want_path or not found:
+        return found, None, explored, peak
+    [(goal, distance)] = found.items()
+    # predecessors: the mirrors of the successors of M(c) = top - c, or reversed moves
+    flip, sign = (top, -1) if mirror else (0, 1)
     steps = edges if mirror else tuple(sorted((j, i) for i, j in edges))
     back = _move_table(steps, min(n, _TABLE_DISCS))
 
     def successors(code: int) -> list[tuple[Move, int]]:
         out = []  # a loop builds the list faster than a comprehension
-        for mv, delta in table[code % len(table)] or _dense_neighbors(code, n, edges):
+        for mv, delta in table[code % low] or _dense_neighbors(code, n, edges):
             out.append((mv, code + delta))
         return out
 
     def predecessors(code: int) -> Iterator[int]:
-        key = top + sign * code
-        for _, delta in back[key % len(back)] or _dense_neighbors(key, n, steps):
+        key = flip + sign * code
+        for _, delta in back[key % low] or _dense_neighbors(key, n, steps):
             yield code + sign * delta
 
-    rest, seeds, mirrored = ({}, last, goal.__sub__) if mirror else ({goal: 0}, [goal], None)
-    path = _witness(start, goal_level + 1, rest, seeds, depth, successors, predecessors, mirrored)
-    return goal_level, path, explored, peak
+    rest, seeds, mirrored = ({}, frontier, top.__sub__) if mirror else ({goal: 0}, [goal], None)
+    path = _witness(start, distance + 1, rest, seeds, get, successors, predecessors, mirrored)
+    return found, path, explored, peak
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +376,7 @@ def _goal_states(goal: GoalPredicate, n: int, distance: int) -> Iterator[Stacks]
         yield goal.state.stacks
     elif goal.kind == "standard" or distance == 0:  # order is forced at 0
         yield standard_state(n, goal.peg).stacks
-    elif goal.kind == "all-on":
+    else:  # all-on
         peg = goal.peg - 1
         # each entry: a stack, the discs left in descending order, the stack's minimum
         todo: list[tuple[Stack, Stack, int]] = [((), tuple(range(n, 0, -1)), n)]
@@ -407,8 +389,6 @@ def _goal_states(goal: GoalPredicate, n: int, distance: int) -> Iterator[Stacks]
             for i, d in enumerate(left):
                 if left[0] <= min(low, d) + distance:
                     todo.append((stack + (d,), left[:i] + left[i + 1 :], min(low, d)))
-    else:
-        raise ValueError(f"unknown goal kind {goal.kind!r}")
 
 
 def _expand(
@@ -479,12 +459,13 @@ def _sparse_steps(moves: SparseMoves, reverse: SparseMoves, base: int, C: int) -
 
 
 def _sparse_search(
-    model: Model,
+    edges: tuple[tuple[int, int], ...],
+    C: int,
     start: Stacks,
     goals: Iterable[Stacks],
     max_states: int,
     want_path: bool,
-    mirror: Callable[[Codes], Codes] | None = None,
+    mirror: bool = False,
 ) -> tuple[int | None, list[Move] | None, int, int]:
     """Bidirectional level BFS: forward from `start`, backward from `goals`
     over the reversed edges (the pairwise rule lets every legal move be
@@ -493,11 +474,11 @@ def _sparse_search(
     The sides stay disjoint until one reaches the other, so the distance is
     then the two completed depths plus one.
 
-    With `mirror`, the src/tgt swap, only the forward side grows, to the
-    first level holding a state whose mirror is stored.
+    With `mirror` (M swaps the first and the last stack) only the forward
+    side grows, to the first level holding a state whose mirror is stored.
     """
-    moves, reverse = _sparse_moves(model.graph.sorted_edges())
-    C = model.distance
+    moves, reverse = _sparse_moves(edges)
+    swap = (lambda codes: codes[::-1]) if mirror else None
     base = sum(map(len, start)) + 1
     origin = _encode(start, base)
     fwd = {origin: 0}
@@ -525,7 +506,7 @@ def _sparse_search(
         peak = max(peak, len(nxt))
         front, back = (nxt, back) if forward else (front, nxt)
         if mirror:  # only levels L - 1 and L can hold the first mirrors found
-            hits = set(map(fwd.get, map(mirror, nxt))) - {None}
+            hits = set(map(fwd.get, map(swap, nxt))) - {None}
             if hits:  # `_witness` finds the midpoints on this level
                 distance, back = fwd[nxt[0]] + min(hits), nxt
                 break
@@ -534,7 +515,7 @@ def _sparse_search(
         return distance, None, explored, peak
     # seeds: the last complete backward level; a partial next one is off every shortest path
     steps = _sparse_steps(moves, reverse, base, C)
-    path = _witness(origin, distance, bwd, back, fwd.get, *steps, mirror)
+    path = _witness(origin, distance, bwd, back, fwd.get, *steps, swap)
     return distance, path, explored, peak
 
 
@@ -557,6 +538,10 @@ def bfs_distance(
     """
     if not is_legal_state(model, start):
         raise ValueError("start state is not legal under the model")
+    if goal.kind not in ("standard", "all-on", "exact"):
+        raise ValueError(f"unknown goal kind {goal.kind!r}")
+    if goal.kind != "exact" and goal.peg not in PEGS:
+        raise ValueError(f"goal peg must be 1, 2 or 3, not {goal.peg!r}")
     n = start.n
     if goal.kind == "exact":
         if goal.state is None or goal.state.n != n:
@@ -569,24 +554,25 @@ def bfs_distance(
     tgt, src = goal.peg, next((p for p in PEGS if start == standard_state(n, p)), None)
     mirror = goal.kind == "standard" and n >= 1 and src not in (None, tgt)
     mirror = mirror and model.graph.is_mirror_closed(src, tgt)
-    # src, aux, tgt of a mirror search: a state's mirror swaps the first and the last
-    pegs = (src, third_peg(src, tgt), tgt) if mirror else ()
+    edges = model.graph.sorted_edges()
+    if mirror:  # src, aux, tgt -> 1, 2, 3, in sorted-edge order so that ties break as before
+        pegs = (src, third_peg(src, tgt), tgt)
+        edges = tuple((pegs.index(i) + 1, pegs.index(j) + 1) for i, j in edges)
+        start, goal = standard_state(n, 1), GoalPredicate.standard_on(3)
     if model.distance == 0:
-        edges = model.graph.sorted_edges()
-        codes = pack_state(start), pack_state(State(next(_goal_states(goal, n, 0))))
-        if mirror:  # relabeled 1, 2, 3, in sorted-edge order so that ties break as before
-            edges = tuple((pegs.index(i) + 1, pegs.index(j) + 1) for i, j in edges)
-            codes = 0, 3**n - 1
-        d, path, explored, peak = _dense_search(n, edges, *codes, max_states, want_path, mirror)
-        if mirror and path:
-            back = {MOVES[i, j]: MOVES[pegs[i - 1], pegs[j - 1]] for i, j in MOVES}
-            path = list(map(back.__getitem__, path))
+        code = pack_state(State(next(_goal_states(goal, n, 0))))
+        found, path, explored, peak = _dense_search(
+            n, edges, pack_state(start), {code}, max_states, want_path, mirror
+        )
+        d = found.get(code)
     else:
-        swap = operator.itemgetter(*(pegs[2 - pegs.index(p)] - 1 for p in PEGS)) if pegs else None
         goals = _goal_states(goal, n, model.distance)
         d, path, explored, peak = _sparse_search(
-            model, start.stacks, goals, max_states, want_path, swap
+            edges, model.distance, start.stacks, goals, max_states, want_path, mirror
         )
+    if mirror and path:  # back from 1, 2, 3 to src, aux, tgt
+        back = {MOVES[i, j]: MOVES[pegs[i - 1], pegs[j - 1]] for i, j in MOVES}
+        path = list(map(back.__getitem__, path))
     if d is None and goal.kind != "exact" and model.graph.is_strongly_connected():
         raise RuntimeError(
             "standard and all-on-peg goals must be reachable on a strongly "
@@ -637,7 +623,7 @@ def _embedded_distances(
         if tgt != src
         for k in range(1, n_max + 1)
     }
-    found = _dense_distances(n_max, edges, start, set(goals), max_states)[0]
+    found = _dense_search(n_max, edges, start, set(goals), max_states)[0]
     return {key: found[code] for code, key in goals.items()}
 
 
@@ -696,9 +682,9 @@ def optimality_reports(
 def verify_optimality(
     graph: MoveGraph, n: int, *, max_states: int = DEFAULT_STATE_BUDGET
 ) -> OptimalityReport:
-    """Assert BFS distance == constructed length == recurrence value for
+    """Compare BFS distance, constructed length and recurrence value for
     all six ordered peg pairs at `n` discs (distance-0 model): the last
-    of `optimality_reports`."""
+    report of `optimality_reports`."""
     return optimality_reports(graph, n, max_states=max_states)[-1]
 
 
@@ -726,8 +712,8 @@ def shortest_symmetric(
     rule of every `bfs_distance` witness), and the second half is its
     mirrored reverse.
     """
-    if src == tgt:
-        raise ValueError("src and tgt must differ")
+    if src == tgt or {src, tgt} - set(PEGS):
+        raise ValueError(f"src and tgt must be two of the pegs 1, 2, 3, not {src!r}, {tgt!r}")
     if not model.graph.is_swap_invariant(src, tgt):
         raise ValueError("move graph is not invariant under the src/tgt swap")
     if not model.graph.is_mirror_closed(src, tgt):

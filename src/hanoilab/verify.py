@@ -204,7 +204,8 @@ def claim_harness(
     symmetric ones), "dn-negative" (2b(n-1)+1 < 3b(n-2)+4), "symmetric-odd"
     (shortest symmetric lengths are odd), "symmetric-equals-a" (shortest
     symmetric equals the standard-to-standard optimum).  A parameter the
-    suite does not read raises `ValueError`.
+    suite does not read, or parameters that leave it no case to check,
+    raise `ValueError`.
     """
     if name not in _SUITE_DEFAULTS:
         raise ValueError(f"unknown suite {name!r}; known: {sorted(_SUITE_DEFAULTS)}")
@@ -213,10 +214,18 @@ def claim_harness(
     if unread:
         raise ValueError(f"suite {name!r} does not read {unread}; it reads {sorted(merged)}")
     merged.update(params or ())
+    n_max = merged["n_max"]
+    cases = {  # the checks each suite's loops make
+        "claim51-inequality": sum(max(0, n_max - k) for k in merged.get("k_values", ())),
+        "dn-negative": n_max - 1,
+        "symmetric-odd": len(merged.get("distances", ())) * n_max,
+    }.get(name, n_max)
+    if cases < 1:
+        raise ValueError(f"suite {name!r} checks no case with {merged}")
     counterexamples: list[dict] = []
 
     if name == "eq3-vs-oracle":
-        probe = oracle.conjecture_probe(merged["distance"], merged["n_max"], max_states=max_states)
+        probe = oracle.conjecture_probe(merged["distance"], n_max, max_states=max_states)
         counterexamples = [
             {
                 "n": row.n,
@@ -230,7 +239,6 @@ def claim_harness(
         ]
 
     elif name == "claim51-inequality":
-        n_max = merged["n_max"]
         for k in merged["k_values"]:
             C = k - 1
             _, b = recurrence.conjecture_values(n_max, C)
@@ -250,7 +258,6 @@ def claim_harness(
                     )
 
     elif name == "dn-negative":
-        n_max = merged["n_max"]
         _, b = recurrence.conjecture_values(n_max, 1)
         for n in range(2, n_max + 1):
             if not 2 * b[n - 1] + 1 < 3 * b[n - 2] + 4:
@@ -259,7 +266,6 @@ def claim_harness(
                 )
 
     elif name == "symmetric-odd":
-        n_max = merged["n_max"]
         for C in merged["distances"]:
             for n in range(1, n_max + 1):
                 length = _symmetric_length(C, n, max_states)
@@ -267,7 +273,7 @@ def claim_harness(
                     counterexamples.append({"distance": C, "n": n, "length": length})
 
     elif name == "symmetric-equals-a":
-        C, n_max = merged["distance"], merged["n_max"]
+        C = merged["distance"]
         a, _ = recurrence.conjecture_values(n_max, C)
         for n in range(1, n_max + 1):
             length = _symmetric_length(C, n, max_states)

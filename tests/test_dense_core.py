@@ -13,8 +13,8 @@ from hanoilab.oracle import (
     _TABLE_DISCS,
     GoalPredicate,
     SearchCapExceeded,
-    _dense_distances,
     _dense_neighbors,
+    _dense_search,
     _move_table,
     bfs_distance,
     optimality_reports,
@@ -198,7 +198,7 @@ def test_orbit_shared_distances_equal_a_search_on_the_labeled_graph(graph):
             if tgt != src
             for k in range(1, n_max + 1)
         }
-        found = _dense_distances(n_max, graph.sorted_edges(), start, set(goals), 10**6)[0]
+        found = _dense_search(n_max, graph.sorted_edges(), start, set(goals), 10**6)[0]
         direct.update({key: found[code] for code, key in goals.items()})
     shared = {(*c.pair, r.n): c.bfs for r in optimality_reports(graph, n_max) for c in r.checks}
     assert shared == direct

@@ -29,12 +29,15 @@ N_MAX = {0: 6, 1: 5, 2: 5, 3: 5}
 
 def _plain(model: Model, start: State, goal: State, max_states: int, want_path: bool):
     """The search result of the core for `model`, without the mirror."""
+    edges = model.graph.sorted_edges()
     if model.distance == 0:
-        codes = pack_state(start), pack_state(goal)
-        found = _dense_search(start.n, model.graph.sorted_edges(), *codes, max_states, want_path)
+        code = pack_state(goal)
+        found = _dense_search(start.n, edges, pack_state(start), {code}, max_states, want_path)
+        d, path, explored, peak = found[0].get(code), *found[1:]
     else:
-        found = _sparse_search(model, start.stacks, [goal.stacks], max_states, want_path)
-    d, path, explored, peak = found
+        d, path, explored, peak = _sparse_search(
+            edges, model.distance, start.stacks, [goal.stacks], max_states, want_path
+        )
     return d, tuple(path) if path is not None else None, explored, peak
 
 

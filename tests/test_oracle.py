@@ -116,6 +116,38 @@ def test_start_must_be_legal():
         bfs_distance(CLASSICAL, State(((1, 2), (), ())), GoalPredicate.standard_on(2))
 
 
+@pytest.mark.parametrize("distance", [0, 1])
+@pytest.mark.parametrize(
+    "goal, named",
+    [
+        (GoalPredicate.standard_on(4), "peg.*4"),
+        (GoalPredicate.standard_on(0), "peg.*0"),
+        (GoalPredicate.all_on(4), "peg.*4"),
+        (GoalPredicate("standard"), "peg.*None"),
+        (GoalPredicate("all-on"), "peg.*None"),
+        (GoalPredicate("weird", 2), "kind.*'weird'"),
+    ],
+)
+def test_bad_goal_kind_or_peg_is_bad_input(goal, named, distance, monkeypatch):
+    # refused before either core starts: not a KeyError, TypeError or
+    # RuntimeError from inside a search, nor a distance to a standard goal
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(oracle, "_dense_search", no_search)
+    monkeypatch.setattr(oracle, "_sparse_search", no_search)
+    model = Model(MoveGraph.complete(), distance)
+    for want_path in (True, False):
+        with pytest.raises(ValueError, match=named):
+            bfs_distance(model, standard_state(3, 1), goal, want_path=want_path)
+
+
+@pytest.mark.parametrize("src, tgt", [(1, 4), (4, 1), (0, 2), (2, 2)])
+def test_shortest_symmetric_rejects_a_bad_peg(src, tgt):
+    with pytest.raises(ValueError, match=f"src and tgt .*{src}, {tgt}"):
+        shortest_symmetric(Model.relaxed(1), 3, src, tgt)
+
+
 def test_unreachable_goal_on_disconnected_graph():
     model = Model.digraph(MoveGraph.parse("1>2,2>1"))
     result = bfs_distance(
@@ -227,7 +259,7 @@ def test_graphs_suite_searches_each_source_once_per_graph(capsys, monkeypatch):
     oracle._embedded_distances.cache_clear()
     oracle._move_table.cache_clear()
     calls = {"search": 0, "table": 0, "walk": 0}
-    search, table, walk = oracle._dense_distances, recurrence.eval_move_counts, solvers._Walk
+    search, table, walk = oracle._dense_search, recurrence.eval_move_counts, solvers._Walk
 
     def counting_search(*args, **kwargs):
         calls["search"] += 1
@@ -242,7 +274,7 @@ def test_graphs_suite_searches_each_source_once_per_graph(capsys, monkeypatch):
             calls["walk"] += 1
             super().__init__()
 
-    monkeypatch.setattr(oracle, "_dense_distances", counting_search)
+    monkeypatch.setattr(oracle, "_dense_search", counting_search)
     monkeypatch.setattr(recurrence, "eval_move_counts", counting_table)
     monkeypatch.setattr(solvers, "_Walk", CountingWalk)
     assert run(["verify", "--suite", "graphs", "--n", "4"]) == 0

@@ -242,6 +242,25 @@ def test_suite_rejects_a_parameter_it_does_not_read(name, key):
         claim_harness(name, {"n_max": 3, key: 2})
 
 
+@pytest.mark.parametrize(
+    "name, empty, smallest",
+    [
+        ("eq3-vs-oracle", {"n_max": 0}, {"n_max": 1}),
+        ("claim51-inequality", {"k_values": ()}, {"k_values": (2,), "n_max": 3}),
+        ("claim51-inequality", {"n_max": 2}, {"n_max": 3}),
+        ("dn-negative", {"n_max": 1}, {"n_max": 2}),
+        ("symmetric-odd", {"n_max": 0}, {"n_max": 1}),
+        ("symmetric-odd", {"distances": ()}, {"distances": (1,)}),
+        ("symmetric-equals-a", {"n_max": 0}, {"n_max": 1}),
+    ],
+)
+def test_suite_that_checks_no_case_is_refused(name, empty, smallest):
+    # a report with no counterexample from empty loops checked nothing
+    with pytest.raises(ValueError, match=rf"{name}.*no case.*{next(iter(empty))}"):
+        claim_harness(name, empty)
+    assert claim_harness(name, smallest).passed
+
+
 def test_eq3_vs_oracle_passes():
     report = claim_harness("eq3-vs-oracle", {"n_max": 6})
     assert report.passed and not report.counterexamples
