@@ -8,7 +8,10 @@ table.
 Two BFS cores share the public API.  For distance 0 the stack order is
 forced, so a state packs into a base-3 integer keyed by disc, and moves
 come from a table cached per graph: the legal (move, code delta) pairs
-for each placement of the six smallest discs.  The visited map is indexed
+for each placement of the six smallest discs.  An entry depends only on
+the placement's three peg tops, decoded once per process for all 729
+placements (93 distinct triples), so each table computes one entry per
+triple and shares it.  The visited map is indexed
 by code, 1 B a state, when its 3**n items take no more bytes than a dict
 of the whole state budget would (about 85 B a state), and is such a dict
 otherwise; at the default budget that is to n = 19 (1.16 GB).  The map is
@@ -163,22 +166,27 @@ def pack_state(state: State) -> int:
     return code
 
 
-def _dense_neighbors(
-    code: int, n: int, edges: tuple[tuple[int, int], ...]
-) -> list[tuple[Move, int]]:
-    """Legal `(move, code delta)` pairs from `code`, in the order of
-    `edges`, decoded from the full code."""
+Tops = tuple[int, int, int]
+
+
+def _tops(code: int, n: int) -> Tops:
+    """The top disc of each peg in `code` over `n` discs, 0 for an empty peg."""
     tops = [0, 0, 0]
-    c = code
     remaining = 3
     for disc in range(1, n + 1):
-        p = c % 3
-        c //= 3
+        p = code % 3
+        code //= 3
         if tops[p] == 0:
             tops[p] = disc
             remaining -= 1
             if remaining == 0:
                 break
+    return tops[0], tops[1], tops[2]
+
+
+def _top_moves(tops: Tops, edges: tuple[tuple[int, int], ...]) -> list[tuple[Move, int]]:
+    """Legal `(move, code delta)` pairs from a state with these peg tops,
+    in the order of `edges`: the distance-0 placement rule."""
     out = []
     for i, j in edges:
         d = tops[i - 1]
@@ -191,10 +199,26 @@ def _dense_neighbors(
     return out
 
 
+def _dense_neighbors(
+    code: int, n: int, edges: tuple[tuple[int, int], ...]
+) -> list[tuple[Move, int]]:
+    """Legal `(move, code delta)` pairs from `code`, in the order of
+    `edges`, decoded from the full code."""
+    return _top_moves(_tops(code, n), edges)
+
+
 #: Discs covered by a move-table entry; the table has 3**6 = 729 entries.
 _TABLE_DISCS = 6
 
 DenseMoves = tuple[tuple[Move, int], ...]
+
+
+@functools.lru_cache(maxsize=None)  # keys: the 7 sizes
+def _low_tops(k: int) -> tuple[Tops, ...]:
+    """The peg tops of every assignment of the k smallest discs, by code,
+    one shared tuple per distinct triple (93 for k = 6)."""
+    shared: dict[Tops, Tops] = {}
+    return tuple(shared.setdefault(tops, tops) for tops in (_tops(low, k) for low in range(3**k)))
 
 
 # keys: an edge sequence, whose order breaks ties, x 7 sizes; at most 64
@@ -211,17 +235,14 @@ def _move_table(
     entry holds for any code whose low k digits are L.  When all k sit on
     one peg the larger discs decide the other tops: the entry is None and
     the caller decodes the full code with `_dense_neighbors` instead.
+
+    An entry depends only on L's peg tops (`_low_tops`, decoded once per
+    k), so it is built once per distinct triple and shared by every L
+    with that triple.
     """
-    size = 3**k
-    one_peg = {0, (size - 1) // 2, size - 1}
-    # at most 6 edges x k discs distinct pairs: share one tuple for each
-    shared: dict[tuple[Move, int], tuple[Move, int]] = {}
-    return tuple(
-        None
-        if low in one_peg
-        else tuple(shared.setdefault(pair, pair) for pair in _dense_neighbors(low, k, edges))
-        for low in range(size)
-    )
+    tops = _low_tops(k)
+    entries = {t: tuple(_top_moves(t, edges)) for t in set(tops) if t.count(0) < 2}
+    return tuple(map(entries.get, tops))
 
 
 #: Bytes a state costs in a dict keyed by code (85.5 B/state under
@@ -484,11 +505,12 @@ def _sparse_search(
     fwd = {origin: 0}
     bwd: dict[Codes, int] = {}
     for goal in () if mirror else goals:
-        bwd[_encode(goal, base)] = 0
+        code = _encode(goal, base)
+        if code == origin:  # stored once, as the start
+            return 0, [] if want_path else None, 1, 1
+        bwd[code] = 0
         if len(fwd) + len(bwd) > max_states:
             raise SearchCapExceeded(max_states, 0, len(fwd), len(bwd))
-    if origin in bwd:
-        return 0, [] if want_path else None, len(fwd) + len(bwd), len(bwd)
     front = [origin]
     back = list(bwd)
     peak = max(1, len(back))
@@ -523,6 +545,11 @@ def _sparse_search(
 # Public operations.
 
 
+def _check_budget(max_states: int) -> None:
+    if max_states < 1:
+        raise ValueError(f"max_states must be >= 1, not {max_states!r}")
+
+
 def bfs_distance(
     model: Model,
     start: State,
@@ -535,7 +562,10 @@ def bfs_distance(
 
     The witness (when requested) takes the lexicographically smallest
     optimal move at every step, so runs are reproducible byte for byte.
+    A start that is a goal is distance 0 with one state explored, in
+    either core and at any budget.
     """
+    _check_budget(max_states)
     if not is_legal_state(model, start):
         raise ValueError("start state is not legal under the model")
     if goal.kind not in ("standard", "all-on", "exact"):
@@ -551,6 +581,8 @@ def bfs_distance(
             # an illegal state is never reached; don't let the packed
             # encoding collapse it onto a legal one
             return SearchResult(None, None, 0, 0)
+    if goal.matches(start):
+        return SearchResult(0, () if want_path else None, 1, 1)
     tgt, src = goal.peg, next((p for p in PEGS if start == standard_state(n, p)), None)
     mirror = goal.kind == "standard" and n >= 1 and src not in (None, tgt)
     mirror = mirror and model.graph.is_mirror_closed(src, tgt)
@@ -651,6 +683,7 @@ def optimality_reports(
         raise ValueError("move graph must be strongly connected")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_budget(max_states)
     table = recurrence.eval_move_counts(graph, n_max)
     name, sigmas = class_relabelings(graph)  # type: ignore[misc]
     edges = GRAPH_CLASSES[name][0].sorted_edges()
@@ -718,6 +751,7 @@ def shortest_symmetric(
         raise ValueError("move graph is not invariant under the src/tgt swap")
     if not model.graph.is_mirror_closed(src, tgt):
         raise ValueError("move graph is not closed under mirrored moves")
+    _check_budget(max_states)
     start = standard_state(n, src)
     if n == 0:
         return SearchResult(0, (), 1, 1)
@@ -797,6 +831,7 @@ def conjecture_probe(
     """
     if C < 1:
         raise ValueError("distance must be >= 1")
+    _check_budget(max_states)
     model = Model.relaxed(C)
     a_conj, b_conj = recurrence.conjecture_values(n_max, C)
     rows = []

@@ -329,6 +329,21 @@ def ab_closed_form(n: int, which: Literal["a", "b"] = "a") -> QuadValue:
     ``a(n)`` is the standard-to-standard optimum, ``b(n)`` the
     gather-on-one-peg optimum; they satisfy a(n) = 2*b(n-1) + 1, so b is
     evaluated as (a(n+1) - 1) / 2.
+
+    Both forms equal ``conjecture_values(n, 1)`` for every n once they
+    agree for n = 0, 1, 2, by the order bound of `closed_form_for`.  Let
+    P = (x - 1)(x^2 - 2) = x^3 - x^2 - 2x + 2: u follows P at n when
+    u(n) = u(n-1) + 2*u(n-2) - 2*u(n-3).  At C = 1, b(n) - 2*b(n-2) = 2
+    for every n >= 2 (b(0..2) = 0, 1, 2), and the difference of that at n
+    and at n - 1 is P's relation: b follows P for n >= 3, from offset 0.
+    Then a(n) = 2*b(n-1) + 1 follows P for n >= 4, from offset 1, as
+    P(1) = 0 cancels the constant.  a(0) = 0 lies outside that relation,
+    but a(3) = a(2) + 2*a(1) - 2*a(0) = 3 + 2 - 0 = 5 holds, so a follows
+    P from offset 0 too.  The form alpha + beta*sqrt(2)^n +
+    conj(beta)*(-sqrt(2))^n sums powers of P's roots 1, sqrt(2) and
+    -sqrt(2), so it follows P for n >= 3, and so does
+    (form(n+1) - 1) / 2.  A column minus its form therefore follows P
+    from offset 0, and is zero for every n if it is zero for n = 0, 1, 2.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -26,6 +26,7 @@ six coupled counts, which `recurrence` tabulates.
 
 from __future__ import annotations
 
+import functools
 from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -277,13 +278,19 @@ _COUNTS = {
 }
 
 
+@functools.lru_cache(maxsize=None)  # keys: at most 64 edge sets
+def _connected_edges(graph: MoveGraph) -> frozenset:
+    """The edges of a strongly connected graph, checked once per graph."""
+    if not graph.is_strongly_connected():
+        raise ValueError("move graph must be strongly connected")
+    return graph.edges
+
+
 def _root(rule, parameter, n: int, src: int, tgt: int) -> tuple:
     """The checked key of a whole transfer."""
     _check_transfer(src, tgt, n)
     if rule is _directed:
-        if not parameter.is_strongly_connected():
-            raise ValueError("move graph must be strongly connected")
-        parameter = parameter.edges
+        parameter = _connected_edges(parameter)
     elif parameter < 1:
         raise ValueError("distance must be >= 1")
     return (rule, parameter, n, src, tgt)

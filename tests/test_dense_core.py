@@ -1,14 +1,15 @@
 """The table-driven dense (distance 0) search core against its references:
-the full base-3 decoder `_dense_neighbors` and the one-sided stack-tuple
-BFS in `reference_bfs`.
+the one-sided stack-tuple moves and BFS in `reference_bfs`.
 """
 
+import itertools
 import tracemalloc
 
 import pytest
 
+from hanoilab import oracle
 from hanoilab.cli import all_strongly_connected_graphs
-from hanoilab.model import Model, Move, State, standard_state
+from hanoilab.model import MOVES, Model, Move, State, standard_state
 from hanoilab.oracle import (
     _TABLE_DISCS,
     GoalPredicate,
@@ -21,23 +22,72 @@ from hanoilab.oracle import (
     pack_state,
 )
 from hanoilab.recurrence import PAIR_ORDER
-from reference_bfs import goal_match_fn, sparse_distances, sparse_witness
+from reference_bfs import _neighbors, goal_match_fn, sparse_distances, sparse_witness
 
 GRAPHS = all_strongly_connected_graphs()
 CLASSICAL = Model.classical()
 
 
+def _search_orders(graph):
+    """The edge orders the searches key tables by: each src, aux, tgt ->
+    1, 2, 3 relabeling of the sorted edges (the identity is the sorted
+    order), and the sorted reversed edges of each, as a witness sweep
+    steps back over."""
+    edges = graph.sorted_edges()
+    orders = []
+    for pegs in itertools.permutations((1, 2, 3)):
+        order = tuple((pegs.index(i) + 1, pegs.index(j) + 1) for i, j in edges)
+        orders += [order, tuple(sorted((j, i) for i, j in order))]
+    return list(dict.fromkeys(orders))
+
+
+def _stacks(code, n):
+    """The forced stacks of a base-3 code, bottom disc first."""
+    stacks = ([], [], [])
+    for disc in range(n, 0, -1):
+        stacks[code // 3 ** (disc - 1) % 3].append(disc)
+    return tuple(map(tuple, stacks))
+
+
 @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.format())
 def test_table_moves_equal_full_decoder(graph):
-    edges = graph.sorted_edges()
+    orders = _search_orders(graph)
     for n in range(_TABLE_DISCS + 2):
-        table = _move_table(edges, min(n, _TABLE_DISCS))
         for code in range(3**n):
-            expected = _dense_neighbors(code, n, edges)
-            entry = table[code % len(table)]
-            assert list(entry or _dense_neighbors(code, n, edges)) == expected, (n, code)
+            stacks = _stacks(code, n)
             low_digits = {code // 3**i % 3 for i in range(min(n, _TABLE_DISCS))}
-            assert (entry is None) == (len(low_digits) <= 1), (n, code)
+            for edges in orders:
+                # the stack-tuple rule, with the code delta of the moved disc
+                expected = [
+                    (mv, (mv.dst - mv.src) * 3 ** (stacks[mv.src - 1][-1] - 1))
+                    for mv, _ in _neighbors(stacks, edges, 0)
+                ]
+                assert _dense_neighbors(code, n, edges) == expected, (edges, n, code)
+                table = _move_table(edges, min(n, _TABLE_DISCS))
+                entry = table[code % len(table)]
+                assert (entry is None) == (len(low_digits) <= 1), (edges, n, code)
+                assert list(entry or expected) == expected, (edges, n, code)
+
+
+def test_table_build_decodes_no_full_code(monkeypatch):
+    # entries come from the shared decode of the low tops, one per distinct
+    # triple, never from the full-code fallback
+    calls = []
+    decode = oracle._dense_neighbors
+    monkeypatch.setattr(
+        oracle, "_dense_neighbors", lambda *args: calls.append(args) or decode(*args)
+    )
+    oracle._move_table.cache_clear()
+    oracle._low_tops.cache_clear()
+    for graph in GRAPHS:
+        for edges in _search_orders(graph):
+            for k in range(_TABLE_DISCS + 1):
+                table = _move_table(edges, k)
+                assert len(table) == 3**k
+                moves = [mv for entry in table if entry for mv, _ in entry]
+                assert all(mv is MOVES[mv] for mv in moves)
+    assert calls == []
+    assert len(set(oracle._low_tops(_TABLE_DISCS))) == 93
 
 
 @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.format())

@@ -86,6 +86,51 @@ def test_distance_zero_when_start_is_goal():
     assert result.distance == 0 and result.path == ()
 
 
+@pytest.mark.parametrize("C", [0, 1, 2])
+def test_start_that_is_a_goal_is_one_state_at_budget_one(C):
+    # stored once, as the start, before any goal state: in either core
+    model = Model(MoveGraph.complete(), C)
+    cases = [
+        (standard_state(0, 1), GoalPredicate.standard_on(2)),
+        (standard_state(0, 1), GoalPredicate.all_on(3)),
+        (standard_state(4, 1), GoalPredicate.exact(standard_state(4, 1))),
+        (standard_state(4, 2), GoalPredicate.standard_on(2)),
+        (standard_state(4, 2), GoalPredicate.all_on(2)),
+    ]
+    for start, goal in cases:
+        for want_path in (True, False):
+            result = bfs_distance(model, start, goal, max_states=1, want_path=want_path)
+            assert result == (0, () if want_path else None, 1, 1), (start, goal)
+            if C:  # the sparse core called directly, its one goal the start
+                edges = model.graph.sorted_edges()
+                stacks = start.stacks
+                found = oracle._sparse_search(edges, C, stacks, [stacks], 1, want_path)
+                assert found == (0, [] if want_path else None, 1, 1), (start, goal)
+
+
+@pytest.mark.parametrize("max_states", [0, -1])
+def test_non_positive_budget_is_refused_before_any_search(max_states, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    for core in ("_dense_search", "_sparse_search", "_expand"):
+        monkeypatch.setattr(oracle, core, no_search)
+    # the last bfs_distance start is a goal, and the last symmetric search has no disc
+    calls = [
+        (bfs_distance, CLASSICAL, standard_state(3, 1), GoalPredicate.standard_on(2)),
+        (bfs_distance, Model.relaxed(1), standard_state(3, 1), GoalPredicate.all_on(2)),
+        (bfs_distance, CLASSICAL, standard_state(3, 2), GoalPredicate.standard_on(2)),
+        (optimality_reports, CYCLE_GRAPH, 3),
+        (verify_optimality, CYCLE_GRAPH, 3),
+        (shortest_symmetric, Model.relaxed(1), 3, 1, 2),
+        (shortest_symmetric, Model.relaxed(1), 0, 1, 2),
+        (conjecture_probe, 1, 3),
+    ]
+    for fn, *args in calls:
+        with pytest.raises(ValueError, match=f"max_states must be >= 1, not {max_states}"):
+            fn(*args, max_states=max_states)
+
+
 def test_exact_goal():
     goal = State(((3,), (2,), (1,)))
     result = bfs_distance(CLASSICAL, standard_state(3, 1), GoalPredicate.exact(goal))

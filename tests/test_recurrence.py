@@ -462,6 +462,25 @@ def test_ab_closed_form_matches_recurrence():
         ab_closed_form(3, "c")
 
 
+def test_ab_columns_and_forms_follow_one_cubic():
+    # the premise of the three-term proof in `ab_closed_form`: both columns
+    # of conjecture_values(n, 1) and both sqrt(2) forms follow
+    # (x - 1)(x^2 - 2), u(n) = u(n-1) + 2*u(n-2) - 2*u(n-3), from n = 3
+    n_max = 60
+    a, b = conjecture_values(n_max, 1)
+    forms = [[ab_closed_form(n, which) for n in range(n_max + 1)] for which in "ab"]
+    for u in (a, b, *forms):
+        for n in range(3, n_max + 1):
+            assert u[n] == u[n - 1] + 2 * u[n - 2] - 2 * u[n - 3], n
+    assert minimal_recurrence(a) == ((1, -1, -2, 2), n_max + 1 - 6)
+    assert minimal_recurrence(b) == ((1, -1, -2, 2), n_max + 1 - 6)
+    # so agreement on n = 0, 1, 2 decides every n
+    assert [[form.as_integer() for form in u[:3]] for u in forms] == [a[:3], b[:3]] == [
+        [0, 1, 3],
+        [0, 1, 2],
+    ]
+
+
 # ---------------------------------------------------------------------------
 # conjectured recurrences
 

@@ -2,7 +2,15 @@
 
 import pytest
 
-from hanoilab.model import Model, Move, MoveGraph, apply_all, standard_state
+from hanoilab import solvers
+from hanoilab.model import (
+    Model,
+    Move,
+    MoveGraph,
+    all_strongly_connected_graphs,
+    apply_all,
+    standard_state,
+)
 from hanoilab.recurrence import conjecture_values, eval_move_counts, PAIR_ORDER
 from hanoilab.solvers import a_symmetric, classical_solve, directed_move, q_sequence, zeta
 
@@ -48,6 +56,30 @@ def test_directed_move_linear_end_to_end():
 def test_directed_move_requires_strong_connectivity():
     with pytest.raises(ValueError):
         directed_move(MoveGraph.parse("1>2,2>1"), 1, 2, 1)
+
+
+def test_connectivity_is_checked_once_per_graph(monkeypatch):
+    # every transfer on a graph shares one check; a graph that fails it
+    # raises the same error on every call
+    graphs = all_strongly_connected_graphs()
+    solvers._connected_edges.cache_clear()
+    checked = []
+    check = MoveGraph.is_strongly_connected
+    monkeypatch.setattr(
+        MoveGraph, "is_strongly_connected", lambda graph: checked.append(graph) or check(graph)
+    )
+    for graph in graphs:
+        for n in range(4):
+            for i, j in PAIR_ORDER:
+                moves = directed_move(graph, i, j, n)
+                blocks = solvers.move_blocks(directed_move, graph, i, j, n)
+                assert [mv for block in blocks for mv in block] == moves
+    assert checked == list(graphs)
+    broken = MoveGraph.parse("1>2,2>1")
+    for call in range(1, 3):
+        with pytest.raises(ValueError, match="move graph must be strongly connected"):
+            directed_move(broken, 1, 2, 1)
+        assert checked[len(graphs) :] == [broken] * call
 
 
 @pytest.mark.parametrize("graph", [CYCLE, LINEAR, MoveGraph.complete()])

@@ -9,6 +9,7 @@ import pytest
 from hanoilab.cli import all_strongly_connected_graphs
 from hanoilab.model import (
     Model,
+    Move,
     MoveGraph,
     State,
     apply_all,
@@ -98,8 +99,10 @@ def test_explored_counts_both_sides_goal_states_included():
     model = Model.relaxed(2)
     seeds = len(list(_goal_states(GoalPredicate.all_on(2), 7, 2)))
     assert seeds == 124
-    result = bfs_distance(model, standard_state(7, 2), GoalPredicate.all_on(2))
-    assert (result.distance, result.path) == (0, ())
+    # one move from the goal: the start's first move meets a goal state
+    start = State(((1,), tuple(range(7, 1, -1)), ()))
+    result = bfs_distance(model, start, GoalPredicate.all_on(2))
+    assert (result.distance, result.path) == (1, (Move(1, 2),))
     assert (result.explored, result.peak_frontier) == (1 + seeds, seeds)
 
 
