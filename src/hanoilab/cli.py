@@ -27,8 +27,8 @@ from .model import (
     Model,
     MoveGraph,
     SearchCapExceeded,
+    _replay,
     all_strongly_connected_graphs,
-    apply_all,
     enumerate_graph_classes,
     standard_state,
 )
@@ -247,9 +247,7 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             yield block
 
     try:
-        final = apply_all(
-            model, standard_state(n, src), chain.from_iterable(counted(move_blocks(fn, *params)))
-        )
+        final = _replay(model, standard_state(n, src), counted(move_blocks(fn, *params)))
     except IllegalMoveError as err:
         print(f"error: {solver} sequence does not replay: {err}", file=sys.stderr)
         return EXIT_FAILURE

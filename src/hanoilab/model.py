@@ -10,12 +10,22 @@ product of both axes.
 The distance rule is enforced pairwise: a disc must be within C of *every*
 disc below it on the same peg, not only its immediate neighbour.  In this
 module the check lives in `can_place` / `stack_is_legal` and in the replay
-core `_replay`, which serves `apply`, `apply_all` and `verify.moved_discs`
-and compares against a running stack minimum so that a move costs O(1).
-The search compares inline, once per candidate move of every searched
-state: in `oracle._expand` against the stack minimum each coded stack entry
-carries, and at distance 0 in `oracle._dense_neighbors`; an adjacent-only
-reading would change all five.
+core `_replay`, which serves `apply`, `apply_all`, `verify.moved_discs` and
+`cli.cmd_solve` and compares against a running stack minimum so that a
+move costs O(1).  The search compares inline, once per candidate move of
+every searched state: in `oracle._expand` against the stack minimum each
+coded stack entry carries, and at distance 0 in `oracle._dense_neighbors`;
+an adjacent-only reading would change all five.
+
+`_replay` takes its moves in blocks, and the solvers repeat the same block
+objects.  From a tuple block's second occurrence on, the replay keys it by
+``(id(block), the top depth[p] discs of each peg p, min(minimum below them,
+maxd - C) for each peg)``: depth[p] is how far below its starting top the
+block ever pops peg p, maxd is the largest disc in those segments, and an
+empty remainder counts as maxd - C.  A key that has replayed cleanly is
+applied from its recorded effect.  This is exact: the block's moves read
+nothing outside those segments but the minimum below them, and every disc
+d <= maxd passes d <= low + C for any low >= maxd - C.
 
 All values are immutable and all public operations are pure functions.
 """
@@ -368,16 +378,43 @@ def legal_moves(model: Model, state: State) -> list[Move]:
     return moves
 
 
+#: Per peg, how each move changes its height.
+_HEIGHT_STEPS = tuple({pair: (pair[1] == p) - (pair[0] == p) for pair in MOVES} for p in PEGS)
+
+
+def _depths(block: tuple) -> list[int] | None:
+    """How far below its starting top `block` ever pops each peg, or None
+    if it holds anything but a `Move` between two distinct pegs."""
+    if set(map(type, block)) != {Move} or not MOVES.keys() >= set(block):
+        return None
+    return [max(0, -min(accumulate(map(steps.__getitem__, block)))) for steps in _HEIGHT_STEPS]
+
+
 def _replay(
-    model: Model, state: State, seq: Iterable[Move], carried: list[int] | None = None
+    model: Model, state: State, blocks: Iterable[Iterable[Move]], carried: list[int] | None = None
 ) -> State:
-    """The replay core: play `seq` from `state` on mutable stacks, each
-    paired with its running minimum, so every move costs O(1) whatever
-    the stack heights.  Appends each moved disc to `carried` when given.
+    """The replay core: play the moves of each of `blocks` in turn from
+    `state` on mutable stacks, each paired with its running minimum, so
+    every move costs O(1) whatever the stack heights.  Appends each moved
+    disc to `carried` when given.
 
     Per move the checks run in a fixed order: both pegs (ValueError), then
     ``empty-source``, ``missing-edge`` and ``distance-violation``
-    (IllegalMoveError with the 1-based index of the move).
+    (IllegalMoveError with the 1-based index of the move in the stream).
+
+    From its second occurrence on, a tuple block is keyed by ``(id(block),
+    the top depth[p] discs of each peg p, min(minimum below them, maxd - C)
+    for each peg)``: depth[p] is how far below its starting top the block
+    ever pops peg p (`_depths`, once per distinct block), maxd is the
+    largest disc in those segments, and an empty remainder counts as
+    maxd - C.  A key that has replayed cleanly is applied by swapping in
+    the recorded top segments and rebuilding their running minima.  This
+    is exact: the block's moves read nothing outside those segments but
+    the minimum below them, and every disc d <= maxd passes d <= low + C
+    for any low >= maxd - C, so each move has the same outcome in every
+    state with the key.  A miss, a peg holding fewer than depth[p] discs,
+    a block with anything but a `Move` and a block met once play move by
+    move, so an error keeps its index, reason and move.
     """
     edges = model.graph.edges
     # (source index, target index, edge present) for every pair of valid
@@ -388,27 +425,61 @@ def _replay(
     stacks = [list(stack) for stack in state.stacks]
     lows = [list(accumulate(stack, min)) for stack in state.stacks]
     record = carried.append if carried is not None else None
-    for index, move in enumerate(seq, start=1):
-        step = plan.get(move) if type(move) is Move else None
-        if step is None:
-            i, j = move
-            step = plan[_check_peg(i), _check_peg(j)]
-        s, t, allowed = step
-        src = stacks[s]
-        if not src:
-            raise IllegalMoveError(move, "empty-source", index)
-        if not allowed:
-            raise IllegalMoveError(move, "missing-edge", index)
-        disc = src[-1]
-        low = lows[t]
-        if low and disc > low[-1] + limit:
-            raise IllegalMoveError(move, "distance-violation", index)
-        src.pop()
-        lows[s].pop()
-        stacks[t].append(disc)
-        low.append(disc if not low or disc < low[-1] else low[-1])
-        if record is not None:
-            record(disc)
+    met: dict[int, tuple] = {}  # id(block) -> (block, False once met, then its depths)
+    effects: dict[tuple, tuple] = {}  # key -> (top segments after, moved discs)
+    index = 0
+    for block in blocks:
+        key = depth = None
+        if type(block) is tuple:
+            if id(block) in met:
+                depth = met[id(block)][1]
+                if depth is False:
+                    depth = _depths(block)
+                    met[id(block)] = (block, depth)
+            else:
+                met[id(block)] = (block, False)  # keeps the block alive, so its id stays unique
+        cuts = depth and [len(stack) - d for stack, d in zip(stacks, depth)]
+        if cuts and min(cuts) >= 0:
+            tops = tuple(tuple(stack[cut:]) for stack, cut in zip(stacks, cuts))
+            floor = max(max(top) for top in tops if top) - limit
+            below = tuple(min(low[cut - 1], floor) if cut else floor for low, cut in zip(lows, cuts))
+            key = (id(block), tops, below)
+            effect = effects.get(key)
+            if effect is not None:
+                after, discs = effect
+                for stack, low, cut, top in zip(stacks, lows, cuts, after):
+                    stack[cut:] = top
+                    # the minima go on from the one below the segment, if any
+                    low[max(cut - 1, 0) :] = accumulate((*low[cut - 1 : cut], *top), min)
+                if carried is not None:
+                    carried += discs
+                index += len(block)
+                continue
+        mark = len(carried) if carried is not None else 0
+        for index, move in enumerate(block, index + 1):
+            step = plan.get(move) if type(move) is Move else None
+            if step is None:
+                i, j = move
+                step = plan[_check_peg(i), _check_peg(j)]
+            s, t, allowed = step
+            src = stacks[s]
+            if not src:
+                raise IllegalMoveError(move, "empty-source", index)
+            if not allowed:
+                raise IllegalMoveError(move, "missing-edge", index)
+            disc = src[-1]
+            low = lows[t]
+            if low and disc > low[-1] + limit:
+                raise IllegalMoveError(move, "distance-violation", index)
+            src.pop()
+            lows[s].pop()
+            stacks[t].append(disc)
+            low.append(disc if not low or disc < low[-1] else low[-1])
+            if record is not None:
+                record(disc)
+        if key is not None:
+            after = tuple(tuple(stack[cut:]) for stack, cut in zip(stacks, cuts))
+            effects[key] = (after, tuple(carried[mark:]) if carried is not None else ())
     return State((tuple(stacks[0]), tuple(stacks[1]), tuple(stacks[2])))
 
 
@@ -419,7 +490,7 @@ def apply(model: Model, state: State, move: Move) -> State:
     assumed well-formed; structural validation is the caller's concern.
     """
     try:
-        return _replay(model, state, (move,))
+        return _replay(model, state, ((move,),))
     except IllegalMoveError as err:
         raise IllegalMoveError(err.move, err.reason) from None
 
@@ -427,7 +498,7 @@ def apply(model: Model, state: State, move: Move) -> State:
 def apply_all(model: Model, state: State, seq: Iterable[Move]) -> State:
     """Replay a whole sequence; on failure the error names the 1-based
     index of the first illegal move and the violated rule."""
-    return _replay(model, state, seq)
+    return _replay(model, state, (seq,))
 
 
 def mirror_state(state: State, src: int, tgt: int) -> State:

@@ -15,7 +15,10 @@ holds O(n + BLOCK_MOVES) moves, and the Python-level recursion runs once
 per block, not once per move.  The public solvers return the same blocks
 chained into a list, so there is no second code path; callers that read
 the moves once (the CLI, `oracle.optimality_reports`) iterate the blocks
-instead and never hold the list.  `move_block_streams` walks many
+instead and never hold the list.  Per-block consumers do their work once
+per distinct block object: the CLI formats each block once
+(`cli._rendered`), and the replay (`model._replay`) applies a block that
+recurs in an equivalent context from its recorded effect.  `move_block_streams` walks many
 transfers through one set of memos, so a block they share is built once.
 `move_count` gives a sequence's exact length from its recurrence before
 any move is made, iteratively and capped, so an input whose answer is

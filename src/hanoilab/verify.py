@@ -53,7 +53,7 @@ def moved_discs(model: Model, start: State, seq: Sequence[Move]) -> list[int]:
     """The disc carried by each move; raises like `apply_all` on the first
     illegal move."""
     discs: list[int] = []
-    _replay(model, start, seq, discs)
+    _replay(model, start, (seq,), discs)
     return discs
 
 

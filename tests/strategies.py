@@ -27,10 +27,12 @@ def _order_stack(draw, discs: list[int], distance: int) -> tuple[int, ...]:
 
 
 @st.composite
-def legal_states(draw, max_n: int = 6, distances: tuple[int, ...] = (0, 1, 2, 3)):
+def legal_states(
+    draw, max_n: int = 6, distances: tuple[int, ...] = (0, 1, 2, 3), min_n: int = 0
+):
     """A (model, legal state) pair over the complete move graph."""
     distance = draw(st.sampled_from(distances))
-    n = draw(st.integers(min_value=0, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pegs = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     groups: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for disc, peg in zip(range(1, n + 1), pegs):
