@@ -10,12 +10,13 @@ product of both axes.
 The distance rule is enforced pairwise: a disc must be within C of *every*
 disc below it on the same peg, not only its immediate neighbour.  In this
 module the check lives in `can_place` / `stack_is_legal` and in the replay
-core `_replay`, which serves `apply`, `apply_all`, `verify.moved_discs` and
-`cli.cmd_solve` and compares against a running stack minimum so that a
-move costs O(1).  The search compares inline, once per candidate move of
-every searched state: in `oracle._expand` against the stack minimum each
-coded stack entry carries, and at distance 0 in `oracle._dense_neighbors`;
-an adjacent-only reading would change all five.
+core `_replay`, which serves `apply`, `apply_all`, `verify.moved_discs`,
+`verify.project_out_largest` and `cli.cmd_solve` and compares against a
+running stack minimum so that a move costs O(1).  The search compares
+inline, once per candidate move of every searched state: in
+`oracle._expand` against the stack minimum each coded stack entry
+carries, and at distance 0 in `oracle._dense_neighbors`; an
+adjacent-only reading would change all five.
 
 `_replay` takes its moves in blocks, and the solvers repeat the same block
 objects.  From a tuple block's second occurrence on, the replay keys it by
@@ -41,6 +42,14 @@ PEGS = (1, 2, 3)
 def third_peg(i: int, j: int) -> int:
     """The peg that is neither `i` nor `j`."""
     return 6 - i - j
+
+
+def _mirror_pegs(src: int, tgt: int) -> dict[int, int]:
+    """The src/tgt swap as a peg map; the third peg is fixed."""
+    if src == tgt or {src, tgt} - set(PEGS):
+        raise ValueError(f"src and tgt must be two of the pegs 1, 2, 3, not {src!r}, {tgt!r}")
+    aux = third_peg(src, tgt)
+    return {src: tgt, tgt: src, aux: aux}
 
 
 def _check_peg(value: int) -> int:
@@ -154,14 +163,14 @@ class MoveGraph(NamedTuple("MoveGraph", [("edges", frozenset)])):
 
     def is_swap_invariant(self, src: int, tgt: int) -> bool:
         """True if swapping `src` and `tgt` maps the edge set onto itself."""
-        sigma = {src: tgt, tgt: src, third_peg(src, tgt): third_peg(src, tgt)}
+        sigma = _mirror_pegs(src, tgt)
         return all((sigma[i], sigma[j]) in self.edges for i, j in self.edges)
 
     def is_mirror_closed(self, src: int, tgt: int) -> bool:
         """True if every edge's mirror image (src/tgt swapped, direction
         reversed) is also an edge; required for mirrored move sequences to
         stay legal."""
-        sigma = {src: tgt, tgt: src, third_peg(src, tgt): third_peg(src, tgt)}
+        sigma = _mirror_pegs(src, tgt)
         return all((sigma[j], sigma[i]) in self.edges for i, j in self.edges)
 
 
@@ -503,18 +512,8 @@ def apply_all(model: Model, state: State, seq: Iterable[Move]) -> State:
 
 def mirror_state(state: State, src: int, tgt: int) -> State:
     """Swap the stacks of `src` and `tgt`; the third peg is unchanged."""
-    if src == tgt:
-        raise ValueError("src and tgt must differ")
-    stacks = list(state.stacks)
-    stacks[src - 1], stacks[tgt - 1] = stacks[tgt - 1], stacks[src - 1]
-    return State((stacks[0], stacks[1], stacks[2]))
-
-
-def _mirror_pegs(src: int, tgt: int) -> dict[int, int]:
-    if src == tgt:
-        raise ValueError("src and tgt must differ")
-    aux = third_peg(src, tgt)
-    return {src: tgt, tgt: src, aux: aux}
+    sigma = _mirror_pegs(src, tgt)
+    return State(tuple(state.stack(sigma[peg]) for peg in PEGS))
 
 
 def mirror_move(move: Move, src: int, tgt: int) -> Move:
@@ -522,16 +521,19 @@ def mirror_move(move: Move, src: int, tgt: int) -> Move:
 
     (x -> y) maps to (sigma(y) -> sigma(x)); the swap fixes the third peg.
     """
-    sigma = _mirror_pegs(src, tgt)
-    pair = (sigma[move.dst], sigma[move.src])
-    return MOVES.get(pair) or Move(*pair)
+    return mirror_sequence((move,), src, tgt)[0]
 
 
 def mirror_sequence(seq: Iterable[Move], src: int, tgt: int) -> list[Move]:
     """Reverse the sequence and mirror each move; applying this twice
-    returns the original sequence."""
+    returns the original sequence.  The pegs are checked even when `seq`
+    is empty."""
+    sigma = _mirror_pegs(src, tgt)
     moves = list(seq)
-    image = {move: mirror_move(move, src, tgt) for move in set(moves)}
+    image = {}
+    for move in set(moves):
+        pair = (sigma[move.dst], sigma[move.src])
+        image[move] = MOVES.get(pair) or Move(*pair)
     return [image[move] for move in reversed(moves)]
 
 

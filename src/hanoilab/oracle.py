@@ -745,8 +745,6 @@ def shortest_symmetric(
     rule of every `bfs_distance` witness), and the second half is its
     mirrored reverse.
     """
-    if src == tgt or {src, tgt} - set(PEGS):
-        raise ValueError(f"src and tgt must be two of the pegs 1, 2, 3, not {src!r}, {tgt!r}")
     if not model.graph.is_swap_invariant(src, tgt):
         raise ValueError("move graph is not invariant under the src/tgt swap")
     if not model.graph.is_mirror_closed(src, tgt):

@@ -9,7 +9,7 @@ statements its solvers and recurrences rely on.
 from __future__ import annotations
 
 import functools
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import oracle, recurrence
 from .model import (
@@ -74,8 +74,6 @@ def is_symmetric(
     equal the disc moved at L+1-i; an illegal replay counts as not
     symmetric.
     """
-    if src == tgt:
-        raise ValueError("src and tgt must differ")
     moves = list(seq)
     if moves != mirror_sequence(moves, src, tgt):
         return False
@@ -102,14 +100,13 @@ def project_out_largest(
     if n == 0:
         apply_all(model, start, seq)
         return []
-    discs = moved_discs(model, start, seq)
+    discs: list[int] = []
+    expected = remove_disc(_replay(model, start, (seq,), discs), n)
     projected = [move for move, disc in zip(seq, discs) if disc != n]
-    reduced = remove_disc(start, n)
     try:
-        final = apply_all(model, reduced, projected)
+        final = apply_all(model, remove_disc(start, n), projected)
     except IllegalMoveError as err:  # pragma: no cover - cannot happen pairwise
         raise RuntimeError(f"projected sequence became illegal: {err}") from err
-    expected = remove_disc(apply_all(model, start, seq), n)
     if final != expected:  # pragma: no cover - cannot happen pairwise
         raise RuntimeError("projection must land on the reduced final state")
     return projected
@@ -138,30 +135,17 @@ def lambda_predicates(
     if n < 2:
         return LambdaClassification(False, False)
     smalls = set(range(1, n - 1))
-    is_l = False
-    is_lp = False
 
-    if state.stack(initial) == (n,):
-        p2 = state.peg_of(n - 1)
-        if p2 != initial:
-            p3 = third_peg(initial, p2)
-            s2, s3 = state.stack(p2), state.stack(p3)
-            if strict:
-                is_l = s2 == (n - 1,) and set(s3) == smalls
-            else:
-                is_l = s2[0] == n - 1 and set(s2[1:]) | set(s3) == smalls
+    def fits(peg: int, named: tuple[int, ...]) -> bool:
+        # `named` at the bottom of `peg`, the small discs above it or on the
+        # third peg, and none above it when strict
+        stack = state.stack(peg)
+        rest, others = stack[len(named) :], state.stack(third_peg(initial, peg))
+        return stack[: len(named)] == named and not (strict and rest) and {*rest, *others} == smalls
 
-    if not state.stack(initial):
-        p2 = state.peg_of(n)
-        s2 = state.stack(p2)
-        if n - 1 in s2 and s2.index(n) == s2.index(n - 1) + 1:
-            p3 = third_peg(initial, p2)
-            s3 = state.stack(p3)
-            if strict:
-                is_lp = s2 == (n - 1, n) and set(s3) == smalls
-            else:
-                is_lp = s2[:2] == (n - 1, n) and set(s2[2:]) | set(s3) == smalls
-
+    # disc n alone on the initial peg leaves disc n-1 on another one
+    is_l = state.stack(initial) == (n,) and fits(state.peg_of(n - 1), (n - 1,))
+    is_lp = not state.stack(initial) and fits(state.peg_of(n), (n - 1, n))
     return LambdaClassification(is_l, is_lp)
 
 
@@ -176,19 +160,72 @@ class HarnessReport(NamedTuple):
     counterexamples: tuple[dict, ...]
 
 
-_SUITE_DEFAULTS: dict[str, dict] = {
-    "eq3-vs-oracle": {"distance": 1, "n_max": 8},
-    "claim51-inequality": {"k_values": (2, 3, 4, 5), "n_max": 60},
-    "dn-negative": {"n_max": 60},
-    "symmetric-odd": {"distances": (1, 2, 3), "n_max": 7},
-    "symmetric-equals-a": {"distance": 1, "n_max": 7},
-}
-
-
 @functools.lru_cache(maxsize=None)  # symmetric-equals-a repeats symmetric-odd at C=1
 def _symmetric_length(C: int, n: int, max_states: int) -> int | None:
     """Length of the shortest symmetric transfer 1 -> 2 at distance C."""
     return oracle.shortest_symmetric(Model.relaxed(C), n, 1, 2, max_states=max_states).distance
+
+
+# Each check yields one item per case it checks: None where the claim
+# holds, otherwise the counterexample.
+
+
+def _eq3_vs_oracle(max_states: int, distance: int, n_max: int) -> Iterator[dict | None]:
+    for row in oracle.conjecture_probe(distance, n_max, max_states=max_states).rows:
+        yield None if row.match else {
+            "n": row.n,
+            "bfs_std": row.bfs_std,
+            "expected_a": row.a_conj,
+            "bfs_any": row.bfs_any,
+            "expected_b": row.b_conj,
+        }
+
+
+def _claim51_inequality(
+    max_states: int, k_values: Sequence[int], n_max: int
+) -> Iterator[dict | None]:
+    for k in k_values:
+        y, _ = recurrence.conjecture_values(n_max, k - 1)  # y(n) = a(n) = 2b(n-1) + 1
+        x = recurrence.q_lengths(n_max, k - 1)
+        # the x-recurrence and the y(n-k) expansion are first both defined
+        # at n = k+1 (x(k) is a base value, y(0) has no b(-1))
+        for n in range(k + 1, n_max + 1):
+            dx, dy = x[n] - x[n - k], y[n] - y[n - k]
+            yield None if dx >= dy else {"k": k, "n": n, "x_increment": dx, "y_increment": dy}
+
+
+def _dn_negative(max_states: int, n_max: int) -> Iterator[dict | None]:
+    _, b = recurrence.conjecture_values(n_max, 1)
+    for n in range(2, n_max + 1):
+        lhs, rhs = 2 * b[n - 1] + 1, 3 * b[n - 2] + 4
+        yield None if lhs < rhs else {"n": n, "lhs": lhs, "rhs": rhs}
+
+
+def _symmetric_odd(
+    max_states: int, distances: Sequence[int], n_max: int
+) -> Iterator[dict | None]:
+    for C in distances:
+        for n in range(1, n_max + 1):
+            length = _symmetric_length(C, n, max_states)
+            odd = length is not None and length % 2
+            yield None if odd else {"distance": C, "n": n, "length": length}
+
+
+def _symmetric_equals_a(max_states: int, distance: int, n_max: int) -> Iterator[dict | None]:
+    a, _ = recurrence.conjecture_values(n_max, distance)
+    for n in range(1, n_max + 1):
+        length = _symmetric_length(distance, n, max_states)
+        yield None if length == a[n] else dict(distance=distance, n=n, length=length, expected=a[n])
+
+
+# suite name -> (check, the parameters it reads with their defaults)
+_SUITES: dict[str, tuple[Callable[..., Iterator[dict | None]], dict]] = {
+    "eq3-vs-oracle": (_eq3_vs_oracle, {"distance": 1, "n_max": 8}),
+    "claim51-inequality": (_claim51_inequality, {"k_values": (2, 3, 4, 5), "n_max": 60}),
+    "dn-negative": (_dn_negative, {"n_max": 60}),
+    "symmetric-odd": (_symmetric_odd, {"distances": (1, 2, 3), "n_max": 7}),
+    "symmetric-equals-a": (_symmetric_equals_a, {"distance": 1, "n_max": 7}),
+}
 
 
 def claim_harness(
@@ -207,84 +244,20 @@ def claim_harness(
     suite does not read, or parameters that leave it no case to check,
     raise `ValueError`.
     """
-    if name not in _SUITE_DEFAULTS:
-        raise ValueError(f"unknown suite {name!r}; known: {sorted(_SUITE_DEFAULTS)}")
-    merged = dict(_SUITE_DEFAULTS[name])
-    unread = sorted(set(params or ()) - set(merged))
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {sorted(_SUITES)}")
+    check, defaults = _SUITES[name]
+    unread = sorted(set(params or ()) - set(defaults))
     if unread:
-        raise ValueError(f"suite {name!r} does not read {unread}; it reads {sorted(merged)}")
-    merged.update(params or ())
-    n_max = merged["n_max"]
-    cases = {  # the checks each suite's loops make
-        "claim51-inequality": sum(max(0, n_max - k) for k in merged.get("k_values", ())),
-        "dn-negative": n_max - 1,
-        "symmetric-odd": len(merged.get("distances", ())) * n_max,
-    }.get(name, n_max)
-    if cases < 1:
+        raise ValueError(f"suite {name!r} does not read {unread}; it reads {sorted(defaults)}")
+    merged = {**defaults, **(params or {})}
+    results = list(check(max_states, **merged))
+    if not results:
         raise ValueError(f"suite {name!r} checks no case with {merged}")
-    counterexamples: list[dict] = []
-
-    if name == "eq3-vs-oracle":
-        probe = oracle.conjecture_probe(merged["distance"], n_max, max_states=max_states)
-        counterexamples = [
-            {
-                "n": row.n,
-                "bfs_std": row.bfs_std,
-                "expected_a": row.a_conj,
-                "bfs_any": row.bfs_any,
-                "expected_b": row.b_conj,
-            }
-            for row in probe.rows
-            if not row.match
-        ]
-
-    elif name == "claim51-inequality":
-        for k in merged["k_values"]:
-            C = k - 1
-            _, b = recurrence.conjecture_values(n_max, C)
-            x = recurrence.q_lengths(n_max, C)
-            y = [0] + [2 * b[n - 1] + 1 for n in range(1, n_max + 1)]
-            # the x-recurrence and the y(n-k) expansion are first both
-            # defined at n = k+1 (x(k) is a base value, y(0) has no b(-1))
-            for n in range(k + 1, n_max + 1):
-                if x[n] - x[n - k] < y[n] - y[n - k]:
-                    counterexamples.append(
-                        {
-                            "k": k,
-                            "n": n,
-                            "x_increment": x[n] - x[n - k],
-                            "y_increment": y[n] - y[n - k],
-                        }
-                    )
-
-    elif name == "dn-negative":
-        _, b = recurrence.conjecture_values(n_max, 1)
-        for n in range(2, n_max + 1):
-            if not 2 * b[n - 1] + 1 < 3 * b[n - 2] + 4:
-                counterexamples.append(
-                    {"n": n, "lhs": 2 * b[n - 1] + 1, "rhs": 3 * b[n - 2] + 4}
-                )
-
-    elif name == "symmetric-odd":
-        for C in merged["distances"]:
-            for n in range(1, n_max + 1):
-                length = _symmetric_length(C, n, max_states)
-                if length is None or length % 2 == 0:
-                    counterexamples.append({"distance": C, "n": n, "length": length})
-
-    elif name == "symmetric-equals-a":
-        C = merged["distance"]
-        a, _ = recurrence.conjecture_values(n_max, C)
-        for n in range(1, n_max + 1):
-            length = _symmetric_length(C, n, max_states)
-            if length != a[n]:
-                counterexamples.append(
-                    {"distance": C, "n": n, "length": length, "expected": a[n]}
-                )
-
+    counterexamples = tuple(item for item in results if item is not None)
     return HarnessReport(
         suite=name,
         params={k: list(v) if isinstance(v, tuple) else v for k, v in merged.items()},
         passed=not counterexamples,
-        counterexamples=tuple(counterexamples),
+        counterexamples=counterexamples,
     )

@@ -197,6 +197,24 @@ def test_mirror_requires_distinct_pegs():
         mirror_state(standard_state(1, 1), 3, 3)
 
 
+MIRROR_CALLS = {
+    "mirror_state": lambda src, tgt: mirror_state(standard_state(3, 1), src, tgt),
+    "mirror_move": lambda src, tgt: mirror_move(Move(1, 2), src, tgt),
+    "mirror_sequence": lambda src, tgt: mirror_sequence([], src, tgt),
+    "is_symmetric": lambda src, tgt: verify.is_symmetric([Move(1, 2)], src, tgt),
+    "is_mirror_closed": lambda src, tgt: MoveGraph.complete().is_mirror_closed(src, tgt),
+    "is_swap_invariant": lambda src, tgt: MoveGraph.complete().is_swap_invariant(src, tgt),
+}
+
+
+@pytest.mark.parametrize("src, tgt", [(1, 0), (1, 4), (2, 2)])
+@pytest.mark.parametrize("call", sorted(MIRROR_CALLS))
+def test_mirror_refuses_a_bad_peg_pair(call, src, tgt):
+    # peg 0 would index the last stack, and an unknown peg miss the peg map
+    with pytest.raises(ValueError, match=f"src and tgt .*{src}, {tgt}"):
+        MIRROR_CALLS[call](src, tgt)
+
+
 def test_move_graph_parse_roundtrip():
     graph = MoveGraph.parse(" 1>2, 2>3 ,3>1,1>3 ")
     assert graph.format() == "1>2,1>3,2>3,3>1"

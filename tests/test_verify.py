@@ -1,14 +1,17 @@
 """Symmetry predicate, largest-disc projection, blocked-state
 classification, and the claim harnesses."""
 
+import itertools
 import json
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hanoilab import verify
 from hanoilab.cli import run
 from hanoilab.model import (
+    PEGS,
     IllegalMoveError,
     Model,
     Move,
@@ -26,6 +29,7 @@ from hanoilab.verify import (
     project_out_largest,
     validate_sequence,
 )
+from reference_verify import lambda_predicates as reference_lambda_predicates
 from strategies import move_lists
 
 RELAXED_1 = Model.relaxed(1)
@@ -217,6 +221,22 @@ def test_lambda_prime_states_need_distance_one():
     assert is_legal_state(RELAXED_1, state)
 
 
+def _placements(n):
+    """Every placement of discs 1..n on the three pegs, in any stack order."""
+    for pegs in itertools.product(PEGS, repeat=n):
+        piles = [[d for d, p in enumerate(pegs, 1) if p == peg] for peg in PEGS]
+        yield from map(State, itertools.product(*map(itertools.permutations, piles)))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_lambda_predicates_match_the_reference(n):
+    for state in _placements(n):
+        for initial in PEGS:
+            for strict in (True, False):
+                got = lambda_predicates(state, n, initial, strict=strict)
+                assert got == reference_lambda_predicates(state, n, initial, strict=strict)
+
+
 # ---------------------------------------------------------------------------
 # claim harnesses
 
@@ -259,6 +279,21 @@ def test_suite_that_checks_no_case_is_refused(name, empty, smallest):
     with pytest.raises(ValueError, match=rf"{name}.*no case.*{next(iter(empty))}"):
         claim_harness(name, empty)
     assert claim_harness(name, smallest).passed
+
+
+def test_symmetric_suites_report_each_failed_case(monkeypatch):
+    # even lengths 2n fail both claims at every n, in loop order
+    monkeypatch.setattr(verify, "_symmetric_length", lambda C, n, max_states: 2 * n)
+    odd = claim_harness("symmetric-odd", {"distances": (1, 2), "n_max": 2})
+    assert not odd.passed
+    assert odd.counterexamples == tuple(
+        {"distance": C, "n": n, "length": 2 * n} for C in (1, 2) for n in (1, 2)
+    )
+    equal = claim_harness("symmetric-equals-a", {"n_max": 3})
+    assert equal.params == {"distance": 1, "n_max": 3}
+    assert equal.counterexamples == tuple(
+        {"distance": 1, "n": n, "length": 2 * n, "expected": a} for n, a in ((1, 1), (2, 3), (3, 5))
+    )
 
 
 def test_eq3_vs_oracle_passes():
