@@ -393,20 +393,15 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             print(f"graphs suite: {'PASS' if ok else 'FAIL'} ({len(by_graph)} graphs, n<={n_max})")
         return EXIT_OK if ok else EXIT_FAILURE
 
-    # the sized suites take --n, the others keep their own bounds
+    # --n sizes the suites that search, the others keep their own bounds
     params = {} if args.n is None else {"n_max": args.n}
-    if args.suite == "relaxed":
-        if args.distance is not None:
-            params["distance"] = args.distance
-        reports = [verify.claim_harness("eq3-vs-oracle", params, max_states=args.max_states)]
-    else:
-        reports = [
-            verify.claim_harness("eq3-vs-oracle", params, max_states=args.max_states),
-            verify.claim_harness("claim51-inequality", max_states=args.max_states),
-            verify.claim_harness("dn-negative", max_states=args.max_states),
-            verify.claim_harness("symmetric-odd", params, max_states=args.max_states),
-            verify.claim_harness("symmetric-equals-a", params, max_states=args.max_states),
-        ]
+    if args.distance is not None:
+        params["distance"] = args.distance
+    reports = [
+        verify.claim_harness(name, params if searches else {}, max_states=args.max_states)
+        for name, (_, _, searches) in verify.CLAIM_SUITES.items()
+        if args.suite == "claims" or name == "eq3-vs-oracle"
+    ]
     ok = all(r.passed for r in reports)
     if args.format == "json":
         docs = (

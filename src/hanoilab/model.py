@@ -525,15 +525,17 @@ def mirror_move(move: Move, src: int, tgt: int) -> Move:
 
 
 def mirror_sequence(seq: Iterable[Move], src: int, tgt: int) -> list[Move]:
-    """Reverse the sequence and mirror each move; applying this twice
-    returns the original sequence.  The pegs are checked even when `seq`
-    is empty."""
+    """Reverse the sequence and mirror each move, read as a pair of pegs;
+    applying this twice returns the original sequence.  `src` and `tgt`
+    are checked even when `seq` is empty, and each move's pegs as the
+    replay checks them."""
     sigma = _mirror_pegs(src, tgt)
     moves = list(seq)
     image = {}
-    for move in set(moves):
-        pair = (sigma[move.dst], sigma[move.src])
-        image[move] = MOVES.get(pair) or Move(*pair)
+    for move in dict.fromkeys(moves):  # first occurrences in order, as the replay meets them
+        i, j = move
+        x, y = sigma[_check_peg(i)], sigma[_check_peg(j)]
+        image[move] = MOVES.get((y, x)) or Move(y, x)
     return [image[move] for move in reversed(moves)]
 
 

@@ -576,7 +576,6 @@ def bfs_distance(
     if goal.kind == "exact":
         if goal.state is None or goal.state.n != n:
             raise ValueError("exact goal must have the same disc count as start")
-        goal.state.validate()
         if not is_legal_state(model, goal.state):
             # an illegal state is never reached; don't let the packed
             # encoding collapse it onto a legal one
@@ -751,8 +750,6 @@ def shortest_symmetric(
         raise ValueError("move graph is not closed under mirrored moves")
     _check_budget(max_states)
     start = standard_state(n, src)
-    if n == 0:
-        return SearchResult(0, (), 1, 1)
     moves, reverse = _sparse_moves(model.graph.sorted_edges())
     i, j = src - 1, tgt - 1  # a state's mirror swaps these two codes
     # only a self-mirrored move the graph has can be an odd solution's middle

@@ -378,8 +378,6 @@ def conjecture_values(n_max: int, C: int) -> tuple[list[int], list[int]]:
 def q_lengths(n_max: int, C: int) -> list[int]:
     """Lengths of the five-step transfer: x(m) = m for m <= C+1, then
     x(n) = 2*b(n-k) + x(n-k) + 2k with k = C+1."""
-    if C < 1:
-        raise ValueError("distance must be >= 1")
     k = C + 1
     _, b = conjecture_values(n_max, C)
     x: list[int] = []

@@ -218,13 +218,19 @@ def _symmetric_equals_a(max_states: int, distance: int, n_max: int) -> Iterator[
         yield None if length == a[n] else dict(distance=distance, n=n, length=length, expected=a[n])
 
 
-# suite name -> (check, the parameters it reads with their defaults)
-_SUITES: dict[str, tuple[Callable[..., Iterator[dict | None]], dict]] = {
-    "eq3-vs-oracle": (_eq3_vs_oracle, {"distance": 1, "n_max": 8}),
-    "claim51-inequality": (_claim51_inequality, {"k_values": (2, 3, 4, 5), "n_max": 60}),
-    "dn-negative": (_dn_negative, {"n_max": 60}),
-    "symmetric-odd": (_symmetric_odd, {"distances": (1, 2, 3), "n_max": 7}),
-    "symmetric-equals-a": (_symmetric_equals_a, {"distance": 1, "n_max": 7}),
+# The claim suites, in the order `verify --suite claims` runs them: name ->
+# (check, the parameters it reads with their defaults, whether it searches).
+# `verify --n` sets `n_max` of the suites that search.
+CLAIM_SUITES: dict[str, tuple[Callable[..., Iterator[dict | None]], dict, bool]] = {
+    # the search optimum equals the two-recurrence system (eq. 3)
+    "eq3-vs-oracle": (_eq3_vs_oracle, {"distance": 1, "n_max": 8}, True),
+    # five-step increments dominate the symmetric ones (Claim 5.1)
+    "claim51-inequality": (_claim51_inequality, {"k_values": (2, 3, 4, 5), "n_max": 60}, False),
+    "dn-negative": (_dn_negative, {"n_max": 60}, False),  # 2b(n-1)+1 < 3b(n-2)+4
+    # shortest symmetric lengths are odd
+    "symmetric-odd": (_symmetric_odd, {"distances": (1, 2, 3), "n_max": 7}, True),
+    # the shortest symmetric transfer equals the standard-to-standard optimum
+    "symmetric-equals-a": (_symmetric_equals_a, {"distance": 1, "n_max": 7}, True),
 }
 
 
@@ -234,19 +240,15 @@ def claim_harness(
     *,
     max_states: int = oracle.DEFAULT_STATE_BUDGET,
 ) -> HarnessReport:
-    """Run one named claim bundle and report pass/fail with counterexamples.
-
-    Suites: "eq3-vs-oracle" (search optimum equals the two-recurrence
-    system), "claim51-inequality" (five-step increments dominate the
-    symmetric ones), "dn-negative" (2b(n-1)+1 < 3b(n-2)+4), "symmetric-odd"
-    (shortest symmetric lengths are odd), "symmetric-equals-a" (shortest
-    symmetric equals the standard-to-standard optimum).  A parameter the
+    """Run the suite `name` of `CLAIM_SUITES` and report pass/fail with
+    counterexamples.  `verify --suite claims` runs every suite in table
+    order, and its `--n` sizes the suites that search.  A parameter the
     suite does not read, or parameters that leave it no case to check,
     raise `ValueError`.
     """
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {sorted(_SUITES)}")
-    check, defaults = _SUITES[name]
+    if name not in CLAIM_SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {sorted(CLAIM_SUITES)}")
+    check, defaults, _ = CLAIM_SUITES[name]
     unread = sorted(set(params or ()) - set(defaults))
     if unread:
         raise ValueError(f"suite {name!r} does not read {unread}; it reads {sorted(defaults)}")

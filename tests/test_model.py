@@ -215,6 +215,30 @@ def test_mirror_refuses_a_bad_peg_pair(call, src, tgt):
         MIRROR_CALLS[call](src, tgt)
 
 
+MOVE_CALLS = {
+    "mirror_move": lambda move: mirror_move(move, 1, 3),
+    "mirror_sequence": lambda move: mirror_sequence([move, Move(1, 2), move], 1, 3),
+    "is_symmetric": lambda move: verify.is_symmetric([move, Move(2, 2), move], 1, 3),
+}
+
+
+@pytest.mark.parametrize("pair", [(i, j) for i in range(5) for j in range(5)], ids=str)
+@pytest.mark.parametrize("call", sorted(MOVE_CALLS))
+def test_mirroring_reads_a_move_as_a_pair_of_pegs(call, pair):
+    # the replay takes a plain (src, dst) pair and refuses a peg outside 1..3
+    # with a ValueError; mirroring must do both alike
+    bad = [peg for peg in pair if peg not in (1, 2, 3)]
+    if not bad:  # a self-loop keeps its image too
+        assert MOVE_CALLS[call](pair) == MOVE_CALLS[call](Move(*pair))
+        return
+    message = f"^peg must be one of 1, 2, 3; got {bad[0]}$"
+    with pytest.raises(ValueError, match=message):
+        apply_all(Model.classical(), standard_state(1, 1), [pair])
+    for move in (pair, Move(*pair)):
+        with pytest.raises(ValueError, match=message):
+            MOVE_CALLS[call](move)
+
+
 def test_move_graph_parse_roundtrip():
     graph = MoveGraph.parse(" 1>2, 2>3 ,3>1,1>3 ")
     assert graph.format() == "1>2,1>3,2>3,3>1"

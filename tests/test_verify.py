@@ -331,3 +331,25 @@ def test_harness_report_json_schema(capsys, monkeypatch):
     assert payload["suite"] == "dn-negative"
     assert payload["pass"] is True
     assert payload["counterexamples"] == []
+
+
+@pytest.mark.parametrize("searches, sixth_n_max", [(True, 3), (False, 5)])
+def test_claims_run_the_table_in_order_and_n_sizes_the_searching_suites(
+    capsys, monkeypatch, searches, sixth_n_max
+):
+    # a suite added to the table needs no CLI edit to run under `claims`
+    def sixth(max_states, n_max):
+        yield from (None for _ in range(n_max))
+
+    monkeypatch.setitem(verify.CLAIM_SUITES, "sixth", (sixth, {"n_max": 5}, searches))
+    assert run(["verify", "--suite", "claims", "--n", "3", "--format", "json"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert {r["suite"]: r["params"]["n_max"] for r in reports} == {
+        "eq3-vs-oracle": 3,
+        "claim51-inequality": 60,
+        "dn-negative": 60,
+        "symmetric-odd": 3,
+        "symmetric-equals-a": 3,
+        "sixth": sixth_n_max,
+    }
+    assert [r["suite"] for r in reports] == list(verify.CLAIM_SUITES)
