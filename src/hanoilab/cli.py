@@ -27,9 +27,9 @@ from .model import (
     Model,
     MoveGraph,
     SearchCapExceeded,
-    _replay,
     all_strongly_connected_graphs,
     enumerate_graph_classes,
+    replay,
     standard_state,
 )
 from .solvers import (
@@ -238,16 +238,8 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     # a printed sequence must replay cleanly; refuse to emit otherwise.  The
     # deterministic block stream is made twice: once replayed, once written.
-    replayed = 0
-
-    def counted(blocks):
-        nonlocal replayed
-        for block in blocks:
-            replayed += len(block)
-            yield block
-
     try:
-        final = _replay(model, standard_state(n, src), counted(move_blocks(fn, *params)))
+        final, replayed = replay(model, standard_state(n, src), move_blocks(fn, *params))
     except IllegalMoveError as err:
         print(f"error: {solver} sequence does not replay: {err}", file=sys.stderr)
         return EXIT_FAILURE

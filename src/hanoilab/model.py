@@ -10,15 +10,15 @@ product of both axes.
 The distance rule is enforced pairwise: a disc must be within C of *every*
 disc below it on the same peg, not only its immediate neighbour.  In this
 module the check lives in `can_place` / `stack_is_legal` and in the replay
-core `_replay`, which serves `apply`, `apply_all`, `verify.moved_discs`,
+core `replay`, which serves `apply`, `apply_all`, `verify.moved_discs`,
 `verify.project_out_largest` and `cli.cmd_solve` and compares against a
 running stack minimum so that a move costs O(1).  The search compares
 inline, once per candidate move of every searched state: in
 `oracle._expand` against the stack minimum each coded stack entry
-carries, and at distance 0 in `oracle._dense_neighbors`; an
-adjacent-only reading would change all five.
+carries, and at distance 0 in `oracle._top_moves`; an adjacent-only
+reading would change all five.
 
-`_replay` takes its moves in blocks, and the solvers repeat the same block
+`replay` takes its moves in blocks, and the solvers repeat the same block
 objects.  From a tuple block's second occurrence on, the replay keys it by
 ``(id(block), the top depth[p] discs of each peg p, min(minimum below them,
 maxd - C) for each peg)``: depth[p] is how far below its starting top the
@@ -399,13 +399,14 @@ def _depths(block: tuple) -> list[int] | None:
     return [max(0, -min(accumulate(map(steps.__getitem__, block)))) for steps in _HEIGHT_STEPS]
 
 
-def _replay(
+def replay(
     model: Model, state: State, blocks: Iterable[Iterable[Move]], carried: list[int] | None = None
-) -> State:
+) -> tuple[State, int]:
     """The replay core: play the moves of each of `blocks` in turn from
     `state` on mutable stacks, each paired with its running minimum, so
-    every move costs O(1) whatever the stack heights.  Appends each moved
-    disc to `carried` when given.
+    every move costs O(1) whatever the stack heights.  Returns the final
+    state and the number of moves played.  Appends each moved disc to
+    `carried` when given.
 
     Per move the checks run in a fixed order: both pegs (ValueError), then
     ``empty-source``, ``missing-edge`` and ``distance-violation``
@@ -489,7 +490,7 @@ def _replay(
         if key is not None:
             after = tuple(tuple(stack[cut:]) for stack, cut in zip(stacks, cuts))
             effects[key] = (after, tuple(carried[mark:]) if carried is not None else ())
-    return State((tuple(stacks[0]), tuple(stacks[1]), tuple(stacks[2])))
+    return State((tuple(stacks[0]), tuple(stacks[1]), tuple(stacks[2]))), index
 
 
 def apply(model: Model, state: State, move: Move) -> State:
@@ -499,7 +500,7 @@ def apply(model: Model, state: State, move: Move) -> State:
     assumed well-formed; structural validation is the caller's concern.
     """
     try:
-        return _replay(model, state, ((move,),))
+        return replay(model, state, ((move,),))[0]
     except IllegalMoveError as err:
         raise IllegalMoveError(err.move, err.reason) from None
 
@@ -507,7 +508,7 @@ def apply(model: Model, state: State, move: Move) -> State:
 def apply_all(model: Model, state: State, seq: Iterable[Move]) -> State:
     """Replay a whole sequence; on failure the error names the 1-based
     index of the first illegal move and the violated rule."""
-    return _replay(model, state, (seq,))
+    return replay(model, state, (seq,))[0]
 
 
 def mirror_state(state: State, src: int, tgt: int) -> State:

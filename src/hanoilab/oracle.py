@@ -678,12 +678,10 @@ def optimality_reports(
     cached search on the class graph from sigma(src), with sigma(src) the
     smallest so that automorphisms merge sources too.
     """
-    if not graph.is_strongly_connected():
-        raise ValueError("move graph must be strongly connected")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_budget(max_states)
-    table = recurrence.eval_move_counts(graph, n_max)
+    table = recurrence.eval_move_counts(graph, n_max)  # refuses a graph not strongly connected
     name, sigmas = class_relabelings(graph)  # type: ignore[misc]
     edges = GRAPH_CLASSES[name][0].sorted_edges()
     shared = {}
@@ -824,11 +822,9 @@ def conjecture_probe(
     violation would disprove the search or the replay, not the
     conjecture).
     """
-    if C < 1:
-        raise ValueError("distance must be >= 1")
     _check_budget(max_states)
+    a_conj, b_conj = recurrence.conjecture_values(n_max, C)  # refuses C < 1 before Model does
     model = Model.relaxed(C)
-    a_conj, b_conj = recurrence.conjecture_values(n_max, C)
     rows = []
     for n in range(1, n_max + 1):
         start = standard_state(n, src)

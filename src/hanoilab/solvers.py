@@ -17,7 +17,7 @@ chained into a list, so there is no second code path; callers that read
 the moves once (the CLI, `oracle.optimality_reports`) iterate the blocks
 instead and never hold the list.  Per-block consumers do their work once
 per distinct block object: the CLI formats each block once
-(`cli._rendered`), and the replay (`model._replay`) applies a block that
+(`cli._rendered`), and the replay (`model.replay`) applies a block that
 recurs in an equivalent context from its recorded effect.  `move_block_streams` walks many
 transfers through one set of memos, so a block they share is built once.
 `move_count` gives a sequence's exact length from its recurrence before

@@ -17,10 +17,10 @@ from .model import (
     Model,
     Move,
     State,
-    _replay,
     apply_all,
     mirror_sequence,
     remove_disc,
+    replay,
     third_peg,
 )
 
@@ -53,7 +53,7 @@ def moved_discs(model: Model, start: State, seq: Sequence[Move]) -> list[int]:
     """The disc carried by each move; raises like `apply_all` on the first
     illegal move."""
     discs: list[int] = []
-    _replay(model, start, (seq,), discs)
+    replay(model, start, (seq,), discs)
     return discs
 
 
@@ -101,7 +101,7 @@ def project_out_largest(
         apply_all(model, start, seq)
         return []
     discs: list[int] = []
-    expected = remove_disc(_replay(model, start, (seq,), discs), n)
+    expected = remove_disc(replay(model, start, (seq,), discs)[0], n)
     projected = [move for move, disc in zip(seq, discs) if disc != n]
     try:
         final = apply_all(model, remove_disc(start, n), projected)

@@ -138,3 +138,18 @@ def test_benchmark_tracer_sees_the_lazy_modules(argv, layer):
     line = traced.stderr.decode().splitlines()[-1]
     assert line.startswith(prefix)
     assert layer in {span[0] for span in json.loads(line[len(prefix) :])}
+
+
+def test_benchmark_tracer_books_the_solve_replay_to_model():
+    # `cli.cmd_solve` calls the public replay core, which the tracer wraps
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "hanoibench" / "traced_cli.py"), "solve", "--n", "4"],
+        cwd=ROOT,
+        env=ENV,
+        capture_output=True,
+        timeout=120,
+    )
+    assert traced.returncode == 0, traced.stderr.decode()
+    line = traced.stderr.decode().splitlines()[-1]
+    spans = json.loads(line[len("hanoibench-trace ") :])
+    assert ["model", "replay"] in [span[:2] for span in spans]

@@ -7,7 +7,7 @@ walk mostly legal moves, so they reach deep states, and mix in illegal
 moves, self-loops, bad pegs and plain tuples.  Streams of blocks that reuse
 tuple objects, which the core applies from a recorded effect once a block
 has replayed cleanly in an equivalent context, must agree with the same
-fold over their flattened moves.
+fold over their flattened moves, and `replay` counts exactly those moves.
 """
 
 from itertools import chain, permutations
@@ -24,10 +24,10 @@ from hanoilab.model import (
     Move,
     MoveGraph,
     State,
-    _replay,
     apply,
     apply_all,
     legal_moves,
+    replay,
     standard_state,
 )
 from hanoilab.solvers import (
@@ -212,22 +212,22 @@ def block_streams(draw, model: Model, max_n: int = 5, max_blocks: int = 20):
 
 def _check_stream(model, start, stream):
     """The stream replays like the reference fold over its flattened moves,
-    with and without collecting the moved discs."""
+    with and without collecting the moved discs, and counts them all."""
     flat = list(chain.from_iterable(stream))
     expected = _outcome(lambda: reference.replay(model, start, flat))
     if expected[0] == "ok":
         final, discs = expected[1]
-        expected_state, expected_discs = ("ok", final), ("ok", discs)
+        expected_replay, expected_discs = ("ok", (final, len(flat))), ("ok", discs)
     else:
-        expected_state = expected_discs = expected
+        expected_replay = expected_discs = expected
 
     def collected():
         discs: list[int] = []
-        _replay(model, start, stream, discs)
+        replay(model, start, stream, discs)
         return discs
 
-    assert _outcome(lambda: _replay(model, start, stream)) == expected_state
-    assert _outcome(lambda: _replay(model, start, iter(stream))) == expected_state
+    assert _outcome(lambda: replay(model, start, stream)) == expected_replay
+    assert _outcome(lambda: replay(model, start, iter(stream))) == expected_replay
     assert _outcome(collected) == expected_discs
     assert _outcome(lambda: moved_discs(model, start, flat)) == expected_discs
 
@@ -263,10 +263,26 @@ def _replayed(model, start, stream) -> Carried:
     move, counted."""
     carried = Carried()
     try:
-        _replay(model, start, stream, carried)
+        replay(model, start, stream, carried)
     except ValueError:
         pass
     return carried
+
+
+def test_replay_counts_the_moves_it_played():
+    # a tuple block applied from its record at its third occurrence, list
+    # blocks and an empty block, read from a generator of blocks
+    model, start = Model.classical(), standard_state(3, 1)
+    block, back = (M[1, 2],), [M[2, 1]]
+    stream = [block, back, block, back, block, (), [M[1, 3]]]
+    assert replay(model, start, (b for b in stream)) == (State(((3,), (1,), (2,))), 6)
+    assert _replayed(model, start, stream).applied == 1
+    assert replay(model, start, []) == (start, 0)
+    assert replay(model, start, [(), []]) == (start, 0)
+    # one move past the count, disc 3 onto disc 1, fails at index 7
+    with pytest.raises(IllegalMoveError) as err:
+        replay(model, start, (b for b in [*stream, block]))
+    assert (err.value.reason, err.value.index) == ("distance-violation", 7)
 
 
 def test_block_legal_then_illegal_in_another_context():
@@ -277,7 +293,7 @@ def test_block_legal_then_illegal_in_another_context():
     start = standard_state(3, 1)
     _check_stream(Model.classical(), start, stream)
     with pytest.raises(IllegalMoveError) as err:
-        _replay(Model.classical(), start, stream)
+        replay(Model.classical(), start, stream)
     assert (err.value.reason, err.value.index) == ("distance-violation", 7)
     # recorded at its first keyed replay, applied at the third occurrence
     assert _replayed(Model.classical(), start, stream).applied == 1
@@ -305,7 +321,7 @@ def test_applied_block_keeps_the_minimum_below_its_segments():
     stream = [block, back, block, back, block, [M[1, 2]]]
     _check_stream(Model.relaxed(1), start, stream)
     with pytest.raises(IllegalMoveError) as err:
-        _replay(Model.relaxed(1), start, stream)
+        replay(Model.relaxed(1), start, stream)
     assert (err.value.reason, err.value.index) == ("distance-violation", 6)
     assert _replayed(Model.relaxed(1), start, stream).applied == 1
 
@@ -318,7 +334,7 @@ def test_peg_holding_exactly_and_one_below_the_block_depth():
     start = State(((2, 1), (), (3,)))
     _check_stream(Model.classical(), start, stream)
     with pytest.raises(IllegalMoveError) as err:
-        _replay(Model.classical(), start, stream)
+        replay(Model.classical(), start, stream)
     assert (err.value.reason, err.value.index) == ("empty-source", 6 * 3 + 3 + 2)
     assert _replayed(Model.classical(), start, stream).applied == 1
 
@@ -342,7 +358,7 @@ def test_repeated_block_is_stepped_once_per_key():
     large = {id(block) for block in stream if len(block) == 1023}
     assert len(large) == 3 and len(stream) == 16 + 15
     carried = Carried()
-    assert _replay(model, start, stream, carried) == standard_state(14, 3)
+    assert replay(model, start, stream, carried) == (standard_state(14, 3), 2**14 - 1)
     assert carried == reference.replay(model, start, classical_solve(14, 1, 3))[1]
     # each block object is stepped at its first occurrence and at its first
     # keyed replay; its other 16 - 2 * 3 occurrences are applied
@@ -353,7 +369,8 @@ def test_repeated_block_is_stepped_once_per_key():
 def test_classical_memo_stays_linear_in_n(n):
     stream = list(move_blocks(classical_solve, n, 1, 3))
     carried = Carried()
-    assert _replay(Model.classical(), standard_state(n, 1), stream, carried) == standard_state(n, 3)
+    final = replay(Model.classical(), standard_state(n, 1), stream, carried)
+    assert final == (standard_state(n, 3), 2**n - 1)
     # every occurrence after a block's first is keyed; each one not applied
     # replayed cleanly and recorded an entry
     entries = len(stream) - len({id(block) for block in stream}) - carried.applied
