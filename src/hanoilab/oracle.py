@@ -31,6 +31,27 @@ search stores as depth + 1 in the narrowest unsigned items that hold
 3**n (2 B a state to n = 10, 4 B to n = 20), indexed by code at the
 default budget to n = 18 (1.55 GB).
 
+A side whose origins (the start, or every goal state) all leave the same
+two stacks empty, on a graph invariant under swapping those two pegs,
+expands one state of each swapped pair.  The swap sigma maps each legal
+move to a legal move, so it is an automorphism of the state graph (the
+automorphisms of Hanoi graphs are the peg permutations), and it fixes
+every origin, so d(origin, sigma(X)) = d(sigma(origin), sigma(X)) =
+d(origin, X): each level of that side is closed under sigma.  `_expand`
+stores each new state and its image at the same depth, and only the one
+found first goes on the next level; the mirror stop test, the witness
+seeds and the symmetric midpoint test read each level with its images.
+That covers the forward side from a standard start, and the backward
+side of standard and all-on goals, on the complete graph and from the
+centre of the linear graph.  The dense core has no such rule: each
+move-table entry would need the swapped code delta.  The stored
+levels are those of a search without the rule, so distances, witnesses,
+the side grown next, `peak_frontier` and `explored` at a level boundary
+are the same, and both still count states, images included.  Only the
+order within a level changes: the states stored when the sides meet, and
+whether a level that meets the other side also passes the budget first,
+can differ.
+
 A standard transfer src -> tgt (src != tgt, n >= 1) on a graph closed
 under mirrored moves is searched from the start alone, in either core.
 Let M swap the src and tgt stacks.  A legal move s -> t maps to the legal
@@ -66,6 +87,8 @@ state is stored, and exceeding it raises.
 from __future__ import annotations
 
 import functools
+import operator
+from collections import defaultdict
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
 
 from . import recurrence
@@ -251,14 +274,6 @@ def _move_table(
 _DICT_STATE_BYTES = 85
 
 
-class _Visited(dict):
-    """A visited map keyed by code where an unstored code reads 0, as it
-    does in a map indexed by code."""
-
-    def __missing__(self, code: int) -> int:
-        return 0
-
-
 def _dense_search(
     n: int,
     edges: tuple[tuple[int, int], ...],
@@ -272,13 +287,13 @@ def _dense_search(
     component is exhausted).  Returns ({goal: distance}, witness, explored,
     peak).  With `want_path` (one goal) the visited map holds each state's
     depth + 1, which `_witness` reads, else 1 or 2 by the parity of the
-    depth, and 0 for a code not stored.
+    depth, and 0 for a code not stored (None through the dict's `get`).
 
     The visited map is indexed by code when its 3**n items take no more
     bytes than a dict holding `max_states` states: a bytearray, or with
     `want_path` a view of one as the narrowest unsigned items that hold
-    3**n.  Otherwise it is a dict.  Either way the cap is checked as each
-    state is stored.
+    3**n.  Otherwise it is a `defaultdict(int)`, whose miss is a C call.
+    Either way the cap is checked as each state is stored.
 
     With `mirror` (start 0, goal 3**n - 1, M(c) = goal - c) it stops after
     the first level L with a stored mirror: D = 2L - 1 if one is on L - 1.
@@ -289,15 +304,18 @@ def _dense_search(
     typecode, width = "B", 1
     if want_path:
         typecode, width = next(tw for tw in zip("BHIQ", (1, 2, 4, 8)) if 3**n < 1 << 8 * tw[1])
-    visited: bytearray | memoryview | _Visited
+    visited: bytearray | memoryview | defaultdict[int, int]
     if width * 3**n > _DICT_STATE_BYTES * max_states:
-        visited = _Visited()
+        # an unstored code reads 0 through a C-level default; the loop below
+        # marks every code it misses, so only stored codes become keys
+        visited = defaultdict(int)
     elif want_path:  # a view, not an `array`: no extension module to load
         visited = memoryview(bytearray(width * 3**n)).cast(typecode)
     else:
         visited = bytearray(3**n)
     visited[start] = 1
-    get = visited.__getitem__
+    # reads that store nothing, for the mirror test and `_witness`
+    get = visited.get if isinstance(visited, dict) else visited.__getitem__
     found: dict[int, int] = {}
     remaining = set(goals)
     if start in remaining:
@@ -421,10 +439,18 @@ def _expand(
     other: dict[Codes, int],
     max_states: int,
     backward: bool = False,
+    image: Callable[[Codes], Codes] | None = None,
 ) -> list[Codes] | None:
     """The next level of one search side, or None as soon as a state of
     the other side is reached.  The cap counts both sides' stored states,
-    checked as each is inserted; `backward` marks the backward side."""
+    checked as each is inserted; `backward` marks the backward side.
+
+    With `image`, the swap of two stacks under which every level of this
+    side is closed (see `_sparse_search`), `frontier` holds one state of
+    each pair and `seen` the states of both: each new state is stored with
+    its image at the same depth, each met against the other side and
+    counted against the cap as it is stored, and only the state found first
+    goes on the returned level."""
     depth = seen[frontier[0]] + 1
     limit = max_states - len(other)
     nxt = []
@@ -460,7 +486,32 @@ def _expand(
                     sides = (len(other), len(seen)) if backward else (len(seen), len(other))
                     raise SearchCapExceeded(max_states, depth, *sides)
                 nxt.append(new)
+                if image:
+                    new = image(new)
+                    if new not in seen:
+                        if new in other:
+                            return None
+                        seen[new] = depth
+                        if len(seen) > limit:
+                            sides = (len(other), len(seen)) if backward else (len(seen), len(other))
+                            raise SearchCapExceeded(max_states, depth, *sides)
     return nxt
+
+
+def _image(origins: Iterable[Codes], graph: MoveGraph) -> Callable[[Codes], Codes] | None:
+    """The swap of the two stacks that every origin leaves empty, if the
+    graph is invariant under swapping those pegs, else None."""
+    empty = [k for k in range(3) if not any(codes[k] for codes in origins)]
+    if len(empty) != 2 or not graph.is_swap_invariant(empty[0] + 1, empty[1] + 1):
+        return None
+    order = [0, 1, 2]
+    order[empty[0]], order[empty[1]] = empty[1], empty[0]
+    return operator.itemgetter(*order)
+
+
+def _with_images(level: list[Codes], image: Callable[[Codes], Codes] | None) -> list[Codes]:
+    """A level of one state per pair as every state on it."""
+    return [*level, *map(image, level)] if image else level
 
 
 def _sparse_steps(moves: SparseMoves, reverse: SparseMoves, base: int, C: int) -> tuple:
@@ -495,6 +546,12 @@ def _sparse_search(
     The sides stay disjoint until one reaches the other, so the distance is
     then the two completed depths plus one.
 
+    Each side takes its `image` from its own origins (`_image`), and
+    `_expand` grows one state of each pair.  Level sizes count the stored
+    states, images included, so the smaller side grows next as it would
+    without images; the mirror test and the witness seeds read each level
+    with its images.
+
     With `mirror` (M swaps the first and the last stack) only the forward
     side grows, to the first level holding a state whose mirror is stored.
     """
@@ -511,31 +568,40 @@ def _sparse_search(
         bwd[code] = 0
         if len(fwd) + len(bwd) > max_states:
             raise SearchCapExceeded(max_states, 0, len(fwd), len(bwd))
+    graph = MoveGraph.from_edges(edges)
+    images = _image(fwd, graph), _image(bwd, graph)
     front = [origin]
-    back = list(bwd)
-    peak = max(1, len(back))
+    back = list(bwd)  # every origin is its own image
+    sizes = [1, len(back)]  # the states on each side's last level, images included
+    peak = max(sizes)
     while True:
-        forward = mirror or len(front) <= len(back)
+        forward = mirror or sizes[0] <= sizes[1]
+        seen = fwd if forward else bwd
+        stored = len(seen)
         if forward:
-            nxt = _expand(front, moves, base, C, fwd, bwd, max_states)
+            nxt = _expand(front, moves, base, C, fwd, bwd, max_states, False, images[0])
         else:
-            nxt = _expand(back, reverse, base, C, bwd, fwd, max_states, True)
+            nxt = _expand(back, reverse, base, C, bwd, fwd, max_states, True, images[1])
         if nxt is None:
             distance = fwd[front[0]] + bwd[back[0]] + 1
             break
         if not nxt:
             return None, None, len(fwd) + len(bwd), peak
-        peak = max(peak, len(nxt))
+        sizes[not forward] = size = len(seen) - stored
+        peak = max(peak, size)
         front, back = (nxt, back) if forward else (front, nxt)
         if mirror:  # only levels L - 1 and L can hold the first mirrors found
-            hits = set(map(fwd.get, map(swap, nxt))) - {None}
+            level = _with_images(nxt, images[0])
+            hits = set(map(fwd.get, map(swap, level))) - {None}
             if hits:  # `_witness` finds the midpoints on this level
-                distance, back = fwd[nxt[0]] + min(hits), nxt
+                distance, back = fwd[nxt[0]] + min(hits), level
                 break
     explored = len(fwd) + len(bwd)
     if not want_path:
         return distance, None, explored, peak
     # seeds: the last complete backward level; a partial next one is off every shortest path
+    if not mirror:
+        back = _with_images(back, images[1])
     steps = _sparse_steps(moves, reverse, base, C)
     path = _witness(origin, distance, bwd, back, fwd.get, *steps, swap)
     return distance, path, explored, peak
@@ -735,7 +801,10 @@ def shortest_symmetric(
     landing exactly on W's mirror image; an even solution of length 2m
     needs W equal to its own mirror (both swapped stacks empty).  Levels
     are scanned outward, even candidates before odd, so the first hit is
-    minimal.  Levels grow through `_expand` with no other side.  A middle
+    minimal.  Levels grow through `_expand` with no other side, one state
+    of each pair under `_image` of the start (on the complete graph, the
+    swap of the two pegs other than src), and each level is tested as its
+    expanded states, then their images.  A middle
     move a>b lands on the mirror iff W's code on a pops to its code on b,
     and is then legal: the disc goes back onto the stack it sat on in W.
     The first half is the smallest shortest path to W (`_witness`, the
@@ -756,6 +825,7 @@ def shortest_symmetric(
     square = base * base
     steps = _sparse_steps(moves, reverse, base, C)
     origin = _encode(start.stacks, base)
+    image = _image([origin], model.graph)
     seen = {origin: 0}
     frontier = [origin]
     peak = 1
@@ -768,15 +838,17 @@ def shortest_symmetric(
         return SearchResult(len(path), tuple(path), len(seen), peak)
 
     while frontier:
-        for codes in frontier:  # even candidates: length 2*level
+        level = _with_images(frontier, image)
+        for codes in level:  # even candidates: length 2*level
             if codes[i] == codes[j]:  # its own mirror
                 return finish(codes, [])
-        for codes in frontier:  # odd candidates: length 2*level + 1
+        for codes in level:  # odd candidates: length 2*level + 1
             for a, b in middle_moves:  # a>b lands on the mirror iff it pops onto b
                 if codes[a] and codes[a] // square == codes[b]:
                     return finish(codes, [MOVES[a + 1, b + 1]])
-        frontier = _expand(frontier, moves, base, C, seen, {}, max_states)
-        peak = max(peak, len(frontier))
+        stored = len(seen)
+        frontier = _expand(frontier, moves, base, C, seen, {}, max_states, False, image)
+        peak = max(peak, len(seen) - stored)
     return SearchResult(None, None, len(seen), peak)
 
 
