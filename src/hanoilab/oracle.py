@@ -11,25 +11,27 @@ come from a table cached per graph: the legal (move, code delta) pairs
 for each placement of the six smallest discs.  An entry depends only on
 the placement's three peg tops, decoded once per process for all 729
 placements (93 distinct triples), so each table computes one entry per
-triple and shares it.  The visited map is indexed
-by code, 1 B a state, when its 3**n items take no more bytes than a dict
-of the whole state budget would (about 85 B a state), and is such a dict
-otherwise; at the default budget that is to n = 19 (1.16 GB).  The map is
-allocated whole, so a search that ends near its start pays for it all.
+triple and shares it.  The visited map is indexed by code, 1 B a state,
+when its 3**n items take no more bytes than a dict of the whole state
+budget would (about 85 B a state), and is such a dict (a
+`defaultdict(int)`, whose miss is a C call) otherwise; at the default
+budget that is to n = 19 (1.16 GB).  The map is allocated whole, so a
+search that ends near its start pays for it all.
 For distance >= 1 a state is one integer per stack, coding each disc with
 the smallest disc from it down (`_encode`), and is searched from both
 ends: forward from the start and backward from every goal state over the
-reversed edges, one level of the smaller frontier at a time, each side a
-dict from state to depth (176-179 B a state).  There `explored` counts
-both sides' stored states, goal states included, and `peak_frontier` is
-the largest level of either side.  Only the level expander `_expand`
-writes the placement rule on codes: `shortest_symmetric` grows its levels
-with it, a witness step is its level of one state, and the symmetric
-midpoint test compares codes.  No search keeps its levels: `_witness`
-rebuilds every witness from the depths, which the distance-0 witness
-search stores as depth + 1 in the narrowest unsigned items that hold
-3**n (2 B a state to n = 10, 4 B to n = 20), indexed by code at the
-default budget to n = 18 (1.55 GB).
+reversed edges, one level at a time of the side whose last level holds
+fewer states (the forward side on a tie), each side a dict from state to
+depth (176-179 B a state).  There `explored` counts both sides' stored
+states, goal states included, and `peak_frontier` is the largest level
+of either side.  Only the level expander `_expand` writes the placement
+rule on codes: `shortest_symmetric` grows its levels with it, a witness
+step is its level of one state, and the symmetric midpoint test compares
+codes.  No search keeps its levels: `_witness` rebuilds every witness
+from the depths, which the distance-0 witness search stores as depth + 1
+in the narrowest unsigned items that hold 3**n (2 B a state to n = 10,
+4 B to n = 20), indexed by code at the default budget to n = 18
+(1.55 GB).
 
 A side whose origins (the start, or every goal state) all leave the same
 two stacks empty, on a graph invariant under swapping those two pegs,
@@ -44,8 +46,8 @@ seeds and the symmetric midpoint test read each level with its images.
 That covers the forward side from a standard start, and the backward
 side of standard and all-on goals, on the complete graph and from the
 centre of the linear graph.  The dense core has no such rule: each
-move-table entry would need the swapped code delta.  The stored
-levels are those of a search without the rule, so distances, witnesses,
+move-table entry would need the swapped code delta.  The stored levels
+are those of a search without the rule, so distances, witnesses,
 the side grown next, `peak_frontier` and `explored` at a level boundary
 are the same, and both still count states, images included.  Only the
 order within a level changes: the states stored when the sides meet, and
@@ -68,17 +70,10 @@ the first and the last stack, and at distance 0 the start is code 0, the
 goal 3**n - 1 and M(c) the goal minus c.
 
 `optimality_reports` certifies a graph at every n up to n_max from one
-distance-0 search per source peg at n_max discs.  Its goals are the
-embedded states: discs 1..k standard on a target, the larger discs still
-parked on the source.  Whether a disc may move depends only on the
-smaller discs, so deleting the moves of every disc above k keeps a
-sequence legal and makes it no longer, and a k-disc sequence stays legal
-over the parked discs: the distance to the embedded state is the k-disc
-optimum.  A peg relabeling sigma maps each legal move i>j on G to the
-legal move sigma(i)>sigma(j) on sigma(G) from the relabeled state, so the
-distance from src to tgt on G is that from sigma(src) to sigma(tgt) on
-sigma(G): one cached search per class graph and source image serves all
-18 labeled graphs and 3 sources with 10 searches.
+distance-0 search per source peg at n_max discs to the embedded goals, on
+the class graph (the argument is in its docstring): one cached search per
+class graph and source image serves all 18 labeled graphs and 3 sources
+with 10 searches.
 
 Searches never truncate silently: the state budget is checked as each
 state is stored, and exceeding it raises.
@@ -269,8 +264,7 @@ def _move_table(
 
 
 #: Bytes a state costs in a dict keyed by code (85.5 B/state under
-#: `tracemalloc`, classical n=12): a map indexed by code is chosen while it
-#: is no larger than a dict holding the whole state budget.
+#: `tracemalloc`, classical n=12), for the map choice in the module docstring.
 _DICT_STATE_BYTES = 85
 
 
@@ -285,18 +279,11 @@ def _dense_search(
 ) -> tuple[dict[int, int], list[Move] | None, int, int]:
     """Level BFS on packed codes until every goal code is found (or the
     component is exhausted).  Returns ({goal: distance}, witness, explored,
-    peak).  With `want_path` (one goal) the visited map holds each state's
-    depth + 1, which `_witness` reads, else 1 or 2 by the parity of the
-    depth, and 0 for a code not stored (None through the dict's `get`).
-
-    The visited map is indexed by code when its 3**n items take no more
-    bytes than a dict holding `max_states` states: a bytearray, or with
-    `want_path` a view of one as the narrowest unsigned items that hold
-    3**n.  Otherwise it is a `defaultdict(int)`, whose miss is a C call.
-    Either way the cap is checked as each state is stored.
-
-    With `mirror` (start 0, goal 3**n - 1, M(c) = goal - c) it stops after
-    the first level L with a stored mirror: D = 2L - 1 if one is on L - 1.
+    peak).  With `want_path` (one goal) the visited map (chosen as the
+    module docstring says) holds each state's depth + 1, which `_witness`
+    reads, else 1 or 2 by the parity of the depth, and 0 for a code not
+    stored (None through the dict's `get`).  With `mirror` it runs the
+    mirror search of the module docstring.
     """
     table = _move_table(edges, min(n, _TABLE_DISCS))
     low = len(table)
@@ -435,22 +422,18 @@ def _expand(
     moves: SparseMoves,
     base: int,
     C: int,
-    seen: dict[Codes, int],
-    other: dict[Codes, int],
+    sides: tuple[dict[Codes, int], dict[Codes, int]],
+    grow: int,
     max_states: int,
-    backward: bool = False,
     image: Callable[[Codes], Codes] | None = None,
 ) -> list[Codes] | None:
-    """The next level of one search side, or None as soon as a state of
-    the other side is reached.  The cap counts both sides' stored states,
-    checked as each is inserted; `backward` marks the backward side.
-
-    With `image`, the swap of two stacks under which every level of this
-    side is closed (see `_sparse_search`), `frontier` holds one state of
-    each pair and `seen` the states of both: each new state is stored with
-    its image at the same depth, each met against the other side and
-    counted against the cap as it is stored, and only the state found first
-    goes on the returned level."""
+    """The next level of side `grow` of `sides` (forward, backward), or
+    None as soon as a state of the other side is reached.  The cap counts
+    both sides' stored states, checked as each is stored.  With `image`
+    (the peg-swap rule of the module docstring), `frontier` holds one state
+    of each pair: each new state is stored, then its image at the same
+    depth, and only the first goes on the returned level."""
+    seen, other = sides[grow], sides[1 - grow]
     depth = seen[frontier[0]] + 1
     limit = max_states - len(other)
     nxt = []
@@ -483,8 +466,7 @@ def _expand(
                     return None
                 seen[new] = depth
                 if len(seen) > limit:
-                    sides = (len(other), len(seen)) if backward else (len(seen), len(other))
-                    raise SearchCapExceeded(max_states, depth, *sides)
+                    raise SearchCapExceeded(max_states, depth, *map(len, sides))
                 nxt.append(new)
                 if image:
                     new = image(new)
@@ -493,8 +475,7 @@ def _expand(
                             return None
                         seen[new] = depth
                         if len(seen) > limit:
-                            sides = (len(other), len(seen)) if backward else (len(seen), len(other))
-                            raise SearchCapExceeded(max_states, depth, *sides)
+                            raise SearchCapExceeded(max_states, depth, *map(len, sides))
     return nxt
 
 
@@ -520,7 +501,7 @@ def _sparse_steps(moves: SparseMoves, reverse: SparseMoves, base: int, C: int) -
     side: never None; the cap holds the state and one new state a move).
     Each successor's move is read off the codes: the pop shrank the
     source's code and the push grew the target's."""
-    level = lambda codes, steps: _expand([codes], steps, base, C, {codes: 0}, {}, len(steps) + 1)
+    level = lambda codes, steps: _expand([codes], steps, base, C, ({codes: 0}, {}), 0, len(steps) + 1)
 
     def successors(codes: Codes) -> Iterator[tuple[Move, Codes]]:
         for new in level(codes, moves):
@@ -544,66 +525,53 @@ def _sparse_search(
     undone).  Returns (distance, witness, explored, peak frontier).
 
     The sides stay disjoint until one reaches the other, so the distance is
-    then the two completed depths plus one.
-
-    Each side takes its `image` from its own origins (`_image`), and
-    `_expand` grows one state of each pair.  Level sizes count the stored
-    states, images included, so the smaller side grows next as it would
-    without images; the mirror test and the witness seeds read each level
-    with its images.
-
-    With `mirror` (M swaps the first and the last stack) only the forward
-    side grows, to the first level holding a state whose mirror is stored.
+    then the two completed depths plus one.  `sides`, `levels`, `steps`,
+    `images` and `sizes` are pairs indexed by side, 0 forward and 1
+    backward.  With `mirror` only the forward side grows (the mirror search
+    of the module docstring), and its last level, images included, ends in
+    `levels[1]`.
     """
-    moves, reverse = _sparse_moves(edges)
+    steps = _sparse_moves(edges)
     swap = (lambda codes: codes[::-1]) if mirror else None
     base = sum(map(len, start)) + 1
     origin = _encode(start, base)
-    fwd = {origin: 0}
-    bwd: dict[Codes, int] = {}
+    sides = fwd, bwd = {origin: 0}, {}
     for goal in () if mirror else goals:
         code = _encode(goal, base)
         if code == origin:  # stored once, as the start
             return 0, [] if want_path else None, 1, 1
         bwd[code] = 0
         if len(fwd) + len(bwd) > max_states:
-            raise SearchCapExceeded(max_states, 0, len(fwd), len(bwd))
+            raise SearchCapExceeded(max_states, 0, *map(len, sides))
     graph = MoveGraph.from_edges(edges)
-    images = _image(fwd, graph), _image(bwd, graph)
-    front = [origin]
-    back = list(bwd)  # every origin is its own image
-    sizes = [1, len(back)]  # the states on each side's last level, images included
+    images = _image(fwd, graph), _image(bwd, graph)  # a mirror search has no backward image
+    levels = [[origin], list(bwd)]  # every origin is its own image
+    sizes = [1, len(bwd)]  # the states on each side's last level, images included
     peak = max(sizes)
     while True:
-        forward = mirror or sizes[0] <= sizes[1]
-        seen = fwd if forward else bwd
-        stored = len(seen)
-        if forward:
-            nxt = _expand(front, moves, base, C, fwd, bwd, max_states, False, images[0])
-        else:
-            nxt = _expand(back, reverse, base, C, bwd, fwd, max_states, True, images[1])
+        grow = 0 if mirror or sizes[0] <= sizes[1] else 1
+        stored = len(sides[grow])
+        nxt = _expand(levels[grow], steps[grow], base, C, sides, grow, max_states, images[grow])
         if nxt is None:
-            distance = fwd[front[0]] + bwd[back[0]] + 1
+            distance = fwd[levels[0][0]] + bwd[levels[1][0]] + 1
             break
         if not nxt:
             return None, None, len(fwd) + len(bwd), peak
-        sizes[not forward] = size = len(seen) - stored
+        sizes[grow] = size = len(sides[grow]) - stored
         peak = max(peak, size)
-        front, back = (nxt, back) if forward else (front, nxt)
+        levels[grow] = nxt
         if mirror:  # only levels L - 1 and L can hold the first mirrors found
             level = _with_images(nxt, images[0])
             hits = set(map(fwd.get, map(swap, level))) - {None}
             if hits:  # `_witness` finds the midpoints on this level
-                distance, back = fwd[nxt[0]] + min(hits), level
+                distance, levels[1] = fwd[nxt[0]] + min(hits), level
                 break
     explored = len(fwd) + len(bwd)
     if not want_path:
         return distance, None, explored, peak
     # seeds: the last complete backward level; a partial next one is off every shortest path
-    if not mirror:
-        back = _with_images(back, images[1])
-    steps = _sparse_steps(moves, reverse, base, C)
-    path = _witness(origin, distance, bwd, back, fwd.get, *steps, swap)
+    seeds = _with_images(levels[1], images[1])
+    path = _witness(origin, distance, bwd, seeds, fwd.get, *_sparse_steps(*steps, base, C), swap)
     return distance, path, explored, peak
 
 
@@ -847,7 +815,7 @@ def shortest_symmetric(
                 if codes[a] and codes[a] // square == codes[b]:
                     return finish(codes, [MOVES[a + 1, b + 1]])
         stored = len(seen)
-        frontier = _expand(frontier, moves, base, C, seen, {}, max_states, False, image)
+        frontier = _expand(frontier, moves, base, C, (seen, {}), 0, max_states, image)
         peak = max(peak, len(seen) - stored)
     return SearchResult(None, None, len(seen), peak)
 
@@ -894,7 +862,6 @@ def conjecture_probe(
     violation would disprove the search or the replay, not the
     conjecture).
     """
-    _check_budget(max_states)
     a_conj, b_conj = recurrence.conjecture_values(n_max, C)  # refuses C < 1 before Model does
     model = Model.relaxed(C)
     rows = []

@@ -89,7 +89,7 @@ def test_code_neighbours_equal_the_tuple_neighbours(graph, drawn):
     expected = list(_neighbors(state.stacks, edges, C))
     codes = _encode(state.stacks, base)
     moves, reversed_moves = _sparse_moves(edges)
-    level = _expand([codes], moves, base, C, {codes: 0}, {}, 10**6)
+    level = _expand([codes], moves, base, C, ({codes: 0}, {}), 0, 10**6)
     assert [decode(new, base) for new in level] == [new for _, new in expected]
     # the witness steps: one level of the state alone, each successor's
     # move read off the codes; predecessors over the reversed edges

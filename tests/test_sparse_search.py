@@ -1,6 +1,8 @@
 """The bidirectional search (distance >= 1) against the one-sided
 reference BFS, plus its state cap and its counters."""
 
+import hashlib
+import sys
 import tracemalloc
 from itertools import permutations
 
@@ -108,19 +110,16 @@ def test_explored_counts_both_sides_goal_states_included():
 
 def _stored_states(err) -> int:
     frame = err.traceback[-1].frame.f_locals
-    if "seen" in frame:  # raised while expanding a level
-        return len(frame["seen"]) + len(frame["other"])
-    return len(frame["fwd"]) + len(frame["bwd"])  # raised while storing goals
+    return sum(map(len, frame["sides"]))  # raised while expanding a level or storing goals
 
 
 def _side_counts(err) -> tuple[int, int, int]:
     """(level, forward, backward) as the frame that raised holds them."""
     frame = err.traceback[-1].frame.f_locals
-    if "seen" in frame:  # raised while expanding a level of one side
-        sides = (len(frame["seen"]), len(frame["other"]))
-        return (frame["depth"], *(sides[::-1] if frame["backward"] else sides))
-    if "fwd" in frame:  # raised while storing goals
-        return 0, len(frame["fwd"]), len(frame["bwd"])
+    if "grow" in frame:  # raised while expanding a level of one side
+        return (frame["depth"], *map(len, frame["sides"]))
+    if "sides" in frame:  # raised while storing goals
+        return (0, *map(len, frame["sides"]))
     return frame["level"], len(frame["visited"]), 0  # the dense core
 
 
@@ -154,8 +153,8 @@ def test_cap_error_names_the_level_and_the_states_of_each_side(case):
         CAPPED[case]()
     cap = err.value
     # each case raises where its name says
-    assert err.traceback[-1].frame.f_locals.get("backward") == (
-        None if case in ("dense", "goal states") else case == "backward level"
+    assert err.traceback[-1].frame.f_locals.get("grow") == (
+        None if case in ("dense", "goal states") else int(case == "backward level")
     )
     level, forward, backward = _side_counts(err)
     assert (cap.level, cap.forward, cap.backward) == (level, forward, backward)
@@ -208,6 +207,61 @@ def test_symmetric_search_cap_is_checked_as_each_state_is_inserted():
     with pytest.raises(SearchCapExceeded) as err:
         shortest_symmetric(model, 7, 1, 2, max_states=100)
     assert _stored_states(err) == 101
+
+
+def _sweep(model: Model, n: int, goal: GoalPredicate):
+    return lambda b, want_path: bfs_distance(
+        model, standard_state(n, 1), goal, max_states=b, want_path=want_path
+    )
+
+
+#: one search of each kind at budget b, with or without a path; the
+#: linear search grows both sides, its forward side with an image
+SWEPT = {
+    "linear": _sweep(LINEAR_C1, 8, GoalPredicate.standard_on(2)),
+    "mirror": _sweep(Model.relaxed(1), 8, GoalPredicate.standard_on(2)),
+    "goal states": _sweep(Model.relaxed(2), 7, GoalPredicate.all_on(2)),
+    "symmetric": lambda b, want_path: shortest_symmetric(Model.relaxed(1), 7, 1, 2, max_states=b),
+}
+
+#: sha256 of the repr of every outcome over budgets 1..399, without a path
+#: and then with one: (level, forward, backward) of a cap, else the
+#: `SearchResult`; recorded before `_expand` took both sides as one pair.
+#: The mirror and symmetric searches store the same levels under 400 states.
+SWEEP_DIGESTS = {
+    "linear": "99f0b091a2863fef7b7fd14479912fc040f0ba9844e6c12539059b49fdc8a202",
+    "mirror": "f90577b08d8b0a523956c8b3949b43547a32e9b20184fee791941009016faeca",
+    "goal states": "b8e4c256ab1fcc49437871441f1b49e10b499e3301d0045088f5f52173c5a9cd",
+    "symmetric": "f90577b08d8b0a523956c8b3949b43547a32e9b20184fee791941009016faeca",
+}
+
+#: the capped runs without a path that raise at the image store of `_expand`
+#: (592 of the sweep's 1,596)
+IMAGE_STORE_CAPS = {"linear": 61, "mirror": 198, "goal states": 135, "symmetric": 198}
+
+
+@pytest.mark.parametrize("search", sorted(SWEPT))
+def test_every_cap_of_a_budget_sweep(search):
+    outcomes, image_stores = [], 0
+    for want_path in (False, True):
+        for budget in range(1, 400):
+            try:
+                outcomes.append(tuple(SWEPT[search](budget, want_path)))
+                continue
+            except SearchCapExceeded:
+                err = pytest.ExceptionInfo.from_exc_info(sys.exc_info())
+            cap = err.value
+            level, forward, backward = _side_counts(err)
+            assert (cap.level, cap.forward, cap.backward) == (level, forward, backward), budget
+            assert forward + backward == _stored_states(err) == cap.cap + 1 == budget + 1
+            outcomes.append((level, forward, backward))
+            frame = err.traceback[-1].frame.f_locals
+            image = frame.get("image")
+            if not want_path and image and frame["nxt"] and image(frame["nxt"][-1]) == frame["new"]:
+                image_stores += 1  # `new` is the image of the state stored last
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == SWEEP_DIGESTS[search]
+    assert image_stores == IMAGE_STORE_CAPS[search]
 
 
 #: (distance, explored, peak_frontier) of `shortest_symmetric` for n = 0, 1,
