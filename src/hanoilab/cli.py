@@ -320,24 +320,32 @@ def cmd_table(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             if max(row) >= too_long:
                 raise _Unprintable(f"the counts for n={n} have more than {digits} digits")
 
-    # rows stream from the recurrence, which keeps only the previous row
-    rows = enumerate(recurrence.move_count_rows(graph, args.n))
+    import decimal  # here, so that `solve` and `graphs` need not load it
+
     columns = ("n", *(f"N{i}{j}" for i, j in recurrence.PAIR_ORDER))
-    if args.format in ("plain", "csv"):
-        _write_csv(columns, ((n, *row) for n, row in rows))
-        if args.format == "plain" and closed is not None:
-            print(f"closed_form[{closed[0]}]: {'ok' if closed_ok else 'MISMATCH'}")
-    else:
-        doc = {
-            "edges": graph.format(),
-            "n_max": args.n,
-            "rows": [],
-            "closed_form": None if closed is None else {"class": closed[0], "ok": closed_ok},
-        }
-        # each row as json.dumps(..., sort_keys=True) writes it
-        named = sorted(enumerate(columns), key=lambda column: column[1])
-        row_json = ", {{" + ", ".join(f'"{name}": {{{c}}}' for c, name in named) + "}}"
-        _write_json(doc, "rows", (row_json.format(n, *row) for n, row in rows))
+    # The printed counts are Decimals, whose str is linear in their digits
+    # (an int's is quadratic), in a context that raises rather than round.
+    with decimal.localcontext() as exact:
+        exact.prec = decimal.MAX_PREC
+        exact.traps[decimal.Inexact] = exact.traps[decimal.Rounded] = True
+        # rows stream from the recurrence, which keeps only the previous row
+        rows = enumerate(recurrence.move_count_rows(graph, args.n, decimal.Decimal(0)))
+        if args.format in ("plain", "csv"):
+            _write_csv(columns, (",".join(map(str, (n, *row))) + "\n" for n, row in rows))
+            if args.format == "plain" and closed is not None:
+                print(f"closed_form[{closed[0]}]: {'ok' if closed_ok else 'MISMATCH'}")
+        else:
+            doc = {
+                "edges": graph.format(),
+                "n_max": args.n,
+                "rows": [],
+                "closed_form": None if closed is None else {"class": closed[0], "ok": closed_ok},
+            }
+            # each row as json.dumps(..., sort_keys=True) writes it; a count
+            # goes in as its str, which is quicker than Decimal.__format__
+            named = sorted(enumerate(columns), key=lambda column: column[1])
+            row_json = ", {{" + ", ".join(f'"{name}": {{{c}}}' for c, name in named) + "}}"
+            _write_json(doc, "rows", (row_json.format(n, *map(str, row)) for n, row in rows))
     return EXIT_OK if closed_ok else EXIT_FAILURE
 
 

@@ -184,9 +184,12 @@ def _q(C: int, m: int, i: int, j: int) -> tuple:
 # The six coupled move counts of a move graph; `recurrence` tabulates them.
 
 
-def move_count_rows(graph: MoveGraph, n_max: int) -> Iterator[tuple[int, ...]]:
+def move_count_rows(graph: MoveGraph, n_max: int, zero=0) -> Iterator[tuple]:
     """Yield the exact move counts for n = 0..n_max, one row per n with
-    the six pairs in PAIR_ORDER, keeping only the previous row.
+    the six pairs in PAIR_ORDER, keeping only the previous row.  The counts
+    are sums built from `zero`, so its type carries the arithmetic: an int
+    by default, or a `decimal.Decimal`, whose `str` is linear in its digits,
+    under a context that cannot round.
 
     For each ordered pair (i, j) with auxiliary peg k, the count for n
     discs is counts(i,k) + counts(k,j) + 1 when the edge i>j exists, and
@@ -207,8 +210,8 @@ def move_count_rows(graph: MoveGraph, n_max: int) -> Iterator[tuple[int, ...]]:
         else:
             plan.append((False, column[i, j], column[j, i]))
 
-    def rows() -> Iterator[tuple[int, ...]]:
-        row = (0,) * len(PAIR_ORDER)
+    def rows() -> Iterator[tuple]:
+        row = (zero,) * len(PAIR_ORDER)
         yield row
         for _ in range(n_max):
             row = tuple(
