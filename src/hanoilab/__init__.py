@@ -1,20 +1,22 @@
 """Generalized Tower of Hanoi laboratory.
 
 Models couple a directed move graph over three pegs with a placement
-distance C; solvers produce the constructive transfer sequences, the
-recurrence module evaluates exact counts and closed forms, and the oracle
-module provides exhaustive-search ground truth.
+distance C; solvers produce the constructive transfer sequences and the
+exact integer move counts, the recurrence module evaluates closed forms
+and growth rates, and the oracle module provides exhaustive-search ground
+truth.
 
 Importing the package runs `model` and `solvers`.  `oracle`, `recurrence`
 and `verify` are lazy modules (`importlib.util.LazyLoader`): registered in
 `sys.modules` at once, their bodies run on first attribute access.  Per CLI
 subcommand: `graphs` and the constructive `solve` solvers run none of the
-three; `table` runs `recurrence`; `solve --solver bfs` runs `oracle`;
-`conjecture` and `verify --suite graphs` run `oracle` and `recurrence`; the
-other `verify` suites run all three.  Public names resolve through a PEP 562
-`__getattr__`.  That hook alone would keep the three out of `sys.modules`,
-where a tracer that wraps their functions looks them up.  No module imports
-`dataclasses` or `inspect`, and `cli` imports `json` only to write JSON.
+three; `table` runs `recurrence`; `solve --solver bfs`, `conjecture` and
+`verify --suite graphs` run `oracle`; the other `verify` suites run `oracle`
+and `verify`.  Only `table` imports `fractions` and `decimal`.  Public names
+resolve through a PEP 562 `__getattr__`.  That hook alone would keep the
+three out of `sys.modules`, where a tracer that wraps their functions looks
+them up.  No module imports `dataclasses` or `inspect`, and `cli` imports
+`json` only to write JSON.
 """
 
 import importlib.util
@@ -37,11 +39,12 @@ _EXPORTS = {
     model: "GoalPredicate IllegalMoveError MalformedStateError Model Move MoveGraph"
     " SearchCapExceeded State apply apply_all is_legal_state legal_moves mirror_move"
     " mirror_sequence mirror_state standard_state",
-    solvers: "a_symmetric classical_solve directed_move q_sequence zeta",
+    solvers: "CountTable a_symmetric classical_solve conjecture_values directed_move"
+    " eval_move_counts q_sequence zeta",
     oracle: "SearchResult bfs_distance conjecture_probe optimality_reports shortest_symmetric"
     " verify_optimality",
-    recurrence: "CountTable QuadValue RootBracket ab_closed_form closed_form_chord"
-    " closed_form_cycle closed_form_linear conjecture_values eval_move_counts growth_table",
+    recurrence: "QuadValue RootBracket ab_closed_form closed_form_chord closed_form_cycle"
+    " closed_form_linear growth_table",
     verify: "HarnessReport ValidationReport claim_harness is_symmetric lambda_predicates"
     " project_out_largest validate_sequence",
 }

@@ -86,7 +86,6 @@ import operator
 from collections import defaultdict
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, TypeVar
 
-from . import recurrence
 from .model import (
     DEFAULT_STATE_BUDGET,
     GRAPH_CLASSES,
@@ -106,7 +105,15 @@ from .model import (
     standard_state,
     third_peg,
 )
-from .solvers import a_symmetric, directed_move, move_block_streams, q_sequence
+from .solvers import (
+    PAIR_ORDER,
+    a_symmetric,
+    conjecture_values,
+    directed_move,
+    eval_move_counts,
+    move_block_streams,
+    q_sequence,
+)
 
 
 class SearchResult(NamedTuple):
@@ -715,7 +722,7 @@ def optimality_reports(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_budget(max_states)
-    table = recurrence.eval_move_counts(graph, n_max)  # refuses a graph not strongly connected
+    table = eval_move_counts(graph, n_max)  # refuses a graph not strongly connected
     name, sigmas = class_relabelings(graph)  # type: ignore[misc]
     edges = GRAPH_CLASSES[name][0].sorted_edges()
     shared = {}
@@ -727,7 +734,7 @@ def optimality_reports(
         sigma, distances = shared[pair[0]]
         return distances[sigma[pair[1]], n]
 
-    calls = [(pair, n) for n in range(1, n_max + 1) for pair in recurrence.PAIR_ORDER]
+    calls = [(pair, n) for n in range(1, n_max + 1) for pair in PAIR_ORDER]
     streams = move_block_streams(directed_move, ((graph, *pair, n) for pair, n in calls))
     built = {call: sum(map(len, blocks)) for call, blocks in zip(calls, streams)}
     return tuple(
@@ -736,7 +743,7 @@ def optimality_reports(
             n,
             tuple(
                 OptimalityCheck(pair, n, bfs(pair, n), built[pair, n], table.value(pair, n))
-                for pair in recurrence.PAIR_ORDER
+                for pair in PAIR_ORDER
             ),
         )
         for n in range(1, n_max + 1)
@@ -862,7 +869,7 @@ def conjecture_probe(
     violation would disprove the search or the replay, not the
     conjecture).
     """
-    a_conj, b_conj = recurrence.conjecture_values(n_max, C)  # refuses C < 1 before Model does
+    a_conj, b_conj = conjecture_values(n_max, C)  # refuses C < 1 before Model does
     model = Model.relaxed(C)
     rows = []
     for n in range(1, n_max + 1):

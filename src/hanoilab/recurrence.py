@@ -1,10 +1,13 @@
-"""Exact evaluation of move-count recurrences and their closed forms.
+"""Closed forms of the move counts, and the growth of every count column.
 
-All counting uses Python's arbitrary-precision integers.  Closed forms are
-evaluated in exact quadratic fields (numbers a + b*sqrt(d) with rational
-a, b, each a `Fraction`), so every equality check is exact: move counts
-grow exponentially and floating point would mask errors at the sizes we
-verify.
+The counts themselves are integer recurrences and live in `solvers`
+(`move_count_rows`, `eval_move_counts`, `conjecture_values`, `q_lengths`),
+so `conjecture` and `verify` read them without running this module or
+importing `fractions`; this module re-exports them as the same objects.
+Closed forms are evaluated in exact quadratic fields (numbers a + b*sqrt(d)
+with rational a, b, each a `Fraction`), so every equality check is exact:
+move counts grow exponentially and floating point would mask errors at the
+sizes we verify.
 
 The five named graphs below are the labeled graphs of the classes in
 `hanoilab.model.GRAPH_CLASSES`, for which the closed forms are written.
@@ -23,7 +26,14 @@ from fractions import Fraction
 from typing import Callable, Literal, NamedTuple, Sequence
 
 from .model import GRAPH_CLASSES, MoveGraph, class_relabelings
-from .solvers import PAIR_ORDER, move_count_rows
+from .solvers import (  # the integer counts, re-exported as the same objects
+    PAIR_ORDER,
+    CountTable,
+    conjecture_values,
+    eval_move_counts,
+    move_count_rows,
+    q_lengths,
+)
 
 COMPLETE_GRAPH = GRAPH_CLASSES["complete"][0]
 #: Directed cycle 1 -> 2 -> 3 -> 1; sqrt(3) closed forms.
@@ -189,27 +199,6 @@ class QuadValue:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
-class CountTable(NamedTuple):
-    """Exact move counts per ordered peg pair for n = 0..n_max."""
-
-    graph: MoveGraph
-    n_max: int
-    counts: dict[tuple[int, int], tuple[int, ...]]
-
-    def value(self, pair: tuple[int, int], n: int) -> int:
-        return self.counts[pair][n]
-
-    def column(self, pair: tuple[int, int]) -> tuple[int, ...]:
-        return self.counts[pair]
-
-
-def eval_move_counts(graph: MoveGraph, n_max: int) -> CountTable:
-    """Iterate the six coupled recurrences with exact integers
-    (`move_count_rows`) and keep every row."""
-    columns = zip(*move_count_rows(graph, n_max))
-    return CountTable(graph, n_max, dict(zip(PAIR_ORDER, columns)))
-
-
 #: The root r of each radicand's closed forms, as (a, b) of a + b*sqrt(d).
 _ROOTS = {3: (1, 1), 17: (Fraction(1, 2), Fraction(1, 2)), 2: (0, 1)}
 
@@ -352,41 +341,6 @@ def ab_closed_form(n: int, which: Literal["a", "b"] = "a") -> QuadValue:
     if which != "a":
         raise ValueError(f"which must be 'a' or 'b', got {which!r}")
     return _binet(2, "a", n)
-
-
-def conjecture_values(n_max: int, C: int) -> tuple[list[int], list[int]]:
-    """Iterate the conjectured optimum recurrences for distance C.
-
-    b(m) = m for m <= C+1 (move discs one by one; the inverted pile is
-    exactly legal), then b(n) = 2*b(n-C-1) + C + 1; a(n) = 2*b(n-1) + 1
-    with a(0) = 0.  For C = 1 this reproduces the proven optimal system.
-    """
-    if C < 1:
-        raise ValueError("distance must be >= 1")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    b: list[int] = []
-    for n in range(n_max + 1):
-        if n <= C + 1:
-            b.append(n)
-        else:
-            b.append(2 * b[n - C - 1] + C + 1)
-    a = [0] + [2 * b[n - 1] + 1 for n in range(1, n_max + 1)]
-    return a, b
-
-
-def q_lengths(n_max: int, C: int) -> list[int]:
-    """Lengths of the five-step transfer: x(m) = m for m <= C+1, then
-    x(n) = 2*b(n-k) + x(n-k) + 2k with k = C+1."""
-    k = C + 1
-    _, b = conjecture_values(n_max, C)
-    x: list[int] = []
-    for n in range(n_max + 1):
-        if n <= k:
-            x.append(n)
-        else:
-            x.append(2 * b[n - k] + x[n - k] + 2 * k)
-    return x
 
 
 class RootBracket(NamedTuple):

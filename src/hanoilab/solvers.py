@@ -24,7 +24,10 @@ transfers through one set of memos, so a block they share is built once.
 any move is made, iteratively and capped, so an input whose answer is
 astronomically long costs O(log cap) steps.  For a move graph those
 steps are the rows of `move_count_rows`, the one implementation of the
-six coupled counts, which `recurrence` tabulates.
+six coupled counts, which `eval_move_counts` tabulates.  The distance-C
+counts live here too: b(n) and a(n) (`conjecture_values`) and the
+five-step x(n) (`q_lengths`).  All of them are integer recurrences, so
+the commands that read them never load `recurrence` and its closed forms.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ def _q(C: int, m: int, i: int, j: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# The six coupled move counts of a move graph; `recurrence` tabulates them.
+# The six coupled move counts of a move graph, streamed and tabulated.
 
 
 def move_count_rows(graph: MoveGraph, n_max: int, zero=0) -> Iterator[tuple]:
@@ -210,16 +213,81 @@ def move_count_rows(graph: MoveGraph, n_max: int, zero=0) -> Iterator[tuple]:
         else:
             plan.append((False, column[i, j], column[j, i]))
 
+    # the constants in zero's type, so a Decimal row converts no int per count
+    one = zero + 1
+    two = one + one
+
     def rows() -> Iterator[tuple]:
         row = (zero,) * len(PAIR_ORDER)
         yield row
         for _ in range(n_max):
             row = tuple(
-                row[a] + row[b] + 1 if edge else 2 * row[a] + row[b] + 2 for edge, a, b in plan
+                row[a] + row[b] + one if edge else two * row[a] + row[b] + two
+                for edge, a, b in plan
             )
             yield row
 
     return rows()
+
+
+class CountTable(NamedTuple):
+    """Exact move counts per ordered peg pair for n = 0..n_max."""
+
+    graph: MoveGraph
+    n_max: int
+    counts: dict[tuple[int, int], tuple[int, ...]]
+
+    def value(self, pair: tuple[int, int], n: int) -> int:
+        return self.counts[pair][n]
+
+    def column(self, pair: tuple[int, int]) -> tuple[int, ...]:
+        return self.counts[pair]
+
+
+def eval_move_counts(graph: MoveGraph, n_max: int) -> CountTable:
+    """Iterate the six coupled recurrences with exact integers
+    (`move_count_rows`) and keep every row."""
+    columns = zip(*move_count_rows(graph, n_max))
+    return CountTable(graph, n_max, dict(zip(PAIR_ORDER, columns)))
+
+
+# ---------------------------------------------------------------------------
+# The distance-C counts as lists, n = 0..n_max.
+
+
+def conjecture_values(n_max: int, C: int) -> tuple[list[int], list[int]]:
+    """Iterate the conjectured optimum recurrences for distance C.
+
+    b(m) = m for m <= C+1 (move discs one by one; the inverted pile is
+    exactly legal), then b(n) = 2*b(n-C-1) + C + 1; a(n) = 2*b(n-1) + 1
+    with a(0) = 0.  For C = 1 this reproduces the proven optimal system.
+    """
+    if C < 1:
+        raise ValueError("distance must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    b: list[int] = []
+    for n in range(n_max + 1):
+        if n <= C + 1:
+            b.append(n)
+        else:
+            b.append(2 * b[n - C - 1] + C + 1)
+    a = [0] + [2 * b[n - 1] + 1 for n in range(1, n_max + 1)]
+    return a, b
+
+
+def q_lengths(n_max: int, C: int) -> list[int]:
+    """Lengths of the five-step transfer: x(m) = m for m <= C+1, then
+    x(n) = 2*b(n-k) + x(n-k) + 2k with k = C+1."""
+    k = C + 1
+    _, b = conjecture_values(n_max, C)
+    x: list[int] = []
+    for n in range(n_max + 1):
+        if n <= k:
+            x.append(n)
+        else:
+            x.append(2 * b[n - k] + x[n - k] + 2 * k)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +427,8 @@ def q_sequence(n: int, C: int, src: int, tgt: int) -> list[Move]:
     rather than standard.  Whenever the recursion bottoms out at a single
     disc (n = 1 mod k) the length is exactly the idealized
     x(n) = 2*b(n-k) + x(n-k) + 2k with base x(m) = m; otherwise it
-    exceeds it by the bottom's extra m-1 moves (`recurrence.q_lengths`
-    keeps the idealized system).
+    exceeds it by the bottom's extra m-1 moves (`q_lengths` keeps the
+    idealized system).
     """
     return list(chain.from_iterable(move_blocks(q_sequence, n, C, src, tgt)))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import oracle, recurrence
+from . import oracle
 from .model import (
     IllegalMoveError,
     Model,
@@ -23,6 +23,7 @@ from .model import (
     replay,
     third_peg,
 )
+from .solvers import conjecture_values, q_lengths
 
 
 class ValidationReport(NamedTuple):
@@ -185,8 +186,8 @@ def _claim51_inequality(
     max_states: int, k_values: Sequence[int], n_max: int
 ) -> Iterator[dict | None]:
     for k in k_values:
-        y, _ = recurrence.conjecture_values(n_max, k - 1)  # y(n) = a(n) = 2b(n-1) + 1
-        x = recurrence.q_lengths(n_max, k - 1)
+        y, _ = conjecture_values(n_max, k - 1)  # y(n) = a(n) = 2b(n-1) + 1
+        x = q_lengths(n_max, k - 1)
         # the x-recurrence and the y(n-k) expansion are first both defined
         # at n = k+1 (x(k) is a base value, y(0) has no b(-1))
         for n in range(k + 1, n_max + 1):
@@ -195,7 +196,7 @@ def _claim51_inequality(
 
 
 def _dn_negative(max_states: int, n_max: int) -> Iterator[dict | None]:
-    _, b = recurrence.conjecture_values(n_max, 1)
+    _, b = conjecture_values(n_max, 1)
     for n in range(2, n_max + 1):
         lhs, rhs = 2 * b[n - 1] + 1, 3 * b[n - 2] + 4
         yield None if lhs < rhs else {"n": n, "lhs": lhs, "rhs": rhs}
@@ -212,7 +213,7 @@ def _symmetric_odd(
 
 
 def _symmetric_equals_a(max_states: int, distance: int, n_max: int) -> Iterator[dict | None]:
-    a, _ = recurrence.conjecture_values(n_max, distance)
+    a, _ = conjecture_values(n_max, distance)
     for n in range(1, n_max + 1):
         length = _symmetric_length(distance, n, max_states)
         yield None if length == a[n] else dict(distance=distance, n=n, length=length, expected=a[n])

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from hanoilab import oracle, recurrence, solvers
+from hanoilab import oracle, solvers
 from hanoilab.cli import all_strongly_connected_graphs, run
 from hanoilab.model import MOVES, Model, Move, MoveGraph, State, apply_all, standard_state
 from hanoilab.oracle import (
@@ -304,7 +304,7 @@ def test_graphs_suite_searches_each_source_once_per_graph(capsys, monkeypatch):
     oracle._embedded_distances.cache_clear()
     oracle._move_table.cache_clear()
     calls = {"search": 0, "table": 0, "walk": 0}
-    search, table, walk = oracle._dense_search, recurrence.eval_move_counts, solvers._Walk
+    search, table, walk = oracle._dense_search, oracle.eval_move_counts, solvers._Walk
 
     def counting_search(*args, **kwargs):
         calls["search"] += 1
@@ -320,7 +320,7 @@ def test_graphs_suite_searches_each_source_once_per_graph(capsys, monkeypatch):
             super().__init__()
 
     monkeypatch.setattr(oracle, "_dense_search", counting_search)
-    monkeypatch.setattr(recurrence, "eval_move_counts", counting_table)
+    monkeypatch.setattr(oracle, "eval_move_counts", counting_table)
     monkeypatch.setattr(solvers, "_Walk", CountingWalk)
     assert run(["verify", "--suite", "graphs", "--n", "4"]) == 0
     assert capsys.readouterr().out.endswith("graphs suite: PASS (18 graphs, n<=4)\n")

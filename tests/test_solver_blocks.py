@@ -9,7 +9,7 @@ import pytest
 import reference_solvers as ref
 from hanoilab import solvers
 from hanoilab.model import MoveGraph, all_strongly_connected_graphs
-from hanoilab.recurrence import PAIR_ORDER, conjecture_values, eval_move_counts
+from hanoilab.recurrence import PAIR_ORDER, conjecture_values, eval_move_counts, q_lengths
 from hanoilab.solvers import (
     a_symmetric,
     classical_solve,
@@ -86,17 +86,16 @@ def test_lengths_equal_the_independent_counts_up_to_sixty():
                 assert length == table.value(pair, n)
     for C in (1, 2, 3):
         a, b = conjecture_values(60, C)
+        x = q_lengths(60, C)
         k = C + 1
         for n in range(61):
             assert move_count(zeta, n, C, 1, 2, cap=UNCAPPED) == b[n]
             assert move_count(a_symmetric, n, C, 1, 2, cap=UNCAPPED) == a[n]
-            # five steps: x(n) = x(n-k) + 2*b(n-k) + 2k over a symmetric base
-            m, expected = n, 0
-            while m > k:
-                m -= k
-                expected += 2 * b[m] + 2 * k
-            expected += a[m]
-            assert move_count(q_sequence, n, C, 1, 2, cap=UNCAPPED) == expected
+            # the five steps bottom out in a symmetric transfer of m = 1..k
+            # discs, 2m - 1 moves where the idealized x counts m: exact
+            # whenever n = 1 mod k
+            extra = (n - 1) % k if n else 0
+            assert move_count(q_sequence, n, C, 1, 2, cap=UNCAPPED) == x[n] + extra
 
 
 #: Small caps, the default `--max-moves` (2^20), its ceiling (2^64) and

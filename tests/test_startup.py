@@ -1,11 +1,13 @@
 """What a `hanoilab` process imports: no subcommand loads `dataclasses`,
-`inspect` or the modules `inspect` pulls in, and only JSON output loads
-`json`."""
+`inspect` or the modules `inspect` pulls in, only JSON output loads
+`json`, and only `table` loads `fractions` and `decimal`."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hanoilab
 
@@ -22,6 +24,7 @@ COMMANDS = [
     ("solve", "--model", "relaxed", "--distance", "1", "--n", "4", "--solver", "bfs"),
     ("table", "--model", "digraph", "--edges", "1>2,2>3,3>1", "--n", "6"),
     ("verify", "--suite", "graphs", "--n", "2"),
+    ("verify", "--suite", "relaxed", "--n", "2"),
     ("verify", "--suite", "claims", "--n", "2"),
     ("conjecture", "--distance", "1", "--n-max", "3"),
     ("graphs", "enumerate"),
@@ -47,15 +50,15 @@ print(*sorted(set(watched) & (set(sys.modules) - before)))
 """
 
 
-def _imported(*formats: str) -> list[str]:
+def _imported(*formats: str, commands=COMMANDS, watched=WATCHED) -> list[str]:
     child = subprocess.run(
         [
             sys.executable,
             "-c",
             PROBE,
-            " ".join(sorted(WATCHED)),
+            " ".join(sorted(watched)),
             " ".join(formats),
-            "\n".join(map(" ".join, COMMANDS)),
+            "\n".join(map(" ".join, commands)),
         ],
         env=ENV,
         capture_output=True,
@@ -64,7 +67,7 @@ def _imported(*formats: str) -> list[str]:
     )
     assert child.returncode == 0, child.stderr
     statuses, new = child.stdout.split("\n")[:2]
-    assert statuses.split() == ["0"] * len(COMMANDS) * len(formats)
+    assert statuses.split() == ["0"] * len(commands) * len(formats)
     return new.split()
 
 
@@ -74,4 +77,17 @@ def test_plain_and_csv_output_import_none_of_the_watched_modules():
 
 def test_json_output_imports_json_and_nothing_else_watched():
     assert _imported("json") == ["json"]
+
+
+#: Exact arithmetic only `table` pays for: `fractions` for the closed forms
+#: of `recurrence`, and `decimal` (which `fractions` imports too) for the
+#: printed counts.  A module stays in `sys.modules` once imported, so each
+#: command runs in a process of its own.
+EXACT = ["decimal", "fractions"]
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_only_table_imports_fractions_and_decimal(argv):
+    expected = EXACT if argv[0] == "table" else []
+    assert _imported("plain", "csv", "json", commands=[argv], watched=EXACT) == expected
 
