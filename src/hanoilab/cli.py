@@ -5,8 +5,8 @@ Output is deterministic byte for byte for identical flags: every
 collection is emitted in a fixed sorted order, JSON keys are sorted, and
 CSV numbers are exact decimal integers (counts outgrow 64-bit range).
 
-Exit codes: 0 success, 1 verification failure or resource cap, 2 usage
-error.
+Exit codes: 0 success, 1 verification failure, resource cap or closed
+output (a reader that stops early, as `| head` does), 2 usage error.
 """
 
 from __future__ import annotations
@@ -500,7 +500,21 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    import gc  # here, so that `import hanoilab.cli` stays as it is
+    import os
+
+    # The import-time heap lives until exit: frozen, neither the collections
+    # of the run nor the final one at exit walk it.
+    gc.freeze()
+    try:
+        status = run()
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the SIGPIPE recipe of the Python docs: the flush at exit then
+        # writes whatever is buffered to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_FAILURE
+    sys.exit(status)
 
 
 if __name__ == "__main__":
