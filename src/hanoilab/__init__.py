@@ -4,25 +4,29 @@ Models couple a directed move graph over three pegs with a placement
 distance C; solvers produce the constructive transfer sequences and the
 exact integer move counts, the recurrence module evaluates closed forms
 and growth rates, and the oracle module provides exhaustive-search ground
-truth.
+truth through two search cores, `dense` (distance 0) and `sparse`
+(distance >= 1).
 
-Importing the package runs `model` and `solvers`.  `oracle`, `recurrence`
-and `verify` are lazy modules (`importlib.util.LazyLoader`): registered in
-`sys.modules` at once, their bodies run on first attribute access.  Per CLI
-subcommand: `graphs` and the constructive `solve` solvers run none of the
-three; `table` runs `recurrence`; `solve --solver bfs`, `conjecture` and
-`verify --suite graphs` run `oracle`; the other `verify` suites run `oracle`
-and `verify`.  Only `table` imports `fractions` and `decimal`.  Public names
+Importing the package runs `model` alone.  `solvers`, `oracle`, `dense`,
+`sparse`, `recurrence` and `verify` are lazy modules
+(`importlib.util.LazyLoader`): registered in `sys.modules` at once, their
+bodies run on first attribute access.  Per CLI subcommand, besides `model`
+and `cli`: `graphs` runs none of them; the constructive `solve` solvers run
+`solvers`; `table` runs `recurrence` and `solvers`; `solve --solver bfs`
+runs `oracle` and the core of its distance; `conjecture` runs `oracle`,
+`sparse` and `solvers`; `verify --suite graphs` runs `oracle`, `dense` and
+`solvers`; the other `verify` suites run `oracle`, `sparse`, `solvers` and
+`verify`.  Only `table` imports `fractions` and `decimal`.  Public names
 resolve through a PEP 562 `__getattr__`.  That hook alone would keep the
-three out of `sys.modules`, where a tracer that wraps their functions looks
-them up.  No module imports `dataclasses` or `inspect`, and `cli` imports
-`json` only to write JSON.
+lazy modules out of `sys.modules`, where a tracer that wraps their
+functions looks them up.  No module imports `dataclasses` or `inspect`,
+and `cli` imports `json` only to write JSON.
 """
 
 import importlib.util
 import sys
 
-from . import model, solvers
+from . import model
 
 
 def _lazy(name: str):
@@ -33,7 +37,9 @@ def _lazy(name: str):
     return module
 
 
-oracle, recurrence, verify = map(_lazy, ("oracle", "recurrence", "verify"))
+solvers, oracle, dense, sparse, recurrence, verify = map(
+    _lazy, ("solvers", "oracle", "dense", "sparse", "recurrence", "verify")
+)
 
 _EXPORTS = {
     model: "GoalPredicate IllegalMoveError MalformedStateError Model Move MoveGraph"

@@ -16,7 +16,7 @@ import sys
 from itertools import chain
 from typing import Iterator
 
-from . import oracle, recurrence, verify  # lazy: bind them, not their names
+from . import oracle, recurrence, solvers, verify  # lazy: bind them, not their names
 from .model import (
     DEFAULT_MOVE_BUDGET,
     DEFAULT_STATE_BUDGET,
@@ -31,15 +31,6 @@ from .model import (
     enumerate_graph_classes,
     replay,
     standard_state,
-)
-from .solvers import (
-    a_symmetric,
-    classical_solve,
-    directed_move,
-    move_blocks,
-    move_count,
-    q_sequence,
-    zeta,
 )
 
 EXIT_OK = 0
@@ -214,32 +205,32 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if solver == "classical":
         if args.model != "classical":
             parser.error("--solver classical requires the classical model")
-        fn, params = classical_solve, (n, src, tgt)
+        fn, params = solvers.classical_solve, (n, src, tgt)
     elif solver == "directed":
         if model.distance != 0:
             parser.error("--solver directed requires distance 0")
-        fn, params = directed_move, (model.graph, src, tgt, n)
+        fn, params = solvers.directed_move, (model.graph, src, tgt, n)
     elif solver in ("zeta", "symmetric", "q"):
         if model.distance < 1 or model.graph != MoveGraph.complete():
             parser.error(f"--solver {solver} requires the relaxed model")
-        fn = {"zeta": zeta, "symmetric": a_symmetric, "q": q_sequence}[solver]
-        params = (n, model.distance, src, tgt)
-    else:  # bfs
-        result = oracle.bfs_distance(
+        by_name = {"zeta": solvers.zeta, "symmetric": solvers.a_symmetric, "q": solvers.q_sequence}
+        fn, params = by_name[solver], (n, model.distance, src, tgt)
+    else:  # bfs: the witness is in hand, one block whose length is its len()
+        path = oracle.bfs_distance(
             model, standard_state(n, src), predicate, max_states=args.max_states
-        )
-        fn, params = lambda: result.path or (), ()
-
-    # the length is known before any move is made; refuse what the cap forbids
-    length = move_count(fn, *params, cap=cap)
-    if length is None:
+        ).path or ()
+        length, blocks = len(path), lambda: (path,)
+    if solver != "bfs":  # the length is known before any move is made
+        length = solvers.move_count(fn, *params, cap=cap)
+        blocks = lambda: solvers.move_blocks(fn, *params)
+    if length is None or length > cap:  # refuse what the cap forbids
         print(f"error: {solver} sequence is longer than --max-moves {cap}", file=sys.stderr)
         return EXIT_FAILURE
 
     # a printed sequence must replay cleanly; refuse to emit otherwise.  The
     # deterministic block stream is made twice: once replayed, once written.
     try:
-        final, replayed = replay(model, standard_state(n, src), move_blocks(fn, *params))
+        final, replayed = replay(model, standard_state(n, src), blocks())
     except IllegalMoveError as err:
         print(f"error: {solver} sequence does not replay: {err}", file=sys.stderr)
         return EXIT_FAILURE
@@ -253,16 +244,15 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         )
         return EXIT_FAILURE
 
-    blocks = move_blocks(fn, *params)
     # one formatted text per distinct move
     if args.format == "plain":
-        sys.stdout.writelines(_rendered(blocks, {move: f"{move}\n" for move in MOVES.values()}))
+        sys.stdout.writelines(_rendered(blocks(), {move: f"{move}\n" for move in MOVES.values()}))
         print(f"length: {length}")
     elif args.format == "csv":
         tail = {move: f",{move.src},{move.dst}\n" for move in MOVES.values()}
         _write_csv(
             ("index", "from", "to"),
-            (f"{index}{tail[move]}" for index, move in enumerate(chain.from_iterable(blocks), 1)),
+            (f"{index}{tail[move]}" for index, move in enumerate(chain.from_iterable(blocks()), 1)),
         )
     else:
         doc = {
@@ -276,7 +266,7 @@ def cmd_solve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "moves": [],
         }
         item = {move: f", [{move.src}, {move.dst}]" for move in MOVES.values()}
-        _write_json(doc, "moves", _rendered(blocks, item))
+        _write_json(doc, "moves", _rendered(blocks(), item))
     return EXIT_OK
 
 

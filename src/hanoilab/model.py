@@ -14,8 +14,8 @@ core `replay`, which serves `apply`, `apply_all`, `verify.moved_discs`,
 `verify.project_out_largest` and `cli.cmd_solve` and compares against a
 running stack minimum so that a move costs O(1).  The search compares
 inline, once per candidate move of every searched state: in
-`oracle._expand` against the stack minimum each coded stack entry
-carries, and at distance 0 in `oracle._top_moves`; an adjacent-only
+`sparse.expand` against the stack minimum each coded stack entry
+carries, and at distance 0 in `dense._top_moves`; an adjacent-only
 reading would change all five.
 
 `replay` takes its moves in blocks, and the solvers repeat the same block

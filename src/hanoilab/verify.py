@@ -11,8 +11,9 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from . import oracle
+from . import oracle, solvers  # lazy: bind them, not their names
 from .model import (
+    DEFAULT_STATE_BUDGET,
     IllegalMoveError,
     Model,
     Move,
@@ -23,7 +24,6 @@ from .model import (
     replay,
     third_peg,
 )
-from .solvers import conjecture_values, q_lengths
 
 
 class ValidationReport(NamedTuple):
@@ -186,8 +186,8 @@ def _claim51_inequality(
     max_states: int, k_values: Sequence[int], n_max: int
 ) -> Iterator[dict | None]:
     for k in k_values:
-        y, _ = conjecture_values(n_max, k - 1)  # y(n) = a(n) = 2b(n-1) + 1
-        x = q_lengths(n_max, k - 1)
+        y, _ = solvers.conjecture_values(n_max, k - 1)  # y(n) = a(n) = 2b(n-1) + 1
+        x = solvers.q_lengths(n_max, k - 1)
         # the x-recurrence and the y(n-k) expansion are first both defined
         # at n = k+1 (x(k) is a base value, y(0) has no b(-1))
         for n in range(k + 1, n_max + 1):
@@ -196,7 +196,7 @@ def _claim51_inequality(
 
 
 def _dn_negative(max_states: int, n_max: int) -> Iterator[dict | None]:
-    _, b = conjecture_values(n_max, 1)
+    _, b = solvers.conjecture_values(n_max, 1)
     for n in range(2, n_max + 1):
         lhs, rhs = 2 * b[n - 1] + 1, 3 * b[n - 2] + 4
         yield None if lhs < rhs else {"n": n, "lhs": lhs, "rhs": rhs}
@@ -213,7 +213,7 @@ def _symmetric_odd(
 
 
 def _symmetric_equals_a(max_states: int, distance: int, n_max: int) -> Iterator[dict | None]:
-    a, _ = conjecture_values(n_max, distance)
+    a, _ = solvers.conjecture_values(n_max, distance)
     for n in range(1, n_max + 1):
         length = _symmetric_length(distance, n, max_states)
         yield None if length == a[n] else dict(distance=distance, n=n, length=length, expected=a[n])
@@ -239,7 +239,7 @@ def claim_harness(
     name: str,
     params: Mapping | None = None,
     *,
-    max_states: int = oracle.DEFAULT_STATE_BUDGET,
+    max_states: int = DEFAULT_STATE_BUDGET,
 ) -> HarnessReport:
     """Run the suite `name` of `CLAIM_SUITES` and report pass/fail with
     counterexamples.  `verify --suite claims` runs every suite in table

@@ -81,10 +81,8 @@ def test_max_moves_bounds_the_bfs_path(capsys):
 
 
 def test_a_replay_that_disagrees_with_the_recurrence_is_refused(capsys, monkeypatch):
-    from hanoilab import solvers
-
     monkeypatch.setattr(
-        "hanoilab.cli.move_count", lambda *args, cap: solvers.move_count(*args, cap=cap) + 1
+        "hanoilab.solvers.move_count", lambda *args, cap: move_count(*args, cap=cap) + 1
     )
     code, out, err = invoke(capsys, "solve", "--n", "3")
     assert (code, out) == (1, "")

@@ -157,7 +157,7 @@ def test_solve_zeta_goal(capsys):
     ],
 )
 def test_solve_refuses_a_sequence_that_misses_the_goal(capsys, monkeypatch, wrong, reason):
-    monkeypatch.setattr("hanoilab.cli.classical_solve", lambda n, src, tgt: list(wrong))
+    monkeypatch.setattr("hanoilab.solvers.classical_solve", lambda n, src, tgt: list(wrong))
     code, out, err = invoke(capsys, "solve", "--model", "classical", "--n", "3")
     assert code == 1
     assert out == ""

@@ -7,16 +7,13 @@ import tracemalloc
 
 import pytest
 
-from hanoilab import oracle
+from hanoilab import dense
 from hanoilab.cli import all_strongly_connected_graphs
+from hanoilab.dense import _TABLE_DISCS, _dense_neighbors, _move_table
 from hanoilab.model import MOVES, Model, Move, State, standard_state
 from hanoilab.oracle import (
-    _TABLE_DISCS,
     GoalPredicate,
     SearchCapExceeded,
-    _dense_neighbors,
-    _dense_search,
-    _move_table,
     bfs_distance,
     optimality_reports,
     pack_state,
@@ -73,12 +70,12 @@ def test_table_build_decodes_no_full_code(monkeypatch):
     # entries come from the shared decode of the low tops, one per distinct
     # triple, never from the full-code fallback
     calls = []
-    decode = oracle._dense_neighbors
+    decode = dense._dense_neighbors
     monkeypatch.setattr(
-        oracle, "_dense_neighbors", lambda *args: calls.append(args) or decode(*args)
+        dense, "_dense_neighbors", lambda *args: calls.append(args) or decode(*args)
     )
-    oracle._move_table.cache_clear()
-    oracle._low_tops.cache_clear()
+    dense._move_table.cache_clear()
+    dense._low_tops.cache_clear()
     for graph in GRAPHS:
         for edges in _search_orders(graph):
             for k in range(_TABLE_DISCS + 1):
@@ -87,7 +84,7 @@ def test_table_build_decodes_no_full_code(monkeypatch):
                 moves = [mv for entry in table if entry for mv, _ in entry]
                 assert all(mv is MOVES[mv] for mv in moves)
     assert calls == []
-    assert len(set(oracle._low_tops(_TABLE_DISCS))) == 93
+    assert len(set(dense._low_tops(_TABLE_DISCS))) == 93
 
 
 @pytest.mark.parametrize("graph", GRAPHS, ids=lambda g: g.format())
@@ -248,7 +245,7 @@ def test_orbit_shared_distances_equal_a_search_on_the_labeled_graph(graph):
             if tgt != src
             for k in range(1, n_max + 1)
         }
-        found = _dense_search(n_max, graph.sorted_edges(), start, set(goals), 10**6)[0]
+        found = dense.search(n_max, graph.sorted_edges(), start, set(goals), 10**6)[0]
         direct.update({key: found[code] for code, key in goals.items()})
     shared = {(*c.pair, r.n): c.bfs for r in optimality_reports(graph, n_max) for c in r.checks}
     assert shared == direct

@@ -1,6 +1,7 @@
-"""Lazy binding of `oracle`, `recurrence` and `verify`: which module bodies
-each subcommand runs, the package's public names, and the benchmark
-tracer's view of the lazy modules."""
+"""Lazy binding of `solvers`, `oracle`, its two search cores `dense` and
+`sparse`, `recurrence` and `verify`: which module bodies each subcommand
+and import runs, the package's public names, and the benchmark tracer's
+view of the lazy modules."""
 
 import json
 import os
@@ -17,10 +18,10 @@ PACKAGE = Path(hanoilab.__file__).resolve().parent
 PATHS = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(PATHS))
 
-# Runs one command through `cli.run` in a fresh interpreter and prints the
-# package modules whose bodies executed.  The import system runs a module
-# body through the builtin `exec`, which raises the "exec" audit event.
-PROBE = """
+# Records the package modules whose bodies execute in a fresh interpreter.
+# The import system runs a module body through the builtin `exec`, which
+# raises the "exec" audit event.
+HOOK = """
 import contextlib, io, json, os, sys
 package, argv = sys.argv[1], sys.argv[2:]
 ran = set()
@@ -33,14 +34,37 @@ def hook(event, args):
         ran.add(os.path.basename(code.co_filename)[:-3])
 
 sys.addaudithook(hook)
+"""
+# Runs one command through `cli.run` and prints its status and those modules.
+PROBE = HOOK + """
 import hanoilab.cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     status = hanoilab.cli.run(argv)
 print(json.dumps({"status": status, "ran": sorted(ran)}))
 """
+# Runs one import statement and prints those modules.
+IMPORT_PROBE = HOOK + """
+exec(argv[0])
+print(json.dumps({"status": 0, "ran": sorted(ran)}))
+"""
 
-BASE = {"__init__", "model", "solvers", "cli"}
+
+def _ran(probe: str, *argv: str) -> set[str]:
+    child = subprocess.run(
+        [sys.executable, "-c", probe, str(PACKAGE), *argv],
+        env=ENV,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["status"] == 0
+    return set(report["ran"])
+
+
+BASE = {"__init__", "model", "cli"}
 FORMATS = ("plain", "csv", "json")
 CONSTRUCTIVE = [
     ("--n", "4"),
@@ -51,33 +75,51 @@ CONSTRUCTIVE = [
     ),
 ]
 
+#: bfs `solve`s: the search core of their distance, and never `solvers`
+DENSE_BFS = [
+    ("--n", "4", "--solver", "bfs"),
+    ("--model", "digraph", "--edges", "1>2,2>3,3>1", "--n", "4", "--solver", "bfs"),
+    ("--model", "custom", "--edges", "1>2,2>1,1>3,3>1", "--distance", "0", "--n", "4"),
+]
+SPARSE_BFS = [
+    ("--model", "relaxed", "--distance", "1", "--n", "4", "--solver", "bfs"),
+    ("--model", "custom", "--edges", "1>2,2>1,1>3,3>1", "--distance", "1", "--n", "4"),
+]
+DENSE, SPARSE = {"oracle", "dense"}, {"oracle", "sparse"}
+
 CASES = [
-    *((("table", "--n", "6", "--format", f), {"recurrence"}) for f in FORMATS),
-    (("table", "--model", "digraph", "--edges", "1>2,2>3,3>1", "--n", "6"), {"recurrence"}),
+    *((("table", "--n", "6", "--format", f), {"recurrence", "solvers"}) for f in FORMATS),
+    (
+        ("table", "--model", "digraph", "--edges", "1>2,2>3,3>1", "--n", "6"),
+        {"recurrence", "solvers"},
+    ),
     *((("graphs", "enumerate", "--format", f), set()) for f in FORMATS),
-    *((("solve", *argv, "--format", f), set()) for argv in CONSTRUCTIVE for f in FORMATS),
-    (("solve", "--n", "4", "--solver", "bfs"), {"oracle"}),
-    (("solve", "--model", "relaxed", "--distance", "1", "--n", "4", "--solver", "bfs"), {"oracle"}),
-    (("conjecture", "--distance", "1", "--n-max", "3"), {"oracle"}),
-    (("verify", "--suite", "graphs", "--n", "2"), {"oracle"}),
-    (("verify", "--suite", "relaxed", "--n", "2"), {"oracle", "verify"}),
-    (("verify", "--suite", "claims", "--n", "2"), {"oracle", "verify"}),
+    *((("solve", *argv, "--format", f), {"solvers"}) for argv in CONSTRUCTIVE for f in FORMATS),
+    *((("solve", *argv), DENSE) for argv in DENSE_BFS),
+    *((("solve", *DENSE_BFS[0], "--format", f), DENSE) for f in ("csv", "json")),
+    *((("solve", *argv), SPARSE) for argv in SPARSE_BFS),
+    (("conjecture", "--distance", "1", "--n-max", "3"), SPARSE | {"solvers"}),
+    (("verify", "--suite", "graphs", "--n", "2"), DENSE | {"solvers"}),
+    (("verify", "--suite", "relaxed", "--n", "2"), SPARSE | {"solvers", "verify"}),
+    (("verify", "--suite", "claims", "--n", "2"), SPARSE | {"solvers", "verify"}),
 ]
 
 
 @pytest.mark.parametrize("argv,loaded", CASES, ids=[" ".join(argv) for argv, _ in CASES])
 def test_subcommand_runs_only_the_modules_it_calls(argv, loaded):
-    child = subprocess.run(
-        [sys.executable, "-c", PROBE, str(PACKAGE), *argv],
-        env=ENV,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert child.returncode == 0, child.stderr
-    report = json.loads(child.stdout)
-    assert report["status"] == 0
-    assert set(report["ran"]) == BASE | loaded
+    assert _ran(PROBE, *argv) == BASE | loaded
+
+
+IMPORTS = [
+    ("import hanoilab", {"__init__", "model"}),
+    # `claim_harness`'s default budget comes from `model`, not from `oracle`
+    ("from hanoilab.verify import validate_sequence", {"__init__", "model", "verify"}),
+]
+
+
+@pytest.mark.parametrize("statement,ran", IMPORTS, ids=[s for s, _ in IMPORTS])
+def test_an_import_runs_only_the_modules_it_reads(statement, ran):
+    assert _ran(IMPORT_PROBE, statement) == ran
 
 
 # Every name the package exported when it imported all five modules eagerly,
@@ -114,7 +156,7 @@ def test_recurrence_re_exports_the_integer_counts_as_the_solvers_objects():
 
 def test_package_lists_exactly_the_old_names_and_rejects_unknown_ones():
     assert sorted(hanoilab.__all__) == sorted(name for _, name in OLD_NAMES)
-    for module in ("model", "solvers", "oracle", "recurrence", "verify"):
+    for module in ("model", "solvers", "oracle", "dense", "sparse", "recurrence", "verify"):
         assert getattr(hanoilab, module) is sys.modules[f"hanoilab.{module}"]
     with pytest.raises(AttributeError, match="no_such_name"):
         hanoilab.no_such_name
@@ -126,7 +168,11 @@ def test_package_lists_exactly_the_old_names_and_rejects_unknown_ones():
 # after `import hanoilab.cli`, so the lazy ones must be registered there.
 @pytest.mark.parametrize(
     "argv,layer",
-    [(("solve", "--n", "4", "--solver", "bfs"), "oracle"), (("table", "--n", "6"), "recurrence")],
+    [
+        (("solve", "--n", "4", "--solver", "bfs"), "oracle"),
+        (("table", "--n", "6"), "recurrence"),
+        (("solve", "--n", "4"), "solvers"),
+    ],
 )
 def test_benchmark_tracer_sees_the_lazy_modules(argv, layer):
     def run(*command):

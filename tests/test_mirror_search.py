@@ -1,5 +1,5 @@
 """The one-sided mirror search for standard transfers on mirror-closed
-graphs against the plain cores, `_dense_search` and `_sparse_search`
+graphs against the plain cores, `dense.search` and `sparse.search`
 called directly: the same distances and witnesses, with exactly the
 states within ceil(D/2) of the start stored, counted by the reference BFS.
 """
@@ -8,14 +8,12 @@ import functools
 
 import pytest
 
-from hanoilab import oracle, verify
+from hanoilab import dense, oracle, sparse, verify
 from hanoilab.cli import all_strongly_connected_graphs, run
 from hanoilab.model import Model, MoveGraph, State, standard_state
 from hanoilab.oracle import (
     GoalPredicate,
     SearchCapExceeded,
-    _dense_search,
-    _sparse_search,
     bfs_distance,
     pack_state,
 )
@@ -32,10 +30,10 @@ def _plain(model: Model, start: State, goal: State, max_states: int, want_path: 
     edges = model.graph.sorted_edges()
     if model.distance == 0:
         code = pack_state(goal)
-        found = _dense_search(start.n, edges, pack_state(start), {code}, max_states, want_path)
+        found = dense.search(start.n, edges, pack_state(start), {code}, max_states, want_path)
         d, path, explored, peak = found[0].get(code), *found[1:]
     else:
-        d, path, explored, peak = _sparse_search(
+        d, path, explored, peak = sparse.search(
             edges, model.distance, start.stacks, [goal.stacks], max_states, want_path
         )
     return d, tuple(path) if path is not None else None, explored, peak

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from hanoilab import oracle, solvers
+from hanoilab import dense, oracle, solvers, sparse
 from hanoilab.cli import all_strongly_connected_graphs, run
 from hanoilab.model import MOVES, Model, Move, MoveGraph, State, apply_all, standard_state
 from hanoilab.oracle import (
@@ -104,7 +104,7 @@ def test_start_that_is_a_goal_is_one_state_at_budget_one(C):
             if C:  # the sparse core called directly, its one goal the start
                 edges = model.graph.sorted_edges()
                 stacks = start.stacks
-                found = oracle._sparse_search(edges, C, stacks, [stacks], 1, want_path)
+                found = sparse.search(edges, C, stacks, [stacks], 1, want_path)
                 assert found == (0, [] if want_path else None, 1, 1), (start, goal)
 
 
@@ -113,8 +113,8 @@ def test_non_positive_budget_is_refused_before_any_search(max_states, monkeypatc
     def no_search(*args, **kwargs):
         raise AssertionError("a search started")
 
-    for core in ("_dense_search", "_sparse_search", "_expand"):
-        monkeypatch.setattr(oracle, core, no_search)
+    for core, name in ((dense, "search"), (sparse, "search"), (sparse, "expand")):
+        monkeypatch.setattr(core, name, no_search)
     # the last bfs_distance start is a goal, and the last symmetric search has no disc
     calls = [
         (bfs_distance, CLASSICAL, standard_state(3, 1), GoalPredicate.standard_on(2)),
@@ -179,8 +179,8 @@ def test_bad_goal_kind_or_peg_is_bad_input(goal, named, distance, monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("a search started")
 
-    monkeypatch.setattr(oracle, "_dense_search", no_search)
-    monkeypatch.setattr(oracle, "_sparse_search", no_search)
+    monkeypatch.setattr(dense, "search", no_search)
+    monkeypatch.setattr(sparse, "search", no_search)
     model = Model(MoveGraph.complete(), distance)
     for want_path in (True, False):
         with pytest.raises(ValueError, match=named):
@@ -302,9 +302,9 @@ def test_graphs_suite_searches_each_source_once_per_graph(capsys, monkeypatch):
     # the five class graphs alone; one count table and one construction walk
     # per graph, whatever the largest disc count
     oracle._embedded_distances.cache_clear()
-    oracle._move_table.cache_clear()
+    dense._move_table.cache_clear()
     calls = {"search": 0, "table": 0, "walk": 0}
-    search, table, walk = oracle._dense_search, oracle.eval_move_counts, solvers._Walk
+    search, table, walk = dense.search, solvers.eval_move_counts, solvers._Walk
 
     def counting_search(*args, **kwargs):
         calls["search"] += 1
@@ -319,13 +319,13 @@ def test_graphs_suite_searches_each_source_once_per_graph(capsys, monkeypatch):
             calls["walk"] += 1
             super().__init__()
 
-    monkeypatch.setattr(oracle, "_dense_search", counting_search)
-    monkeypatch.setattr(oracle, "eval_move_counts", counting_table)
+    monkeypatch.setattr(dense, "search", counting_search)
+    monkeypatch.setattr(solvers, "eval_move_counts", counting_table)
     monkeypatch.setattr(solvers, "_Walk", CountingWalk)
     assert run(["verify", "--suite", "graphs", "--n", "4"]) == 0
     assert capsys.readouterr().out.endswith("graphs suite: PASS (18 graphs, n<=4)\n")
     assert calls == {"search": 10, "table": 18, "walk": 18}
-    assert oracle._move_table.cache_info().currsize == 5
+    assert dense._move_table.cache_info().currsize == 5
 
 
 # ---------------------------------------------------------------------------

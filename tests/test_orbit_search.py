@@ -6,7 +6,7 @@ expands one state of each swapped pair and stores both.
 
 import pytest
 
-from hanoilab import oracle
+from hanoilab import sparse
 from hanoilab.cli import all_strongly_connected_graphs
 from hanoilab.model import Model, MoveGraph, apply_all, standard_state
 from hanoilab.oracle import GoalPredicate, bfs_distance, shortest_symmetric
@@ -24,7 +24,7 @@ def no_image(monkeypatch):
 
     def call(search, *args, **kwargs):
         with monkeypatch.context() as patched:
-            patched.setattr(oracle, "_image", lambda origins, graph: None)
+            patched.setattr(sparse, "peg_swap", lambda origins, graph: None)
             return search(*args, **kwargs)
 
     return call
@@ -73,13 +73,13 @@ def test_symmetric_orbit_search_equals_the_search_without_images(graph, distance
 
 def test_mirror_search_expands_one_state_of_each_pair(monkeypatch):
     expanded = []
-    expand = oracle._expand
+    expand = sparse.expand
 
     def counted(frontier, *args):
         expanded.append(len(frontier))
         return expand(frontier, *args)
 
-    monkeypatch.setattr(oracle, "_expand", counted)
+    monkeypatch.setattr(sparse, "expand", counted)
     model, start = Model.relaxed(1), standard_state(8, 1)
     result = bfs_distance(model, start, GoalPredicate.standard_on(2), want_path=False)
     assert result.distance == 45

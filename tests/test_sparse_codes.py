@@ -20,14 +20,8 @@ from hanoilab.model import (
     mirror_state,
     standard_state,
 )
-from hanoilab.oracle import (
-    GoalPredicate,
-    _encode,
-    _expand,
-    _sparse_moves,
-    _sparse_steps,
-    bfs_distance,
-)
+from hanoilab.oracle import GoalPredicate, bfs_distance
+from hanoilab.sparse import encode, expand, index_moves, witness_steps
 from reference_bfs import _neighbors
 from strategies import legal_states
 
@@ -63,7 +57,7 @@ def test_codec_round_trips_every_state_up_to_six_discs():
         base = n + 1
         codes_seen = set()
         for stacks in arrangements(n):
-            codes = _encode(stacks, base)
+            codes = encode(stacks, base)
             assert decode(codes, base) == stacks
             for stack, code in zip(stacks, codes):
                 lows = [min(stack[: k + 1]) for k in range(len(stack))]
@@ -87,13 +81,13 @@ def test_code_neighbours_equal_the_tuple_neighbours(graph, drawn):
     edges, C, base = graph.sorted_edges(), model.distance, state.n + 1
     reverse = tuple(sorted((j, i) for i, j in edges))
     expected = list(_neighbors(state.stacks, edges, C))
-    codes = _encode(state.stacks, base)
-    moves, reversed_moves = _sparse_moves(edges)
-    level = _expand([codes], moves, base, C, ({codes: 0}, {}), 0, 10**6)
+    codes = encode(state.stacks, base)
+    moves, reversed_moves = index_moves(edges)
+    level = expand([codes], moves, base, C, ({codes: 0}, {}), 0, 10**6)
     assert [decode(new, base) for new in level] == [new for _, new in expected]
     # the witness steps: one level of the state alone, each successor's
     # move read off the codes; predecessors over the reversed edges
-    successors, predecessors = _sparse_steps(moves, reversed_moves, base, C)
+    successors, predecessors = witness_steps(moves, reversed_moves, base, C)
     assert [(mv, decode(new, base)) for mv, new in successors(codes)] == expected
     expected_back = [new for _, new in _neighbors(state.stacks, reverse, C)]
     assert [decode(prev, base) for prev in predecessors(codes)] == expected_back
@@ -112,7 +106,7 @@ def test_middle_move_code_test_matches_the_mirror():
                 state = State(stacks)
                 if not is_legal_state(model, state):
                     continue
-                codes = _encode(stacks, base)
+                codes = encode(stacks, base)
                 for src, tgt in permutations((1, 2, 3), 2):
                     a, b = src - 1, tgt - 1
                     coded = bool(codes[a]) and codes[a] // square == codes[b]
