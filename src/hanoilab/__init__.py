@@ -10,13 +10,14 @@ truth through two search cores, `dense` (distance 0) and `sparse`
 Importing the package runs `model` alone.  `solvers`, `oracle`, `dense`,
 `sparse`, `recurrence` and `verify` are lazy modules
 (`importlib.util.LazyLoader`): registered in `sys.modules` at once, their
-bodies run on first attribute access.  Per CLI subcommand, besides `model`
-and `cli`: `graphs` runs none of them; the constructive `solve` solvers run
-`solvers`; `table` runs `recurrence` and `solvers`; `solve --solver bfs`
-runs `oracle` and the core of its distance; `conjecture` runs `oracle`,
-`sparse` and `solvers`; `verify --suite graphs` runs `oracle`, `dense` and
-`solvers`; the other `verify` suites run `oracle`, `sparse`, `solvers` and
-`verify`.  Only `table` imports `fractions` and `decimal`.  Public names
+bodies run on first attribute access.  Per CLI subcommand, besides `model`,
+`cli` and its own command module (`cmd_graphs`, `cmd_solve`, ...): `graphs`
+runs none of them; the constructive `solve` solvers run `solvers`; `table`
+runs `recurrence` and `solvers`; `solve --solver bfs` runs `oracle` and the
+core of its distance; `conjecture` runs `oracle`, `sparse` and `solvers`;
+`verify --suite graphs` runs `oracle`, `dense` and `solvers`; the other
+`verify` suites run `oracle`, `sparse`, `solvers` and `verify`.  Only
+`table` imports `fractions` and `decimal`.  Public names
 resolve through a PEP 562 `__getattr__`.  That hook alone would keep the
 lazy modules out of `sys.modules`, where a tracer that wraps their
 functions looks them up.  No module imports `dataclasses` or `inspect`,

@@ -11,7 +11,7 @@ The distance rule is enforced pairwise: a disc must be within C of *every*
 disc below it on the same peg, not only its immediate neighbour.  In this
 module the check lives in `can_place` / `stack_is_legal` and in the replay
 core `replay`, which serves `apply`, `apply_all`, `verify.moved_discs`,
-`verify.project_out_largest` and `cli.cmd_solve` and compares against a
+`verify.project_out_largest` and `cmd_solve` and compares against a
 running stack minimum so that a move costs O(1).  The search compares
 inline, once per candidate move of every searched state: in
 `sparse.expand` against the stack minimum each coded stack entry

@@ -1,7 +1,8 @@
 """Lazy binding of `solvers`, `oracle`, its two search cores `dense` and
-`sparse`, `recurrence` and `verify`: which module bodies each subcommand
-and import runs, the package's public names, and the benchmark tracer's
-view of the lazy modules."""
+`sparse`, `recurrence` and `verify`, and the command modules `cli` imports:
+which module bodies each subcommand and import runs, and how often, the
+package's public names, and the benchmark tracer's view of the lazy
+modules."""
 
 import json
 import os
@@ -18,20 +19,21 @@ PACKAGE = Path(hanoilab.__file__).resolve().parent
 PATHS = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(PATHS))
 
-# Records the package modules whose bodies execute in a fresh interpreter.
-# The import system runs a module body through the builtin `exec`, which
-# raises the "exec" audit event.
+# Records the package modules whose bodies execute in a fresh interpreter,
+# once per execution.  The import system, and `runpy` for `python -m`, run
+# a module body through the builtin `exec`, which raises the "exec" audit
+# event.
 HOOK = """
 import contextlib, io, json, os, sys
 package, argv = sys.argv[1], sys.argv[2:]
-ran = set()
+ran = []
 
 def hook(event, args):
     code = args[0] if event == "exec" else None
     if getattr(code, "co_name", None) != "<module>":
         return
     if os.path.dirname(code.co_filename) == package:
-        ran.add(os.path.basename(code.co_filename)[:-3])
+        ran.append(os.path.basename(code.co_filename)[:-3])
 
 sys.addaudithook(hook)
 """
@@ -43,6 +45,19 @@ with contextlib.redirect_stdout(io.StringIO()):
     status = hanoilab.cli.run(argv)
 print(json.dumps({"status": status, "ran": sorted(ran)}))
 """
+# Runs one command as `python -m hanoilab.cli` does, through `runpy` with
+# the module run as `__main__`, and prints its status and those modules.
+MODULE_PROBE = HOOK + """
+import runpy
+
+sys.argv = ["hanoilab", *argv]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("hanoilab.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as done:
+        status = done.code
+print(json.dumps({"status": status, "ran": sorted(ran)}))
+"""
 # Runs one import statement and prints those modules.
 IMPORT_PROBE = HOOK + """
 exec(argv[0])
@@ -50,7 +65,8 @@ print(json.dumps({"status": 0, "ran": sorted(ran)}))
 """
 
 
-def _ran(probe: str, *argv: str) -> set[str]:
+def _ran(probe: str, *argv: str) -> list[str]:
+    """The modules whose bodies ran, sorted, each as often as it ran."""
     child = subprocess.run(
         [sys.executable, "-c", probe, str(PACKAGE), *argv],
         env=ENV,
@@ -61,7 +77,7 @@ def _ran(probe: str, *argv: str) -> set[str]:
     assert child.returncode == 0, child.stderr
     report = json.loads(child.stdout)
     assert report["status"] == 0
-    return set(report["ran"])
+    return report["ran"]
 
 
 BASE = {"__init__", "model", "cli"}
@@ -88,26 +104,41 @@ SPARSE_BFS = [
 DENSE, SPARSE = {"oracle", "dense"}, {"oracle", "sparse"}
 
 CASES = [
-    *((("table", "--n", "6", "--format", f), {"recurrence", "solvers"}) for f in FORMATS),
+    *(
+        (("table", "--n", "6", "--format", f), {"cmd_table", "recurrence", "solvers"})
+        for f in FORMATS
+    ),
     (
         ("table", "--model", "digraph", "--edges", "1>2,2>3,3>1", "--n", "6"),
-        {"recurrence", "solvers"},
+        {"cmd_table", "recurrence", "solvers"},
     ),
-    *((("graphs", "enumerate", "--format", f), set()) for f in FORMATS),
-    *((("solve", *argv, "--format", f), {"solvers"}) for argv in CONSTRUCTIVE for f in FORMATS),
-    *((("solve", *argv), DENSE) for argv in DENSE_BFS),
-    *((("solve", *DENSE_BFS[0], "--format", f), DENSE) for f in ("csv", "json")),
-    *((("solve", *argv), SPARSE) for argv in SPARSE_BFS),
-    (("conjecture", "--distance", "1", "--n-max", "3"), SPARSE | {"solvers"}),
-    (("verify", "--suite", "graphs", "--n", "2"), DENSE | {"solvers"}),
-    (("verify", "--suite", "relaxed", "--n", "2"), SPARSE | {"solvers", "verify"}),
-    (("verify", "--suite", "claims", "--n", "2"), SPARSE | {"solvers", "verify"}),
+    *((("graphs", "enumerate", "--format", f), {"cmd_graphs"}) for f in FORMATS),
+    *(
+        (("solve", *argv, "--format", f), {"cmd_solve", "solvers"})
+        for argv in CONSTRUCTIVE
+        for f in FORMATS
+    ),
+    *((("solve", *argv), DENSE | {"cmd_solve"}) for argv in DENSE_BFS),
+    *((("solve", *DENSE_BFS[0], "--format", f), DENSE | {"cmd_solve"}) for f in ("csv", "json")),
+    *((("solve", *argv), SPARSE | {"cmd_solve"}) for argv in SPARSE_BFS),
+    (("conjecture", "--distance", "1", "--n-max", "3"), SPARSE | {"cmd_conjecture", "solvers"}),
+    (("verify", "--suite", "graphs", "--n", "2"), DENSE | {"cmd_verify", "solvers"}),
+    (("verify", "--suite", "relaxed", "--n", "2"), SPARSE | {"cmd_verify", "solvers", "verify"}),
+    (("verify", "--suite", "claims", "--n", "2"), SPARSE | {"cmd_verify", "solvers", "verify"}),
 ]
+IDS = [" ".join(argv) for argv, _ in CASES]
 
 
-@pytest.mark.parametrize("argv,loaded", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+@pytest.mark.parametrize("argv,loaded", CASES, ids=IDS)
 def test_subcommand_runs_only_the_modules_it_calls(argv, loaded):
-    assert _ran(PROBE, *argv) == BASE | loaded
+    assert _ran(PROBE, *argv) == sorted(BASE | loaded)
+
+
+# Run as `__main__`, `cli.py` must not run a second time when its command
+# module imports from `hanoilab.cli`.
+@pytest.mark.parametrize("argv,loaded", CASES, ids=IDS)
+def test_module_entry_point_runs_cli_and_one_command_module_once(argv, loaded):
+    assert _ran(MODULE_PROBE, *argv) == sorted(BASE | loaded)
 
 
 IMPORTS = [
@@ -119,7 +150,7 @@ IMPORTS = [
 
 @pytest.mark.parametrize("statement,ran", IMPORTS, ids=[s for s, _ in IMPORTS])
 def test_an_import_runs_only_the_modules_it_reads(statement, ran):
-    assert _ran(IMPORT_PROBE, statement) == ran
+    assert _ran(IMPORT_PROBE, statement) == sorted(ran)
 
 
 # Every name the package exported when it imported all five modules eagerly,
@@ -195,7 +226,7 @@ def test_benchmark_tracer_sees_the_lazy_modules(argv, layer):
 
 
 def test_benchmark_tracer_books_the_solve_replay_to_model():
-    # `cli.cmd_solve` calls the public replay core, which the tracer wraps
+    # `cmd_solve.run` calls the public replay core, which the tracer wraps
     traced = subprocess.run(
         [sys.executable, str(ROOT / "hanoibench" / "traced_cli.py"), "solve", "--n", "4"],
         cwd=ROOT,

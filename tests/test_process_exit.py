@@ -120,3 +120,27 @@ def test_status_stdout_and_stderr_through_the_module_entry_point(argv, status, d
     assert child.returncode == status
     assert hashlib.sha256(child.stdout).hexdigest() == digest
     assert child.stderr.decode() == err
+
+
+# The console script calls `main` of an imported `hanoilab.cli`; `python -m`
+# runs `cli.py` as `__main__`, whose command module must reach the very
+# exception classes that `run` catches, or a cap ends in a traceback.
+SCRIPT = [sys.executable, "-c", "from hanoilab.cli import main; main()"]
+ENTRY_POINT_RUNS = [
+    (("solve", "--n", "3"), 0),
+    (("solve", "--n", "-1"), 2),
+    (("table", "--n", "20000"), 1),  # a count past the int-to-str digit limit
+    (("verify", "--suite", "graphs", "--n", "12", "--max-states", "100000"), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, status", ENTRY_POINT_RUNS, ids=[" ".join(argv) for argv, _ in ENTRY_POINT_RUNS]
+)
+def test_module_and_console_script_entry_points_agree(argv, status):
+    module = subprocess.run(_module(*argv), env=ENV, capture_output=True, timeout=60)
+    script = subprocess.run([*SCRIPT, *argv], env=ENV, capture_output=True, timeout=60)
+    ran = (module.returncode, module.stdout, module.stderr)
+    assert ran == (script.returncode, script.stdout, script.stderr)
+    assert module.returncode == status
+    assert b"Traceback" not in module.stderr
